@@ -33,7 +33,6 @@ from .frames import (
     build_frame,
     canonical_dual,
     coefficients_for_perturbation,
-    cross_gram,
     dual_from_coefficients,
     dual_perturbation_basis,
     frame_operator,

@@ -91,10 +91,6 @@ _INPUT_ERRORS = (
     ValueError,
 )
 
-# Overridable expectation table hook; tests corrupt entries to exercise the
-# mismatch exit path.
-_EXPECTED_OVERRIDES: dict = {}
-
 THREADS_ENV_VAR = "FRAME_LAB_THREADS"
 
 
@@ -330,7 +326,6 @@ def _matches(expected, actual, tol: float) -> bool:
 
 
 def _check(example: str, quantity: str, expected, actual, tol: float = 1e-9) -> dict:
-    expected = _EXPECTED_OVERRIDES.get((example, quantity), expected)
     return {
         "example": example,
         "quantity": quantity,

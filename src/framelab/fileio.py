@@ -135,10 +135,6 @@ def load_probability_file(path: str | Path) -> tuple[float, ...]:
     return parse_probability_document(text, source=str(p))
 
 
-def file_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def resolve_profile(
     content: FrameFileContent, separate: tuple[float, ...] | None
 ) -> tuple[ProbabilityProfile, str, bool]:

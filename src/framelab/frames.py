@@ -5,10 +5,14 @@ columns are the frame vectors.  Inner products follow the convention
 ``<a, b> = b^H a`` (linear in the first argument), so a frame ``F`` and a
 candidate dual ``G`` form a dual pair exactly when ``G F^H = I``.
 
-Every dual of ``F`` is ``canonical + perturbation`` where the perturbation
-``U`` satisfies ``U F^H = 0``; the solution space has dimension ``n (N - n)``
-and is spanned by the orthonormal basis produced by
-:func:`dual_perturbation_basis`.
+Every dual of ``F`` is ``G = S^-1 F + C V^H``: ``S^-1 F`` is the canonical
+dual, ``V`` is an ``N x (N - n)`` matrix whose orthonormal columns span the
+null space of ``F``, and ``C`` is any complex ``n x (N - n)`` matrix.  The
+perturbations ``C V^H`` are exactly the solutions of ``U F^H = 0``, a space of
+dimension ``n (N - n)``.  :func:`dual_perturbation_basis` holds ``V``, and a
+coefficient vector is ``C`` read row by row: coefficient ``row (N - n) + j``
+is ``C[row, j]``.  The frame operator and the canonical dual are computed
+once per :class:`Frame` and cached on it.
 
 Public vector indices are 1-based (vectors are numbered ``1 .. N``), matching
 the usual convention for erasure index sets; all internal arrays are 0-based.
@@ -114,10 +118,28 @@ class Frame:
             raise IndexError(f"vector index {i} out of range 1..{self.count}")
         return self._matrix[:, i - 1]
 
+    @property
+    def parseval_residual(self) -> float:
+        """Largest entry of ``|S - I|``; zero exactly for a Parseval frame."""
+        return float(np.max(np.abs(self._operator.entries - np.eye(self.dim))))
+
     def is_parseval(self, tol: float = 1e-9) -> bool:
         """True when the frame operator equals the identity within ``tol``."""
-        s = frame_operator(self).entries
-        return float(np.max(np.abs(s - np.eye(self.dim)))) <= tol
+        return self.parseval_residual <= tol
+
+    @cached_property
+    def _operator(self) -> HermitianMatrix:
+        f = self._matrix
+        return HermitianMatrix(f @ f.conj().T)
+
+    @cached_property
+    def _canonical(self) -> DualPair:
+        op = self._operator
+        if op.condition_number() > CONDITION_LIMIT:
+            raise IllConditioned(
+                f"frame operator condition number {op.condition_number():.3e} exceeds {CONDITION_LIMIT:.0e}"
+            )
+        return DualPair(self, Frame(op.solve(self._matrix)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Frame(dim={self.dim}, count={self.count})"
@@ -177,9 +199,9 @@ class HermitianMatrix:
 
 
 def frame_operator(frame: Frame) -> HermitianMatrix:
-    """Frame operator ``S = sum_i f_i f_i^H`` (positive definite)."""
-    f = frame.matrix
-    return HermitianMatrix(f @ f.conj().T)
+    """Frame operator ``S = sum_i f_i f_i^H`` (positive definite), computed
+    once per frame."""
+    return frame._operator
 
 
 def verify_dual(frame: Frame, dual: Frame, tol: float = DUAL_TOL) -> bool:
@@ -229,20 +251,10 @@ class DualPair:
         return f"DualPair(dim={self.dim}, count={self.count})"
 
 
-def cross_gram(pair: DualPair) -> np.ndarray:
-    """Cross-Gram matrix with entry ``(i, j) = <g_i, f_j>``."""
-    return pair.cross_gram
-
-
 def canonical_dual(frame: Frame) -> DualPair:
-    """Dual pair formed by ``{S^-1 f_i}``, the canonical dual."""
-    op = frame_operator(frame)
-    if op.condition_number() > CONDITION_LIMIT:
-        raise IllConditioned(
-            f"frame operator condition number {op.condition_number():.3e} exceeds {CONDITION_LIMIT:.0e}"
-        )
-    dual_matrix = op.solve(frame.matrix)
-    return DualPair(frame, Frame(dual_matrix))
+    """Dual pair formed by ``{S^-1 f_i}``, the canonical dual, computed once
+    per frame."""
+    return frame._canonical
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -258,86 +270,80 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
 class DualPerturbationBasis:
     """Orthonormal basis of the space of dual perturbations of a frame.
 
-    Elements are frame-shaped arrays ``U`` with ``U F^H = 0``; they are
-    orthonormal under the entrywise inner product and there are exactly
-    ``n (N - n)`` of them.
+    The perturbations are ``C V^H`` for complex ``n x (N - n)`` matrices
+    ``C``, where ``V`` (``null_vectors``, shape ``(N, N - n)``) has
+    orthonormal columns spanning the null space of ``F``.  Basis element
+    ``k = row (N - n) + j`` is ``C = e_row e_j^T``; the ``n (N - n)``
+    elements are orthonormal under the entrywise inner product.
     """
 
     base_frame: Frame
-    elements: np.ndarray = field(repr=False)  # shape (size, n, N)
+    null_vectors: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
-        return self.elements.shape[0]
+        return self.base_frame.dim * self.null_vectors.shape[1]
 
     def __post_init__(self) -> None:
         n, count = self.base_frame.dim, self.base_frame.count
-        expected = n * (count - n)
-        if self.elements.shape != (expected, n, count):
+        v = self.null_vectors
+        if v.shape != (count, count - n):
             raise ShapeMismatch(
-                f"basis shape {self.elements.shape} does not match ({expected}, {n}, {count})"
+                f"null-vector matrix shape {v.shape} does not match ({count}, {count - n})"
             )
+        if not v.size:
+            return
         scale = max(self.base_frame.upper_bound ** 0.5, 1.0)
-        for k in range(expected):
-            residual = self.elements[k] @ self.base_frame.matrix.conj().T
-            if float(np.max(np.abs(residual))) > 1e-10 * scale:
-                raise ShapeMismatch(f"basis element {k} is not a dual perturbation")
-        if expected:
-            flat = self.elements.reshape(expected, -1)
-            gram = flat @ flat.conj().T
-            if float(np.max(np.abs(gram - np.eye(expected)))) > 1e-10:
-                raise ShapeMismatch("basis elements are not orthonormal")
+        if float(np.max(np.abs(self.base_frame.matrix @ v))) > 1e-10 * scale:
+            raise ShapeMismatch("null vectors are not in the null space of the frame")
+        if float(np.max(np.abs(v.conj().T @ v - np.eye(count - n)))) > 1e-10:
+            raise ShapeMismatch("null vectors are not orthonormal")
 
 
 def dual_perturbation_basis(frame: Frame) -> DualPerturbationBasis:
     """Orthonormal basis of solutions of ``U F^H = 0``.
 
-    Computed from the full singular value decomposition of the synthesis
-    matrix: each row of a valid perturbation lies in the conjugate of the
-    null space of ``F``, so the basis elements place one (phase-normalized)
-    null vector in one row.  Ordering is by row index, then null-vector
-    index, which makes :func:`dual_from_coefficients` deterministic.
+    ``V`` is taken from the full singular value decomposition of the
+    synthesis matrix: its columns are the null vectors of ``F``, each
+    phase-normalized, which makes :func:`dual_from_coefficients`
+    deterministic.
     """
     f = frame.matrix
     n, count = f.shape
     _, _, vh = np.linalg.svd(f, full_matrices=True)
     null_vectors = [_canonical_phase(np.conj(vh[k])) for k in range(n, count)]
-    elements = np.zeros((n * (count - n), n, count), dtype=np.complex128)
-    pos = 0
-    for row in range(n):
-        for w in null_vectors:
-            elements[pos, row, :] = np.conj(w)
-            pos += 1
-    elements.setflags(write=False)
-    return DualPerturbationBasis(frame, elements)
+    v = np.array(null_vectors, dtype=np.complex128).reshape(count - n, count).T
+    v.setflags(write=False)
+    return DualPerturbationBasis(frame, v)
 
 
 def dual_from_coefficients(basis: DualPerturbationBasis, coeffs) -> DualPair:
-    """Dual pair ``canonical + sum_k coeffs[k] * basis[k]``."""
+    """Dual pair ``S^-1 F + C V^H`` with ``C = coeffs.reshape(n, N - n)``."""
     c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     if c.size != basis.size:
         raise LengthMismatch(f"expected {basis.size} coefficients, got {c.size}")
     base = canonical_dual(basis.base_frame)
     if basis.size == 0:
         return base
-    perturbation = np.tensordot(c, basis.elements, axes=1)
+    v = basis.null_vectors
+    perturbation = c.reshape(-1, v.shape[1]) @ v.conj().T
     return DualPair(basis.base_frame, Frame(base.dual.matrix + perturbation))
 
 
 def coefficients_for_perturbation(
     basis: DualPerturbationBasis, perturbation
 ) -> tuple[np.ndarray, float]:
-    """Project a frame-shaped perturbation onto the basis.
+    """Project a frame-shaped perturbation ``P`` onto the basis.
 
-    Returns the coefficient vector and the residual between the perturbation
-    and its reconstruction from the basis; a residual near zero certifies the
-    perturbation lies in the dual-perturbation space.
+    Returns the coefficients ``C = P V`` read row by row, and the residual
+    ``max |P - C V^H|``; a residual near zero certifies the perturbation lies
+    in the dual-perturbation space.
     """
     p = np.asarray(perturbation, dtype=np.complex128)
     n, count = basis.base_frame.dim, basis.base_frame.count
     if p.shape != (n, count):
         raise ShapeMismatch(f"perturbation shape {p.shape} does not match ({n}, {count})")
-    coeffs = np.tensordot(basis.elements.conj(), p, axes=([1, 2], [0, 1]))
-    rebuilt = np.tensordot(coeffs, basis.elements, axes=1) if basis.size else np.zeros_like(p)
-    residual = float(np.max(np.abs(p - rebuilt))) if p.size else 0.0
-    return coeffs, residual
+    v = basis.null_vectors
+    c = p @ v
+    residual = float(np.max(np.abs(p - c @ v.conj().T)))
+    return c.reshape(-1), residual

@@ -25,7 +25,7 @@ from .errors import (
     NotOneErasureOptimal,
     NotParseval,
 )
-from .frames import DualPair, Frame, canonical_dual, frame_operator
+from .frames import DualPair, Frame, canonical_dual
 from .weights import ProbabilityProfile
 
 DEFAULT_TOL = 1e-9
@@ -284,12 +284,11 @@ def _partition_report(frame: Frame, values: np.ndarray, tol: float) -> Partition
     rem_ix = np.asarray(remaining, dtype=np.intp) - 1
     d1 = _rank(frame.matrix[:, att_ix])
     d2 = _rank(frame.matrix[:, rem_ix])
-    total = _rank(frame.matrix)
     return PartitionReport(
         threshold=c,
         attaining=attaining,
         remaining=remaining,
-        subspace_dims=(d1, d2, d1 + d2 - total),
+        subspace_dims=(d1, d2, d1 + d2 - frame.dim),
     )
 
 
@@ -302,8 +301,7 @@ def canonical_spectral_one_certificate(
     Partitions indices by ``q_i <S^-1 f_i, f_i>``; the condition holds when
     the spans of the attaining and remaining vectors intersect trivially.
     """
-    op = frame_operator(frame)
-    inv_f = op.solve(frame.matrix)
+    inv_f = canonical_dual(frame).dual.matrix
     values = profile.weights * np.real(np.einsum("ij,ij->j", frame.matrix.conj(), inv_f))
     partition = _partition_report(frame, values, tol)
     intersection = partition.subspace_dims[2]
@@ -334,8 +332,7 @@ def canonical_norm_one_certificate(
     holds and the remaining vectors are linearly independent, the canonical
     dual is the unique one-erasure optimal dual.
     """
-    op = frame_operator(frame)
-    inv_f = op.solve(frame.matrix)
+    inv_f = canonical_dual(frame).dual.matrix
     values = (
         profile.weights
         * np.linalg.norm(frame.matrix, axis=0)
@@ -403,8 +400,8 @@ def canonical_spectral_two_certificate(
             )
         )
     else:
-        op = frame_operator(frame)
-        gram = frame.matrix.conj().T @ op.solve(frame.matrix)
+        pair = canonical_dual(frame)
+        gram = frame.matrix.conj().T @ pair.dual.matrix
         q = profile.weights
         target = bounds.cross_budget / bounds.offdiag_weight_sum
         worst = 0.0
@@ -419,7 +416,6 @@ def canonical_spectral_two_certificate(
                 witness=float(worst),
             )
         )
-        pair = canonical_dual(frame)
         details["canonical_two_erasure_value"] = spectral_measure(pair, profile, 2).value
     return OptimalityCertificate(
         condition_id=CONDITION_CANONICAL_SPECTRAL_TWO,
@@ -558,8 +554,7 @@ def is_probabilistic_uniform_parseval(
     frame: Frame, profile: ProbabilityProfile, tol: float = DEFAULT_TOL
 ) -> OptimalityCertificate:
     """Is the frame Parseval with ``||f_i||^2 = 1/q_i`` for all ``i``?"""
-    op = frame_operator(frame)
-    parseval_residual = float(np.max(np.abs(op.entries - np.eye(frame.dim))))
+    parseval_residual = frame.parseval_residual
     norms_sq = np.linalg.norm(frame.matrix, axis=0) ** 2
     norm_residual = float(np.max(np.abs(norms_sq - 1.0 / profile.weights)))
     hypotheses = (
@@ -597,8 +592,7 @@ def parseval_equivalence_report(
     """
     from .search import certify_canonical_optimal
 
-    op = frame_operator(frame)
-    residual = float(np.max(np.abs(op.entries - np.eye(frame.dim))))
+    residual = frame.parseval_residual
     if residual > tol:
         raise NotParseval(f"frame operator deviates from identity by {residual:.3e}")
     spectral = certify_canonical_optimal(frame, profile, "spectral", gap_tol, options)

@@ -1,11 +1,14 @@
 """Minimax search over the dual-frame space for one-erasure optimal duals.
 
-Every dual of a frame is ``canonical + sum_k z_k U_k`` over the perturbation
-basis, so both one-erasure objectives are maxima of convex functions of the
-(real and imaginary parts of the) coefficients:
+Every dual of a frame is ``G = S^-1 F + C V^H`` (see :mod:`framelab.frames`),
+so both one-erasure objectives are maxima of convex functions of the real and
+imaginary parts of the ``n x (N - n)`` matrix ``C``:
 
-* spectral: ``max_i q_i |<f_i, g_i(z)>|`` -- moduli of affine complex maps,
-* norm:     ``max_i q_i ||f_i|| ||g_i(z)||`` -- norms of affine maps.
+* spectral: ``max_i q_i |<g_i, f_i>|`` -- moduli of affine complex maps,
+* norm:     ``max_i q_i ||f_i|| ||g_i||`` -- norms of affine maps.
+
+Values and gradients are ``n x N`` and ``n x (N - n)`` matrix products
+against ``V``.
 
 Two convergent convex-minimax methods are provided: log-sum-exp smoothing
 with L-BFGS refinement over a decreasing smoothing schedule (default), and
@@ -91,92 +94,65 @@ _VALUE_FUNCTIONS = {"spectral": _spectral_one_value, "norm": _norm_one_value}
 
 
 class _Objective:
-    """Evaluates one objective and its (sub)gradients over x in R^(2K)."""
+    """One objective over x in R^(2K), the real and imaginary parts of ``C``.
+
+    Index ``i`` contributes ``scales_i |a_i|``, where ``a_i`` is
+    ``<g_i, f_i>`` (spectral) or the vector ``g_i`` (norm).  The gradient of
+    ``|a_i|`` with respect to ``C`` is ``conj(D[:, i]) conj(V[i, :]) / |a_i|``
+    for the carrier ``D = F * a`` (spectral) or ``D = G`` (norm).
+    """
 
     def __init__(self, kind: str, frame: Frame, profile: ProbabilityProfile, basis) -> None:
         self.kind = kind
         self.k = basis.size
-        g0 = canonical_dual(frame).dual.matrix
-        self.g0 = g0
-        self.elements = basis.elements
-        self.q = profile.weights
-        f = frame.matrix
-        if kind == "spectral":
-            # t_i(z) = <g_i(z), f_i> is linear in z
-            self.offset = np.einsum("di,di->i", f.conj(), g0)
-            self.linear = np.einsum("di,kdi->ik", f.conj(), basis.elements)
-        else:
-            self.scales = self.q * np.linalg.norm(f, axis=0)
+        self.f = frame.matrix
+        self.g0 = canonical_dual(frame).dual.matrix
+        self.v = basis.null_vectors
+        self.scales = profile.weights
+        if kind == "norm":
+            self.scales = self.scales * np.linalg.norm(self.f, axis=0)
 
-    def _split(self, x: np.ndarray) -> np.ndarray:
-        return x[: self.k] + 1j * x[self.k :]
+    def _carrier(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The carrier ``D`` and the moduli ``|a_i|`` at ``x``."""
+        c = (x[: self.k] + 1j * x[self.k :]).reshape(-1, self.v.shape[1])
+        g = self.g0 + c @ self.v.conj().T
+        if self.kind == "spectral":
+            t = np.einsum("di,di->i", self.f.conj(), g)
+            return self.f * t, np.abs(t)
+        return g, np.linalg.norm(g, axis=0)
+
+    def _gradient(self, carrier: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Gradient in x of ``sum_i weights_i |a_i|^2 / 2``."""
+        row = ((carrier.conj() * weights) @ self.v.conj()).reshape(-1)
+        return np.concatenate([np.real(row), -np.imag(row)])
 
     def value(self, x: np.ndarray) -> float:
-        z = self._split(x)
-        if self.kind == "spectral":
-            t = self.offset + (self.linear @ z if self.k else 0.0)
-            return float(np.max(self.q * np.abs(t)))
-        g = self.g0 + (np.tensordot(z, self.elements, axes=1) if self.k else 0.0)
-        return float(np.max(self.scales * np.linalg.norm(g, axis=0)))
+        _, moduli = self._carrier(x)
+        return float(np.max(self.scales * moduli))
 
     def smoothed(self, x: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
         """Log-sum-exp smoothed objective and gradient; upper-bounds the max."""
-        z = self._split(x)
-        if self.kind == "spectral":
-            t = self.offset + (self.linear @ z if self.k else 0.0)
-            radicals = np.sqrt(np.abs(t) ** 2 + mu * mu)
-            terms = self.q * radicals
-            per_term_scale = self.q / radicals
-            carrier = t
-            jac = self.linear  # (N, K)
-        else:
-            g = self.g0 + (np.tensordot(z, self.elements, axes=1) if self.k else 0.0)
-            radicals = np.sqrt(np.linalg.norm(g, axis=0) ** 2 + mu * mu)
-            terms = self.scales * radicals
-            per_term_scale = self.scales / radicals
-            carrier = g
-            jac = None
+        carrier, moduli = self._carrier(x)
+        radicals = np.sqrt(moduli**2 + mu * mu)
+        terms = self.scales * radicals
         top = float(np.max(terms))
         expo = np.exp((terms - top) / mu)
         total = float(np.sum(expo))
         value = top + mu * np.log(total)
-        soft = expo / total
-        weights = soft * per_term_scale
-        if self.k == 0:
-            return value, np.zeros(0)
-        if self.kind == "spectral":
-            row = (weights * np.conj(carrier)) @ jac
-        else:
-            # T[k, i] = <u_k restricted to column i, g_i>
-            t_mat = np.einsum("di,kdi->ki", np.conj(carrier), self.elements)
-            row = t_mat @ weights
-        return value, np.concatenate([np.real(row), -np.imag(row)])
+        weights = (expo / total) * (self.scales / radicals)
+        return value, self._gradient(carrier, weights)
 
     def subgradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """True objective value and a subgradient of the active term."""
-        z = self._split(x)
-        if self.kind == "spectral":
-            t = self.offset + (self.linear @ z if self.k else 0.0)
-            vals = self.q * np.abs(t)
-            i = int(np.argmax(vals))
-            value = float(vals[i])
-            if self.k == 0:
-                return value, np.zeros(0)
-            if abs(t[i]) == 0.0:
-                return value, np.zeros(2 * self.k)
-            row = (self.q[i] * np.conj(t[i]) / abs(t[i])) * self.linear[i]
-        else:
-            g = self.g0 + (np.tensordot(z, self.elements, axes=1) if self.k else 0.0)
-            norms = np.linalg.norm(g, axis=0)
-            vals = self.scales * norms
-            i = int(np.argmax(vals))
-            value = float(vals[i])
-            if self.k == 0:
-                return value, np.zeros(0)
-            if norms[i] == 0.0:
-                return value, np.zeros(2 * self.k)
-            row = (self.scales[i] / norms[i]) * (self.elements[:, :, i] @ np.conj(g[:, i]))
-        return value, np.concatenate([np.real(row), -np.imag(row)])
+        carrier, moduli = self._carrier(x)
+        vals = self.scales * moduli
+        i = int(np.argmax(vals))
+        value = float(vals[i])
+        if moduli[i] == 0.0:
+            return value, np.zeros(2 * self.k)
+        weights = np.zeros(vals.size)
+        weights[i] = self.scales[i] / moduli[i]
+        return value, self._gradient(carrier, weights)
 
 
 def _minimize_smoothed(
@@ -228,12 +204,18 @@ def _minimize_subgradient(
     return best_x, k
 
 
+_SOLVERS = {"smoothed": _minimize_smoothed, "subgradient": _minimize_subgradient}
+
+
 def _run_search(
     kind: str, frame: Frame, profile: ProbabilityProfile, options: SearchOptions | None
 ) -> SearchResult:
     if kind not in MEASURE_KINDS:
         raise ValueError(f"measure kind must be one of {MEASURE_KINDS}, got {kind!r}")
     opts = options or SearchOptions()
+    if opts.method not in _SOLVERS:
+        raise ValueError(f"unknown method {opts.method!r}")
+    solver = _SOLVERS[opts.method]
     basis = dual_perturbation_basis(frame)
     canonical = canonical_dual(frame)
     value_of = _VALUE_FUNCTIONS[kind]
@@ -260,10 +242,6 @@ def _run_search(
         direction = rng.standard_normal(dim)
         direction /= np.linalg.norm(direction)
         starts.append(radius * rng.uniform(0.1, 1.0) * direction)
-
-    solver = _minimize_smoothed if opts.method == "smoothed" else _minimize_subgradient
-    if opts.method not in ("smoothed", "subgradient"):
-        raise ValueError(f"unknown method {opts.method!r}")
 
     finals: list[float] = []
     best_x = np.zeros(dim)
@@ -359,12 +337,7 @@ def certify_canonical_optimal(
     not converge; a numerical search can bound the gap but never prove
     optimality, so inconclusiveness is kept distinct from False.
     """
-    if measure_kind == "spectral":
-        result = minimize_spectral_one(frame, profile, options)
-    elif measure_kind == "norm":
-        result = minimize_norm_one(frame, profile, options)
-    else:
-        raise ValueError(f"measure kind must be one of {MEASURE_KINDS}, got {measure_kind!r}")
+    result = _run_search(measure_kind, frame, profile, options)
     if not result.converged:
         return CertificationOutcome(optimal=None, gap=result.gap, result=result)
     return CertificationOutcome(optimal=bool(result.gap <= tol), gap=result.gap, result=result)

@@ -3,6 +3,7 @@ import json
 import pytest
 from numpy.testing import assert_allclose
 
+import framelab as fl
 import framelab.cli as cli
 from framelab.reporting import parse_report
 
@@ -263,9 +264,9 @@ def test_examples_pass(capsys):
 
 
 def test_examples_corrupted_table_fails(capsys, monkeypatch):
-    monkeypatch.setattr(
-        cli, "_EXPECTED_OVERRIDES", {("A", "spectral_one_canonical"): 99.0}
-    )
+    frame, _ = cli._example_a()
+    wrong = fl.uniform_profile(3, 2)  # weights 1, not the expected (4/3, 4/3, 2)
+    monkeypatch.setattr(cli, "_example_a", lambda: (frame, wrong))
     code, out, err = run(capsys, ["examples"])
     assert code == 1
     doc = parse_report(out)

@@ -69,6 +69,11 @@ def test_canonical_dual_orthonormal_is_self():
     assert_allclose(pair.dual.matrix, frame.matrix, atol=1e-14)
 
 
+def test_canonical_dual_is_computed_once(plane_frame):
+    assert fl.canonical_dual(plane_frame) is fl.canonical_dual(plane_frame)
+    assert fl.frame_operator(plane_frame) is fl.frame_operator(plane_frame)
+
+
 def test_canonical_dual_ill_conditioned():
     frame = fl.build_frame(2, [(1, 0), (0, 1e-7)])
     with pytest.raises(fl.IllConditioned):
@@ -94,7 +99,7 @@ def test_cross_gram_values(plane_frame, tight_frame):
         np.diagonal(tight_pair.cross_gram), [1 / 3, 1 / 3, 2 / 3, 2 / 3], atol=1e-12
     )
     basis = fl.build_frame(2, [(1, 0), (0, 1)])
-    assert_allclose(fl.cross_gram(fl.DualPair(basis, basis)), np.eye(2), atol=1e-14)
+    assert_allclose(fl.DualPair(basis, basis).cross_gram, np.eye(2), atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -108,17 +113,26 @@ def test_perturbation_basis_size(vectors, expected_size):
     assert basis.size == frame.dim * (frame.count - frame.dim)
 
 
+def basis_perturbations(frame):
+    """The perturbations ``dual_from_coefficients(basis, e_k) - canonical``."""
+    basis = fl.dual_perturbation_basis(frame)
+    canonical = fl.canonical_dual(frame).dual.matrix
+    return np.array(
+        [fl.dual_from_coefficients(basis, e_k).dual.matrix - canonical for e_k in np.eye(basis.size)]
+    )
+
+
 def test_perturbation_basis_annihilates_analysis(plane_frame):
-    basis = fl.dual_perturbation_basis(plane_frame)
-    for k in range(basis.size):
-        residual = basis.elements[k] @ plane_frame.matrix.conj().T
+    perturbations = basis_perturbations(plane_frame)
+    assert len(perturbations) == 2
+    for u in perturbations:
+        residual = u @ plane_frame.matrix.conj().T
         assert np.max(np.abs(residual)) <= 1e-12
 
 
 def test_perturbation_basis_orthonormal(tight_frame):
-    basis = fl.dual_perturbation_basis(tight_frame)
-    flat = basis.elements.reshape(basis.size, -1)
-    assert_allclose(flat @ flat.conj().T, np.eye(basis.size), atol=1e-12)
+    flat = basis_perturbations(tight_frame).reshape(4, -1)
+    assert_allclose(flat @ flat.conj().T, np.eye(4), atol=1e-12)
 
 
 def test_dual_from_zero_coefficients_is_canonical(plane_frame):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import check_grad
 
 import framelab as fl
+from framelab.search import _Objective
 from conftest import random_frame, random_profile
 
 
@@ -77,10 +79,11 @@ def test_subgradient_method_agrees(plane_frame, plane_profile):
 
 
 def test_search_rejects_unknown_method(plane_frame, plane_profile):
-    with pytest.raises(ValueError):
-        fl.minimize_spectral_one(
-            plane_frame, plane_profile, fl.SearchOptions(method="annealing")
-        )
+    basis_frame = fl.build_frame(2, [(1, 0), (0, 1)])  # unique dual, empty search space
+    basis_profile = fl.weights_from_probabilities([0.4, 0.6], 2)
+    for frame, profile in ((plane_frame, plane_profile), (basis_frame, basis_profile)):
+        with pytest.raises(ValueError):
+            fl.minimize_spectral_one(frame, profile, fl.SearchOptions(method="annealing"))
 
 
 def test_search_monotone_and_verified_on_random_frames():
@@ -148,3 +151,32 @@ def test_certify_canonical_optimal(tight_frame, tight_profile, plane_frame, plan
     assert bad.gap >= 4 / 3 - 10 / 9 - 1e-6
     bad_norm = fl.certify_canonical_optimal(plane_frame, plane_profile, "norm", 1e-6, FAST)
     assert bad_norm.optimal is False
+
+
+@pytest.mark.parametrize("kind", ["spectral", "norm"])
+@pytest.mark.parametrize("shape", [(2, 3), (4, 12)])
+def test_smoothed_gradient_matches_finite_differences(kind, shape):
+    rng = np.random.default_rng(71)
+    frame = random_frame(rng, *shape)
+    profile = random_profile(rng, *shape)
+    basis = fl.dual_perturbation_basis(frame)
+    objective = _Objective(kind, frame, profile, basis)
+    mu = 0.1
+    for _ in range(5):
+        x = rng.standard_normal(2 * basis.size)
+        error = check_grad(
+            lambda v: objective.smoothed(v, mu)[0], lambda v: objective.smoothed(v, mu)[1], x
+        )
+        assert error <= 1e-5 * max(1.0, np.linalg.norm(objective.smoothed(x, mu)[1]))
+
+
+@pytest.mark.parametrize("kind", ["spectral", "norm"])
+def test_objective_value_matches_measure(kind):
+    rng = np.random.default_rng(73)
+    frame = random_frame(rng, 3, 7)
+    profile = random_profile(rng, 3, 7)
+    basis, measure = coefficient_objective(frame, profile, kind)
+    objective = _Objective(kind, frame, profile, basis)
+    for _ in range(10):
+        x = rng.standard_normal(2 * basis.size)
+        assert objective.value(x) == pytest.approx(measure(x), rel=1e-12)
