@@ -193,10 +193,6 @@ class HermitianMatrix:
         values, vectors = self._eigh
         return vectors @ ((vectors.conj().T @ rhs).T / values).T
 
-    def inverse(self) -> np.ndarray:
-        values, vectors = self._eigh
-        return (vectors / values) @ vectors.conj().T
-
 
 def frame_operator(frame: Frame) -> HermitianMatrix:
     """Frame operator ``S = sum_i f_i f_i^H`` (positive definite), computed

@@ -209,13 +209,20 @@ def test_criterion_7_parseval_equivalence():
 
 def test_criterion_8_simulation_soundness():
     with criterion(8, "simulation never exceeds worst case", 10.0):
+        rng = np.random.default_rng(808)
+        plane = (fl.build_frame(2, PLANE_VECTORS), fl.weights_from_probabilities(PLANE_PROBS, 2))
+        tight = (fl.build_frame(2, TIGHT_VECTORS), fl.weights_from_probabilities(TIGHT_PROBS, 2))
+        complex_16x40 = (random_frame(rng, 16, 40), random_profile(rng, 16, 40))
         cases = [
-            (fl.build_frame(2, PLANE_VECTORS), fl.weights_from_probabilities(PLANE_PROBS, 2)),
-            (fl.build_frame(2, TIGHT_VECTORS), fl.weights_from_probabilities(TIGHT_PROBS, 2)),
+            (plane, (1, 2), 10_000),
+            # m = 3 exceeds the two-index support and draws a zero-mass index
+            (tight, (1, 2, 3), 10_000),
+            (complex_16x40, (2, 3), 20_000),
         ]
-        for frame, profile in cases:
+        for (frame, profile), ms, trials in cases:
             pair = fl.canonical_dual(frame)
-            for m in (1, 2):
-                stats = fl.simulate_erasure_channel(pair, profile, m, trials=10_000, seed=90 + m)
+            for m in ms:
+                stats = fl.simulate_erasure_channel(pair, profile, m, trials=trials, seed=90 + m)
                 bound = fl.norm_measure(pair, profile, m).value
                 assert stats.max_error <= bound + 1e-9
+                assert sum(stats.histogram_counts) == trials

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -197,6 +202,39 @@ def test_simulate_zero_trials_usage_error(capsys, plane_path):
 def test_simulate_excessive_m(capsys, plane_path):
     code, _, _ = run(capsys, ["simulate", plane_path, "--m", "5", "--trials", "10"])
     assert code == 2
+
+
+def test_simulate_negative_m_usage_error(capsys, plane_path):
+    code, _, err = run(capsys, ["simulate", plane_path, "--m", "-1", "--trials", "10"])
+    assert code == 2
+    assert "m=-1" in err
+
+
+def test_simulate_stdout_independent_of_blas_threads(tmp_path):
+    rng = np.random.default_rng(61)
+    matrix = rng.standard_normal((16, 40)) + 1j * rng.standard_normal((16, 40))
+    doc = {
+        "dim": 16,
+        "count": 40,
+        "field": "complex",
+        "vectors": [[[z.real, z.imag] for z in column] for column in matrix.T],
+        "probabilities": rng.dirichlet(np.ones(40)).tolist(),
+    }
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(fl.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["simulate", str(path), "--m", "2", "--trials", "20000", "--seed", "5"]
+        done = subprocess.run(
+            [sys.executable, "-m", "framelab.cli", *argv],
+            env=env, capture_output=True, timeout=120, check=True,
+        )
+        outputs.append(done.stdout)
+    assert parse_report(outputs[0].decode())["simulation"]["trials"] == 20000
+    assert outputs[0] == outputs[1]
 
 
 def test_analyze_report_reemits_byte_identically(capsys, plane_path):

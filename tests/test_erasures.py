@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import framelab as fl
+from framelab.erasures import _draw_erasures
 from conftest import plane_better_dual, random_dual_pair, random_frame, random_profile
 
 
@@ -242,6 +243,71 @@ def test_simulation_argument_errors(plane_frame, plane_profile):
         fl.simulate_erasure_channel(pair, plane_profile, m=1, trials=0, seed=0)
     with pytest.raises(fl.InsufficientSupport):
         fl.simulate_erasure_channel(pair, plane_profile, m=4, trials=10, seed=0)
+    with pytest.raises(ValueError, match="m=-1"):
+        fl.simulate_erasure_channel(pair, plane_profile, m=-1, trials=10, seed=0)
+
+
+def successive_sampling_probabilities(p, m):
+    """Exact probability of each m-set under m successive draws proportional
+    to p without replacement, keyed by the set's bitmask of 0-based indices."""
+    exact = {}
+    for order in itertools.permutations(np.flatnonzero(p > 0), m):
+        prob, left = 1.0, 1.0
+        for i in order:
+            prob *= p[i] / left
+            left -= p[i]
+        key = sum(1 << int(i) for i in order)
+        exact[key] = exact.get(key, 0.0) + prob
+    return exact
+
+
+def assert_set_frequencies(draws, exact):
+    """Rows are sets of distinct indices, no set outside ``exact`` is drawn,
+    and each set's frequency lies within 5 binomial sigmas of its probability."""
+    assert np.all(np.diff(np.sort(draws, axis=1), axis=1) > 0)
+    keys, counts = np.unique((1 << draws).sum(axis=1), return_counts=True)
+    assert set(keys.tolist()) <= set(exact)
+    assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
+    observed = dict(zip(keys.tolist(), counts.tolist()))
+    total = draws.shape[0]
+    for key, prob in exact.items():
+        sigma = math.sqrt(prob * (1.0 - prob) / total)
+        assert abs(observed.get(key, 0) / total - prob) <= 5.0 * sigma, bin(key)
+
+
+@pytest.mark.parametrize(
+    "p, m",
+    [
+        ([0.1, 0.35, 0.0, 0.2, 0.35], 2),
+        ([0.05, 0.3, 0.15, 0.0, 0.4, 0.1], 3),
+    ],
+)
+def test_exponential_keys_match_successive_sampling(p, m):
+    p = np.asarray(p)
+    draws = _draw_erasures(np.random.default_rng(11), p, m, 200_000)
+    assert draws.shape == (200_000, m)
+    assert_set_frequencies(draws, successive_sampling_probabilities(p, m))
+
+
+def test_exponential_keys_survive_subnormal_probabilities():
+    # Exp(1) / 1e-310 overflows to inf, which would tie indices 2 and 3
+    p = np.array([0.5, 0.5, 1e-310, 1e-310])
+    draws = _draw_erasures(np.random.default_rng(13), p, 3, 100_000)
+    assert_set_frequencies(draws, {0b0111: 0.5, 0b1011: 0.5})
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_exponential_keys_fall_back_to_uniform_zero_mass(m):
+    # support {1, 4} is smaller than m: both are always drawn, and the other
+    # m - 2 indices are a uniform subset of the zero-mass ones
+    p = np.array([0.0, 0.7, 0.0, 0.0, 0.3, 0.0])
+    draws = _draw_erasures(np.random.default_rng(12), p, m, 100_000)
+    zero_mass = [0, 2, 3, 5]
+    exact = {
+        (1 << 1) + (1 << 4) + sum(1 << i for i in extra): 1.0 / math.comb(4, m - 2)
+        for extra in itertools.combinations(zero_mass, m - 2)
+    }
+    assert_set_frequencies(draws, exact)
 
 
 def test_erasure_set_validation():
