@@ -10,8 +10,14 @@ Closed forms: for ``m == 1`` the spectral value at index ``i`` is
 ``m == 2`` the nonzero eigenvalues of ``E_L`` are the roots of a quadratic in
 the weighted cross-Gram entries (:func:`two_erasure_eigenvalues`).  For
 general ``m`` the nonzero spectrum of ``E_L`` equals that of the small
-``m x m`` block ``[q_i <g_j, f_i>]_{i,j in L}``, which keeps the eigenproblem
-at size ``m`` instead of ``n``.
+``m x m`` block ``[q_i <g_j, f_i>]_{i,j in L}``, and ``||E_L||^2`` is the
+largest eigenvalue of ``D G_L^H G_L D F_L^H F_L`` with ``D = diag(q_L)``,
+whose factors are cut from the Gram matrices ``G^H G`` and ``F^H F``; both
+keep the eigenproblem at size ``m`` instead of ``n``.
+
+The measures enumerate the erasure sets in lexicographic order, in chunks of
+``CHUNK_SETS`` sets evaluated by array expressions and stacked eigenvalue
+solves, and keep one value per set in that order.
 
 ``simulate_erasure_channel`` draws erasure sets proportional to the
 probabilities without replacement by exponential keys (Efraimidis and
@@ -42,6 +48,8 @@ from .weights import ProbabilityProfile
 TIE_TOL = 1e-9
 # Default cap on the number of erasure sets enumerated per measure call.
 DEFAULT_MAX_SETS = 1_000_000
+# Erasure sets evaluated together; at m = 3 a chunk's blocks take 0.6 MB.
+CHUNK_SETS = 4096
 
 RNG_ID = "numpy.random.PCG64"
 # Trials simulated together; keeps each chunk's arrays near a megabyte.
@@ -72,18 +80,44 @@ class ErasureSet:
         return np.asarray(self.indices, dtype=np.intp) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErasureMeasureReport:
-    """Worst-case value of one measure with the sets attaining it."""
+    """Worst-case value of one measure with the sets attaining it.
+
+    ``per_set_values[k]`` is the value at the ``k``-th size-``m`` subset of
+    ``1..count`` in lexicographic order, the order of :meth:`sets`.
+    """
 
     kind: str  # "spectral" or "norm"
     m: int
+    count: int
     value: float
     argmax_sets: tuple[ErasureSet, ...]
-    per_set_values: dict
+    per_set_values: np.ndarray
+
+    def sets(self):
+        """Every size-m erasure set, in the order of ``per_set_values``."""
+        return _sets(self.count, self.m)
 
     def value_of(self, indices) -> float:
-        return self.per_set_values[ErasureSet(tuple(sorted(int(i) for i in indices)))]
+        lam = ErasureSet.of(indices, self.count)
+        if lam.size != self.m:
+            raise ValueError(f"expected {self.m} erasure indices, got {lam.indices}")
+        return float(self.per_set_values[_lex_rank(lam.indices, self.count)])
+
+
+def _sets(count: int, m: int):
+    """The size-m subsets of ``1..count`` as sorted tuples, lexicographically."""
+    return itertools.combinations(range(1, count + 1), m)
+
+
+def _lex_rank(indices: tuple[int, ...], count: int) -> int:
+    """Position of a sorted 1-based set among the size-m subsets of
+    ``1..count`` in lexicographic order (combinatorial number system)."""
+    m = len(indices)
+    return math.comb(count, m) - 1 - sum(
+        math.comb(count - c, m - k) for k, c in enumerate(indices)
+    )
 
 
 def _check_compatible(pair: DualPair, profile: ProbabilityProfile) -> None:
@@ -121,11 +155,7 @@ def spectral_radius(matrix) -> float:
         raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
         return 0.0
-    try:
-        eigenvalues = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise EigenFailure(str(exc)) from exc
-    return float(np.max(np.abs(eigenvalues)))
+    return float(_largest_eigenvalue_moduli(m[None])[0])
 
 
 def operator_norm(matrix) -> float:
@@ -142,10 +172,33 @@ def operator_norm(matrix) -> float:
     return float(singular_values[0])
 
 
-def _weighted_block(pair: DualPair, profile: ProbabilityProfile, ix: np.ndarray) -> np.ndarray:
-    """The m x m block sharing its nonzero spectrum with the error operator."""
-    alpha = pair.cross_gram[np.ix_(ix, ix)]
-    return profile.weights[ix, None] * alpha.T
+def _largest_eigenvalue_moduli(blocks: np.ndarray) -> np.ndarray:
+    """Spectral radius of each matrix in a ``(S, m, m)`` stack."""
+    try:
+        eigenvalues = np.linalg.eigvals(blocks)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+        raise EigenFailure(str(exc)) from exc
+    return np.abs(eigenvalues).max(axis=1)
+
+
+# numpy's vectorised complex product and modulus may round differently from
+# its scalar ones (fused multiply-adds, another hypot); spelled out in real
+# arithmetic, a value does not depend on how many sets are evaluated together.
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _two_erasure_roots(alpha: np.ndarray, q: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """Both roots of the two-erasure quadratic at each pair of 0-based
+    indices ``(i[k], j[k])``."""
+    a = q[i] * alpha[i, i]
+    d = q[j] * alpha[j, j]
+    cross = _cmul(q[i] * q[j] * alpha[i, j], alpha[j, i])
+    root = np.sqrt(_cmul(a - d, a - d) + 4.0 * cross)
+    return (a + d + root) / 2.0, (a + d - root) / 2.0
 
 
 def two_erasure_eigenvalues(
@@ -155,34 +208,57 @@ def two_erasure_eigenvalues(
 
     Roots of ``x^2 - (q_i a_ii + q_j a_jj) x + q_i q_j (a_ii a_jj - a_ij a_ji)``
     where ``a`` is the cross-Gram matrix; evaluated via the explicit quadratic
-    formula with a complex square root.
+    formula with a complex square root, the formula ``spectral_measure``
+    evaluates over all pairs at once.
     """
     _check_compatible(pair, profile)
     if i == j:
         raise ValueError("two-erasure indices must differ")
-    alpha = pair.cross_gram
-    q = profile.weights
-    a = q[i - 1] * alpha[i - 1, i - 1]
-    d = q[j - 1] * alpha[j - 1, j - 1]
-    cross = q[i - 1] * q[j - 1] * alpha[i - 1, j - 1] * alpha[j - 1, i - 1]
-    root = np.sqrt(complex((a - d) ** 2 + 4.0 * cross))
-    return (complex((a + d + root) / 2.0), complex((a + d - root) / 2.0))
+    hi, lo = _two_erasure_roots(
+        pair.cross_gram, profile.weights, np.array([i - 1]), np.array([j - 1])
+    )
+    return complex(hi[0]), complex(lo[0])
 
 
-def _enumerate_sets(count: int, m: int, max_sets: int):
-    total = math.comb(count, m)
+def _check_measure_args(
+    pair: DualPair, profile: ProbabilityProfile, m: int, max_sets: int
+) -> None:
+    _check_compatible(pair, profile)
+    if not 1 <= m <= pair.count:
+        raise ValueError(f"erasure count m={m} must be in 1..{pair.count}")
+    total = math.comb(pair.count, m)
     if total > max_sets:
         raise CombinatorialLimit(
             f"{total} erasure sets of size {m} exceed the cap of {max_sets}"
         )
-    return itertools.combinations(range(1, count + 1), m)
 
 
-def _build_report(kind: str, m: int, values: dict) -> ErasureMeasureReport:
-    best = max(values.values())
-    argmax = tuple(s for s, v in values.items() if v >= best - TIE_TOL)
+def _per_set(count: int, m: int, evaluate) -> np.ndarray:
+    """``evaluate`` over every size-m set in lexicographic order, in chunks of
+    ``CHUNK_SETS`` sets; ``evaluate`` maps an ``(S, m)`` array of 0-based
+    indices to the ``S`` values of those sets."""
+    total = math.comb(count, m)
+    values = np.empty(total)
+    combos = itertools.combinations(range(count), m)
+    for start in range(0, total, CHUNK_SETS):
+        size = min(CHUNK_SETS, total - start)
+        flat = itertools.chain.from_iterable(itertools.islice(combos, size))
+        ix = np.fromiter(flat, dtype=np.intp, count=size * m).reshape(size, m)
+        values[start : start + size] = evaluate(ix)
+    return values
+
+
+def _build_report(kind: str, m: int, count: int, values: np.ndarray) -> ErasureMeasureReport:
+    values.setflags(write=False)
+    best = float(values.max())
+    ties = itertools.compress(_sets(count, m), (values >= best - TIE_TOL).tolist())
     return ErasureMeasureReport(
-        kind=kind, m=m, value=best, argmax_sets=argmax, per_set_values=values
+        kind=kind,
+        m=m,
+        count=count,
+        value=best,
+        argmax_sets=tuple(ErasureSet(s) for s in ties),
+        per_set_values=values,
     )
 
 
@@ -195,26 +271,29 @@ def spectral_measure(
     """Worst-case spectral radius of the error operator over size-m erasures.
 
     Uses the per-index closed form for ``m == 1``, the quadratic roots for
-    ``m == 2`` and the small-block eigenproblem for larger ``m``; enumeration
-    is lexicographic, so reports are reproducible.
+    ``m == 2`` and stacked small-block eigenproblems for larger ``m``;
+    enumeration is lexicographic, so reports are reproducible.
     """
-    _check_compatible(pair, profile)
-    if not 1 <= m <= pair.count:
-        raise ValueError(f"erasure count m={m} must be in 1..{pair.count}")
-    values: dict[ErasureSet, float] = {}
+    _check_measure_args(pair, profile, m, max_sets)
+    alpha, q = pair.cross_gram, profile.weights
     if m == 1:
-        diag = np.abs(np.diagonal(pair.cross_gram)) * profile.weights
-        for i in range(1, pair.count + 1):
-            values[ErasureSet((i,))] = float(diag[i - 1])
+        values = np.abs(np.diagonal(alpha)) * q
     elif m == 2:
-        for i, j in _enumerate_sets(pair.count, 2, max_sets):
-            roots = two_erasure_eigenvalues(pair, profile, i, j)
-            values[ErasureSet((i, j))] = max(abs(roots[0]), abs(roots[1]))
+
+        def evaluate(ix):
+            hi, lo = _two_erasure_roots(alpha, q, ix[:, 0], ix[:, 1])
+            return np.maximum(np.hypot(hi.real, hi.imag), np.hypot(lo.real, lo.imag))
+
+        values = _per_set(pair.count, m, evaluate)
     else:
-        for combo in _enumerate_sets(pair.count, m, max_sets):
-            lam = ErasureSet(combo)
-            values[lam] = spectral_radius(_weighted_block(pair, profile, lam.offsets()))
-    return _build_report("spectral", m, values)
+
+        def evaluate(ix):
+            # block [a, b] = q_a <g_b, f_a> shares its nonzero spectrum with E_L
+            blocks = q[ix][:, :, None] * alpha[ix[:, None, :], ix[:, :, None]]
+            return _largest_eigenvalue_moduli(blocks)
+
+        values = _per_set(pair.count, m, evaluate)
+    return _build_report("spectral", m, pair.count, values)
 
 
 def norm_measure(
@@ -228,30 +307,32 @@ def norm_measure(
     For ``m == 1`` the closed form ``q_i ||f_i|| ||g_i||`` is used and the
     value at the attaining index is cross-checked against the full singular
     value path (the argmax index is used for the check so that reports stay
-    deterministic).
+    deterministic).  For larger ``m`` the squared norm is the largest
+    eigenvalue of an ``m x m`` product of Gram blocks (see the module
+    docstring).
     """
-    _check_compatible(pair, profile)
-    if not 1 <= m <= pair.count:
-        raise ValueError(f"erasure count m={m} must be in 1..{pair.count}")
-    values: dict[ErasureSet, float] = {}
+    _check_measure_args(pair, profile, m, max_sets)
+    f, g, q = pair.frame.matrix, pair.dual.matrix, profile.weights
     if m == 1:
-        f_norms = np.linalg.norm(pair.frame.matrix, axis=0)
-        g_norms = np.linalg.norm(pair.dual.matrix, axis=0)
-        closed = profile.weights * f_norms * g_norms
-        for i in range(1, pair.count + 1):
-            values[ErasureSet((i,))] = float(closed[i - 1])
-        check = int(np.argmax(closed)) + 1
+        values = q * np.linalg.norm(f, axis=0) * np.linalg.norm(g, axis=0)
+        check = int(np.argmax(values)) + 1
         direct = operator_norm(error_operator(pair, profile, ErasureSet((check,))))
-        if abs(direct - closed[check - 1]) > 1e-8 * max(1.0, direct):
+        if abs(direct - values[check - 1]) > 1e-8 * max(1.0, direct):
             raise SvdFailure(
-                f"closed-form norm {closed[check - 1]:.17g} disagrees with "
+                f"closed-form norm {values[check - 1]:.17g} disagrees with "
                 f"singular value {direct:.17g} at index {check}"
             )
     else:
-        for combo in _enumerate_sets(pair.count, m, max_sets):
-            lam = ErasureSet(combo)
-            values[lam] = operator_norm(error_operator(pair, profile, lam))
-    return _build_report("norm", m, values)
+        gram_f = f.conj().T @ f
+        gram_g = g.conj().T @ g
+
+        def evaluate(ix):
+            rows, cols = ix[:, :, None], ix[:, None, :]
+            weighted = q[rows] * gram_g[rows, cols] * q[cols]
+            return np.sqrt(_largest_eigenvalue_moduli(weighted @ gram_f[rows, cols]))
+
+        values = _per_set(pair.count, m, evaluate)
+    return _build_report("norm", m, pair.count, values)
 
 
 @dataclass(frozen=True)

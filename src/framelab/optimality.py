@@ -67,10 +67,6 @@ class OptimalityCertificate:
     conclusion: object  # bool for membership conditions, float for predictions
     details: dict = field(default_factory=dict)
 
-    @property
-    def all_hypotheses_hold(self) -> bool:
-        return all(h.holds for h in self.hypotheses)
-
     def failed_hypotheses(self) -> tuple[Hypothesis, ...]:
         return tuple(h for h in self.hypotheses if not h.holds)
 

@@ -130,8 +130,8 @@ def measure_report_to_dict(report: ErasureMeasureReport) -> dict:
         "value": report.value,
         "argmax_sets": [list(s.indices) for s in report.argmax_sets],
         "per_set_values": [
-            {"indices": list(s.indices), "value": v}
-            for s, v in report.per_set_values.items()
+            {"indices": list(s), "value": v}
+            for s, v in zip(report.sets(), report.per_set_values.tolist())
         ],
     }
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .frames import DualPair, Frame, canonical_dual, dual_from_coefficients, dual_perturbation_basis
 from .weights import ProbabilityProfile
@@ -153,6 +152,14 @@ class _Objective:
         weights = np.zeros(vals.size)
         weights[i] = self.scales[i] / moduli[i]
         return value, self._gradient(carrier, weights)
+
+
+def _scipy_minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use: the import takes
+    most of the package's start-up time, and only a search needs it."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 def _minimize_smoothed(

@@ -210,6 +210,17 @@ def test_simulate_negative_m_usage_error(capsys, plane_path):
     assert "m=-1" in err
 
 
+def framelab_process(code_or_argv, **env_overrides):
+    """Run framelab from this checkout in a fresh interpreter."""
+    src = str(Path(fl.__file__).resolve().parents[1])
+    env = dict(os.environ, **env_overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = ["-c", code_or_argv] if isinstance(code_or_argv, str) else ["-m", "framelab.cli", *code_or_argv]
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, timeout=120, check=True
+    )
+
+
 def test_simulate_stdout_independent_of_blas_threads(tmp_path):
     rng = np.random.default_rng(61)
     matrix = rng.standard_normal((16, 40)) + 1j * rng.standard_normal((16, 40))
@@ -222,19 +233,33 @@ def test_simulate_stdout_independent_of_blas_threads(tmp_path):
     }
     path = tmp_path / "complex.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    src = str(Path(fl.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        argv = ["simulate", str(path), "--m", "2", "--trials", "20000", "--seed", "5"]
-        done = subprocess.run(
-            [sys.executable, "-m", "framelab.cli", *argv],
-            env=env, capture_output=True, timeout=120, check=True,
-        )
-        outputs.append(done.stdout)
-    assert parse_report(outputs[0].decode())["simulation"]["trials"] == 20000
-    assert outputs[0] == outputs[1]
+    reports = {}
+    for argv in (
+        ["simulate", str(path), "--m", "2", "--trials", "20000", "--seed", "5"],
+        ["analyze", str(path), "--m", "1", "--m", "2", "--m", "3", "--measure", "both"],
+    ):
+        outputs = [
+            framelab_process(argv, OPENBLAS_NUM_THREADS=threads).stdout for threads in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1], argv[0]
+        reports[argv[0]] = parse_report(outputs[0].decode())
+    assert reports["simulate"]["simulation"]["trials"] == 20000
+    assert [len(m["per_set_values"]) for m in reports["analyze"]["measures"]] == [40, 40, 780, 780, 9880, 9880]
+
+
+def test_start_up_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize takes most of the start-up time; only a search needs it
+    code = (
+        "import sys, framelab, framelab.cli\n"
+        "imported = 'scipy.optimize' in sys.modules\n"
+        "try:\n"
+        "    framelab.cli.main(['--version'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(imported, 'scipy.optimize' in sys.modules)\n"
+    )
+    done = framelab_process(code)
+    assert done.stdout.decode().splitlines() == [f"framelab {fl.__version__}", "False False"]
 
 
 def test_analyze_report_reemits_byte_identically(capsys, plane_path):

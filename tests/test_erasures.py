@@ -1,23 +1,31 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import framelab as fl
+from framelab import erasures
 from framelab.erasures import _draw_erasures
 from conftest import plane_better_dual, random_dual_pair, random_frame, random_profile
 
 
-def enumerated_measure(pair, profile, m, kind):
-    """Independent oracle: build the full error operator for every set."""
+def enumerated_values(pair, profile, m, kind):
+    """Independent oracle: the measure of the full error operator of every
+    set, in the order of ``itertools.combinations``."""
     evaluate = fl.spectral_radius if kind == "spectral" else fl.operator_norm
-    best = -np.inf
-    for combo in itertools.combinations(range(1, pair.count + 1), m):
-        lam = fl.ErasureSet.of(combo, pair.count)
-        best = max(best, evaluate(fl.error_operator(pair, profile, lam)))
-    return best
+    return np.array(
+        [
+            evaluate(fl.error_operator(pair, profile, fl.ErasureSet.of(combo, pair.count)))
+            for combo in itertools.combinations(range(1, pair.count + 1), m)
+        ]
+    )
+
+
+def enumerated_measure(pair, profile, m, kind):
+    return enumerated_values(pair, profile, m, kind).max()
 
 
 def test_error_operator_single_index(plane_frame, plane_profile):
@@ -125,6 +133,21 @@ def test_combinatorial_cap(tight_frame, tight_profile):
     pair = fl.canonical_dual(tight_frame)
     with pytest.raises(fl.CombinatorialLimit):
         fl.spectral_measure(pair, tight_profile, 2, max_sets=3)
+    # C(200, 3) = 1,313,400 sets exceed the default cap; their values alone
+    # would take 10 MB and each Gram matrix 640 kB, so the cap must be checked
+    # before anything of that size is allocated
+    rng = np.random.default_rng(31)
+    pair = fl.canonical_dual(random_frame(rng, 2, 200))
+    profile = random_profile(rng, 2, 200)
+    tracemalloc.start()
+    try:
+        for measure in (fl.spectral_measure, fl.norm_measure):
+            with pytest.raises(fl.CombinatorialLimit):
+                measure(pair, profile, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256_000
 
 
 def test_two_erasure_eigenvalues_mercedes(mercedes_frame, mercedes_profile):
@@ -155,6 +178,10 @@ def test_two_erasure_eigenvalues_match_eigensolver():
         pair = random_dual_pair(rng, frame)
         i, j = rng.choice(np.arange(1, count + 1), size=2, replace=False)
         roots = fl.two_erasure_eigenvalues(pair, profile, int(i), int(j))
+        # the measure evaluates the same formula over all pairs i < j at once
+        spectral = fl.spectral_measure(pair, profile, 2)
+        ordered = fl.two_erasure_eigenvalues(pair, profile, *sorted((int(i), int(j))))
+        assert spectral.value_of([i, j]) == max(abs(r) for r in ordered)
         lam = fl.ErasureSet.of([int(i), int(j)], count)
         direct = np.linalg.eigvals(fl.error_operator(pair, profile, lam))
         direct = direct[np.argsort(-np.abs(direct))][:2]
@@ -167,26 +194,65 @@ def test_two_erasure_eigenvalues_match_eigensolver():
         fl.two_erasure_eigenvalues(pair, profile, 1, 1)
 
 
+def zero_mass_profile(rng, dim, count, zeros):
+    p = rng.dirichlet(np.ones(count))
+    p[rng.choice(count, size=zeros, replace=False)] = 0.0
+    return fl.weights_from_probabilities(p / p.sum(), dim)
+
+
+def assert_measures_match_enumeration(pair, profile, m):
+    """Every per-set value, the maximum and the argmax sets of both measures
+    agree with the full-operator oracle."""
+    sets = list(itertools.combinations(range(1, pair.count + 1), m))
+    spectral = fl.spectral_measure(pair, profile, m)
+    norm = fl.norm_measure(pair, profile, m)
+    for kind, report in (("spectral", spectral), ("norm", norm)):
+        oracle = enumerated_values(pair, profile, m, kind)
+        assert_allclose(report.per_set_values, oracle, rtol=1e-9, atol=1e-12)
+        assert report.value == pytest.approx(oracle.max(), abs=1e-9)
+        assert report.value == report.per_set_values.max()
+        ties = report.per_set_values >= report.value - fl.erasures.TIE_TOL
+        assert [s.indices for s in report.argmax_sets] == [s for s, t in zip(sets, ties) if t]
+        assert sets[int(np.argmax(oracle))] in [s.indices for s in report.argmax_sets]
+        assert list(report.sets()) == sets
+    assert np.all(spectral.per_set_values <= norm.per_set_values + 1e-9)
+
+
 def test_block_measures_match_full_operator_enumeration():
     rng = np.random.default_rng(29)
-    for _ in range(15):
+    for trial in range(15):
         n = int(rng.integers(2, 6))
         count = int(rng.integers(n, 11))
         frame = random_frame(rng, n, count)
-        profile = random_profile(rng, n, count)
+        if trial % 3 == 2:
+            profile = zero_mass_profile(rng, n, count, zeros=min(2, count - n))
+        else:
+            profile = random_profile(rng, n, count)
         pair = random_dual_pair(rng, frame)
-        for m in (1, 2, 3):
-            if m > count:
-                continue
-            report = fl.spectral_measure(pair, profile, m)
-            assert report.value == pytest.approx(
-                enumerated_measure(pair, profile, m, "spectral"), abs=1e-9
-            )
-            norm_report = fl.norm_measure(pair, profile, m)
-            assert norm_report.value == pytest.approx(
-                enumerated_measure(pair, profile, m, "norm"), abs=1e-9
-            )
-            assert report.value <= norm_report.value + 1e-9
+        for m in (1, 2, 3, 4):
+            if m <= count:
+                assert_measures_match_enumeration(pair, profile, m)
+    # C(31, 3) = 4,495 sets span two chunks of erasures.CHUNK_SETS
+    assert math.comb(31, 3) > erasures.CHUNK_SETS
+    real = fl.Frame(rng.standard_normal((4, 31)))
+    complex_pair = random_dual_pair(rng, random_frame(rng, 4, 31))
+    for pair in (fl.canonical_dual(real), complex_pair):
+        assert_measures_match_enumeration(pair, zero_mass_profile(rng, 4, 31, zeros=3), 3)
+
+
+def test_value_of_matches_lexicographic_position():
+    rng = np.random.default_rng(37)
+    pair = random_dual_pair(rng, random_frame(rng, 3, 9))
+    profile = random_profile(rng, 3, 9)
+    for measure in (fl.spectral_measure, fl.norm_measure):
+        report = measure(pair, profile, 4)
+        assert report.per_set_values.shape == (math.comb(9, 4),)
+        for k, combo in enumerate(itertools.combinations(range(1, 10), 4)):
+            assert report.value_of(combo[::-1]) == report.per_set_values[k]
+    with pytest.raises(ValueError):
+        report.value_of([1, 2, 3])
+    with pytest.raises(ValueError):
+        report.value_of([1, 2, 3, 10])
 
 
 def test_per_index_closed_forms_match_operators(plane_frame, plane_profile):
