@@ -60,6 +60,7 @@ from .optimality import (
     two_erasure_spectral_prediction,
 )
 from .reporting import (
+    _hypotheses_to_list,
     certificate_to_dict,
     dual_pair_to_dict,
     emit_report,
@@ -178,10 +179,7 @@ def _analyze_certificates(frame: Frame, profile: ProbabilityProfile) -> list:
             entries.append(_certificate_entry(two_erasure_spectral_prediction(pair, profile)))
         except HypothesisFailed as exc:
             entry = _skipped_entry("two_erasure_prediction", str(exc))
-            entry["hypotheses"] = [
-                {"description": h.description, "holds": h.holds, "witness": h.witness}
-                for h in exc.hypotheses
-            ]
+            entry["hypotheses"] = _hypotheses_to_list(exc.hypotheses)
             entries.append(entry)
     entries.append(_certificate_entry(is_probabilistic_uniform_parseval(frame, profile)))
     if frame.is_parseval(1e-9):

@@ -8,7 +8,10 @@ radius (``spectral_measure``) or by the operator norm (``norm_measure``).
 Closed forms: for ``m == 1`` the spectral value at index ``i`` is
 ``q_i |<f_i, g_i>|`` and the norm value is ``q_i ||f_i|| ||g_i||``; for
 ``m == 2`` the nonzero eigenvalues of ``E_L`` are the roots of a quadratic in
-the weighted cross-Gram entries (:func:`two_erasure_eigenvalues`).  For
+the weighted cross-Gram entries (:func:`two_erasure_eigenvalues`), whose
+discriminant holds the weighted cross product ``q_i q_j a_ij a_ji``
+(``_cross_products``).  The dual search and the certificates reuse these
+evaluations and the one tie rule of ``_ties``.  For
 general ``m`` the nonzero spectrum of ``E_L`` equals that of the small
 ``m x m`` block ``[q_i <g_j, f_i>]_{i,j in L}``, and ``||E_L||^2`` is the
 largest eigenvalue of ``D G_L^H G_L D F_L^H F_L`` with ``D = diag(q_L)``,
@@ -44,7 +47,8 @@ from .errors import (
 from .frames import DualPair
 from .weights import ProbabilityProfile
 
-# Values within this distance of the maximum are all reported as attaining it.
+# Values within this fraction of max(1, |maximum|) of the maximum are all
+# reported as attaining it.
 TIE_TOL = 1e-9
 # Default cap on the number of erasure sets enumerated per measure call.
 DEFAULT_MAX_SETS = 1_000_000
@@ -191,12 +195,32 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cabs(z: np.ndarray) -> np.ndarray:
+    return np.hypot(z.real, z.imag)
+
+
+def _ties(values: np.ndarray, tol: float = TIE_TOL) -> tuple[float, np.ndarray]:
+    """The maximum of ``values`` and the mask of the values within
+    ``tol * max(1, |maximum|)`` of it, which all count as attaining it."""
+    best = float(np.max(values))
+    return best, values >= best - tol * max(1.0, abs(best))
+
+
+def _cross_products(alpha: np.ndarray, q: np.ndarray, i=None, j=None) -> np.ndarray:
+    """Weighted cross products ``q_i q_j alpha_ij alpha_ji`` at each pair of
+    0-based indices ``(i[k], j[k])``; by default at every pair ``i < j`` in
+    the row-major order of ``np.triu_indices``."""
+    if i is None:
+        i, j = np.triu_indices(q.size, 1)
+    return _cmul(q[i] * q[j] * alpha[i, j], alpha[j, i])
+
+
 def _two_erasure_roots(alpha: np.ndarray, q: np.ndarray, i: np.ndarray, j: np.ndarray):
     """Both roots of the two-erasure quadratic at each pair of 0-based
     indices ``(i[k], j[k])``."""
     a = q[i] * alpha[i, i]
     d = q[j] * alpha[j, j]
-    cross = _cmul(q[i] * q[j] * alpha[i, j], alpha[j, i])
+    cross = _cross_products(alpha, q, i, j)
     root = np.sqrt(_cmul(a - d, a - d) + 4.0 * cross)
     return (a + d + root) / 2.0, (a + d - root) / 2.0
 
@@ -250,8 +274,8 @@ def _per_set(count: int, m: int, evaluate) -> np.ndarray:
 
 def _build_report(kind: str, m: int, count: int, values: np.ndarray) -> ErasureMeasureReport:
     values.setflags(write=False)
-    best = float(values.max())
-    ties = itertools.compress(_sets(count, m), (values >= best - TIE_TOL).tolist())
+    best, attaining = _ties(values)
+    ties = itertools.compress(_sets(count, m), attaining.tolist())
     return ErasureMeasureReport(
         kind=kind,
         m=m,
@@ -282,7 +306,7 @@ def spectral_measure(
 
         def evaluate(ix):
             hi, lo = _two_erasure_roots(alpha, q, ix[:, 0], ix[:, 1])
-            return np.maximum(np.hypot(hi.real, hi.imag), np.hypot(lo.real, lo.imag))
+            return np.maximum(_cabs(hi), _cabs(lo))
 
         values = _per_set(pair.count, m, evaluate)
     else:

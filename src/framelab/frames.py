@@ -168,10 +168,6 @@ class HermitianMatrix:
     def entries(self) -> np.ndarray:
         return self._entries
 
-    @property
-    def order(self) -> int:
-        return self._entries.shape[0]
-
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         values, vectors = np.linalg.eigh(self._entries)

@@ -10,6 +10,12 @@ the one-erasure spectral and norm measures; a pair attains them exactly when
 The two-erasure optimal value over one-erasure optimal pairs depends only on
 the weights, through the budget ``n - sum_i 1/q_i^2`` that the trace identity
 forces onto the off-diagonal cross-Gram products.
+
+The closed forms live in :mod:`framelab.erasures`: the canonical partition
+certificates take their per-index values ``q_i |<f_i, g_i>|`` and
+``q_i ||f_i|| ||g_i||`` from the m = 1 measures, the pairwise certificates
+take the cross products ``q_i q_j a_ij a_ji`` over all pairs ``i < j`` from
+``erasures._cross_products``, and every tie set follows ``erasures._ties``.
 """
 
 from __future__ import annotations
@@ -18,7 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .erasures import norm_measure, spectral_measure, two_erasure_eigenvalues
+from .erasures import (
+    _cabs,
+    _cross_products,
+    _ties,
+    norm_measure,
+    spectral_measure,
+    two_erasure_eigenvalues,
+)
 from .errors import (
     DegenerateDenominator,
     HypothesisFailed,
@@ -107,6 +120,17 @@ def _diag_products(pair: DualPair, profile: ProbabilityProfile) -> np.ndarray:
     return profile.weights * np.conj(np.diagonal(pair.cross_gram))
 
 
+def _pair_hypotheses(
+    count: int, witnesses: np.ndarray, claim: str, tol: float
+) -> tuple[Hypothesis, ...]:
+    """One hypothesis per pair ``i < j``, in the order of ``_cross_products``."""
+    i, j = np.triu_indices(count, 1)
+    return tuple(
+        Hypothesis(description=f"pair ({a + 1},{b + 1}): {claim}", holds=w <= tol, witness=w)
+        for a, b, w in zip(i.tolist(), j.tolist(), witnesses.tolist())
+    )
+
+
 def _rank(matrix: np.ndarray) -> int:
     if matrix.size == 0:
         return 0
@@ -151,28 +175,16 @@ def is_two_uniform(
     pair: DualPair, profile: ProbabilityProfile, tol: float = DEFAULT_TOL
 ) -> OptimalityCertificate:
     """Does ``<f_i, g_j><f_j, g_i> = 1/(q_i q_j)`` hold for every ``i != j``?"""
-    alpha = pair.cross_gram
     q = profile.weights
-    hypotheses = []
-    worst = 0.0
-    for i in range(pair.count):
-        for j in range(i + 1, pair.count):
-            product = alpha[i, j] * alpha[j, i]
-            witness = float(abs(product - 1.0 / (q[i] * q[j])))
-            worst = max(worst, witness)
-            hypotheses.append(
-                Hypothesis(
-                    description=f"pair ({i + 1},{j + 1}): cross products match",
-                    holds=witness <= tol,
-                    witness=witness,
-                )
-            )
-    conclusion = all(h.holds for h in hypotheses) if hypotheses else True
+    i, j = np.triu_indices(pair.count, 1)
+    products = _cross_products(pair.cross_gram, np.ones(pair.count))
+    witnesses = _cabs(products - 1.0 / (q[i] * q[j]))
+    hypotheses = _pair_hypotheses(pair.count, witnesses, "cross products match", tol)
     return OptimalityCertificate(
         condition_id=CONDITION_TWO_UNIFORM,
-        hypotheses=tuple(hypotheses),
-        conclusion=conclusion,
-        details={"max_residual": worst},
+        hypotheses=hypotheses,
+        conclusion=all(h.holds for h in hypotheses),
+        details={"max_residual": float(np.max(witnesses, initial=0.0))},
     )
 
 
@@ -239,24 +251,14 @@ def two_erasure_spectral_optimal_pair(
         )
     bounds = optimal_values(profile)
     target = bounds.cross_budget / bounds.offdiag_weight_sum
-    alpha = pair.cross_gram
-    q = profile.weights
-    hypotheses = []
-    for i in range(pair.count):
-        for j in range(i + 1, pair.count):
-            product = q[i] * q[j] * alpha[i, j] * alpha[j, i]
-            witness = float(abs(product - target))
-            hypotheses.append(
-                Hypothesis(
-                    description=f"pair ({i + 1},{j + 1}): weighted cross product equals the shared constant",
-                    holds=witness <= tol,
-                    witness=witness,
-                )
-            )
+    witnesses = _cabs(_cross_products(pair.cross_gram, profile.weights) - target)
+    hypotheses = _pair_hypotheses(
+        pair.count, witnesses, "weighted cross product equals the shared constant", tol
+    )
     value = spectral_measure(pair, profile, 2).value
     return OptimalityCertificate(
         condition_id=CONDITION_SPECTRAL_TWO_PAIR,
-        hypotheses=tuple(hypotheses),
+        hypotheses=hypotheses,
         conclusion=all(h.holds for h in hypotheses),
         details={
             "measure_value": value,
@@ -266,26 +268,45 @@ def two_erasure_spectral_optimal_pair(
     )
 
 
-def _partition(values: np.ndarray, tol: float) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
-    c = float(np.max(values))
-    cutoff = c - tol * max(1.0, abs(c))
-    attaining = tuple(int(i) + 1 for i in np.flatnonzero(values >= cutoff))
-    remaining = tuple(i for i in range(1, values.size + 1) if i not in attaining)
-    return c, attaining, remaining
-
-
-def _partition_report(frame: Frame, values: np.ndarray, tol: float) -> PartitionReport:
-    c, attaining, remaining = _partition(values, tol)
-    att_ix = np.asarray(attaining, dtype=np.intp) - 1
-    rem_ix = np.asarray(remaining, dtype=np.intp) - 1
+def _canonical_one_certificate(
+    kind: str, frame: Frame, profile: ProbabilityProfile, tol: float
+) -> tuple[OptimalityCertificate, PartitionReport]:
+    """Partition the indices by the canonical dual's m = 1 ``kind`` values and
+    test that the spans of the attaining and remaining vectors intersect
+    trivially; the norm certificate adds the uniqueness sub-check."""
+    measure = spectral_measure if kind == "spectral" else norm_measure
+    values = measure(canonical_dual(frame), profile, 1).per_set_values
+    threshold, attaining = _ties(values, tol)
+    att_ix, rem_ix = np.flatnonzero(attaining), np.flatnonzero(~attaining)
     d1 = _rank(frame.matrix[:, att_ix])
     d2 = _rank(frame.matrix[:, rem_ix])
-    return PartitionReport(
-        threshold=c,
-        attaining=attaining,
-        remaining=remaining,
-        subspace_dims=(d1, d2, d1 + d2 - frame.dim),
+    intersection = d1 + d2 - frame.dim
+    partition = PartitionReport(
+        threshold=threshold,
+        attaining=tuple(int(i) + 1 for i in att_ix),
+        remaining=tuple(int(i) + 1 for i in rem_ix),
+        subspace_dims=(d1, d2, intersection),
     )
+    trivial = intersection == 0
+    details = {"per_index_values": values.tolist(), "threshold": threshold}
+    condition_id = CONDITION_CANONICAL_SPECTRAL_ONE
+    if kind == "norm":
+        independent = d2 == rem_ix.size
+        details["remaining_linearly_independent"] = independent
+        details["canonical_unique"] = trivial and independent
+        condition_id = CONDITION_CANONICAL_NORM_ONE
+    hypothesis = Hypothesis(
+        description="spans of attaining and remaining vectors intersect trivially",
+        holds=trivial,
+        witness=float(intersection),
+    )
+    certificate = OptimalityCertificate(
+        condition_id=condition_id,
+        hypotheses=(hypothesis,),
+        conclusion=trivial,
+        details=details,
+    )
+    return certificate, partition
 
 
 def canonical_spectral_one_certificate(
@@ -294,28 +315,10 @@ def canonical_spectral_one_certificate(
     """Sufficient condition for the canonical dual to be one-erasure
     spectrally optimal for this frame.
 
-    Partitions indices by ``q_i <S^-1 f_i, f_i>``; the condition holds when
+    Partitions indices by ``q_i |<S^-1 f_i, f_i>|``; the condition holds when
     the spans of the attaining and remaining vectors intersect trivially.
     """
-    inv_f = canonical_dual(frame).dual.matrix
-    values = profile.weights * np.real(np.einsum("ij,ij->j", frame.matrix.conj(), inv_f))
-    partition = _partition_report(frame, values, tol)
-    intersection = partition.subspace_dims[2]
-    hypothesis = Hypothesis(
-        description="spans of attaining and remaining vectors intersect trivially",
-        holds=intersection == 0,
-        witness=float(intersection),
-    )
-    certificate = OptimalityCertificate(
-        condition_id=CONDITION_CANONICAL_SPECTRAL_ONE,
-        hypotheses=(hypothesis,),
-        conclusion=intersection == 0,
-        details={
-            "per_index_values": [float(v) for v in values],
-            "threshold": partition.threshold,
-        },
-    )
-    return certificate, partition
+    return _canonical_one_certificate("spectral", frame, profile, tol)
 
 
 def canonical_norm_one_certificate(
@@ -328,35 +331,7 @@ def canonical_norm_one_certificate(
     holds and the remaining vectors are linearly independent, the canonical
     dual is the unique one-erasure optimal dual.
     """
-    inv_f = canonical_dual(frame).dual.matrix
-    values = (
-        profile.weights
-        * np.linalg.norm(frame.matrix, axis=0)
-        * np.linalg.norm(inv_f, axis=0)
-    )
-    partition = _partition_report(frame, values, tol)
-    intersection = partition.subspace_dims[2]
-    rem_ix = np.asarray(partition.remaining, dtype=np.intp) - 1
-    remaining_rank = _rank(frame.matrix[:, rem_ix])
-    independent = remaining_rank == len(partition.remaining)
-    hypothesis = Hypothesis(
-        description="spans of attaining and remaining vectors intersect trivially",
-        holds=intersection == 0,
-        witness=float(intersection),
-    )
-    conclusion = intersection == 0
-    certificate = OptimalityCertificate(
-        condition_id=CONDITION_CANONICAL_NORM_ONE,
-        hypotheses=(hypothesis,),
-        conclusion=conclusion,
-        details={
-            "per_index_values": [float(v) for v in values],
-            "threshold": partition.threshold,
-            "remaining_linearly_independent": bool(independent),
-            "canonical_unique": bool(conclusion and independent),
-        },
-    )
-    return certificate, partition
+    return _canonical_one_certificate("norm", frame, profile, tol)
 
 
 def canonical_spectral_two_certificate(
@@ -397,14 +372,9 @@ def canonical_spectral_two_certificate(
         )
     else:
         pair = canonical_dual(frame)
-        gram = frame.matrix.conj().T @ pair.dual.matrix
-        q = profile.weights
         target = bounds.cross_budget / bounds.offdiag_weight_sum
-        worst = 0.0
-        for i in range(frame.count):
-            for j in range(i + 1, frame.count):
-                product = q[i] * q[j] * abs(gram[i, j]) ** 2
-                worst = max(worst, abs(product - target))
+        products = _cross_products(pair.cross_gram, profile.weights)
+        worst = float(np.max(_cabs(products - target)))
         hypotheses.append(
             Hypothesis(
                 description="all pairwise inverse-operator products equal the weighted cross target",
@@ -449,15 +419,11 @@ def two_erasure_spectral_prediction(
         holds=diag_violation <= tol,
         witness=diag_violation,
     )
-    products = [
-        q[i] * q[j] * alpha[i, j] * alpha[j, i]
-        for i in range(pair.count)
-        for j in range(i + 1, pair.count)
-    ]
-    if not products:
+    products = _cross_products(alpha, q)
+    if not products.size:
         raise HypothesisFailed("prediction needs at least two vectors", [hyp_diag])
     mean = complex(np.mean(products))
-    deviation = float(max(abs(p - mean) for p in products))
+    deviation = float(np.max(_cabs(products - mean)))
     constant_ok = deviation <= tol and abs(mean.imag) <= tol and mean.real > tol
     hyp_cross = Hypothesis(
         description="weighted cross products share one positive constant",
@@ -471,17 +437,15 @@ def two_erasure_spectral_prediction(
         )
     c = mean.real
     weighted = q * diag.real
-    r1 = float(np.max(weighted))
-    tie_cut = r1 - max(tol, 1e-12)
-    tie_set = tuple(int(i) + 1 for i in np.flatnonzero(weighted >= tie_cut))
+    r1, tied = _ties(weighted, tol)
+    tie_set = tuple(int(i) + 1 for i in np.flatnonzero(tied))
     details: dict = {
         "one_erasure_value": r1,
         "cross_constant": c,
         "tie_set": list(tie_set),
     }
     if len(tie_set) == 1:
-        others = np.array([w for k, w in enumerate(weighted, start=1) if k not in tie_set])
-        m2 = float(np.max(others))
+        m2 = float(np.max(weighted[~tied]))
         predicted = 0.5 * (r1 + m2 + np.sqrt((r1 - m2) ** 2 + 4.0 * c))
         details["second_level_value"] = m2
         details["unhalved_variant"] = None

@@ -156,13 +156,17 @@ def _detail_value(value):
     return value
 
 
+def _hypotheses_to_list(hypotheses) -> list:
+    return [
+        {"description": h.description, "holds": h.holds, "witness": h.witness}
+        for h in hypotheses
+    ]
+
+
 def certificate_to_dict(cert: OptimalityCertificate) -> dict:
     return {
         "condition_id": cert.condition_id,
-        "hypotheses": [
-            {"description": h.description, "holds": h.holds, "witness": h.witness}
-            for h in cert.hypotheses
-        ],
+        "hypotheses": _hypotheses_to_list(cert.hypotheses),
         "conclusion": _detail_value(cert.conclusion),
         "details": {k: _detail_value(v) for k, v in cert.details.items()},
     }

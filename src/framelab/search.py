@@ -8,7 +8,10 @@ imaginary parts of the ``n x (N - n)`` matrix ``C``:
 * norm:     ``max_i q_i ||f_i|| ||g_i||`` -- norms of affine maps.
 
 Values and gradients are ``n x N`` and ``n x (N - n)`` matrix products
-against ``V``.
+against ``V``.  The reported values (``best_value``, ``canonical_value`` and
+the sampler's) are the m = 1 measures of :mod:`framelab.erasures`, where
+these closed forms are written; ``_Objective`` is the same maximum as a
+function of ``C``, with its gradient.
 
 Two convergent convex-minimax methods are provided: log-sum-exp smoothing
 with L-BFGS refinement over a decreasing smoothing schedule (default), and
@@ -24,31 +27,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .erasures import norm_measure, spectral_measure
 from .frames import DualPair, Frame, canonical_dual, dual_from_coefficients, dual_perturbation_basis
 from .weights import ProbabilityProfile
 
 MEASURE_KINDS = ("spectral", "norm")
+
+# Largest spread between restart outcomes for a search to count as converged.
+_CONVERGENCE_TOL = 1e-8
+# The subgradient step is ``_STEP_SCALE * max(1, canonical value) / sqrt(k)``.
+_STEP_SCALE = 0.5
+# The subgradient method stops after ``_STALL_WINDOW`` steps that improve on
+# the best value by no more than ``_STALL_TOL``.
+_STALL_WINDOW = 200
+_STALL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SearchOptions:
     """Solver configuration.
 
-    ``tolerance`` is the allowed spread between restart outcomes for the
-    search to count as converged.  ``step_scale`` only affects the
-    subgradient method (step ``step_scale / sqrt(k)``); when None it is set
-    from the canonical objective value.
+    ``restarts`` random starts follow the start at the canonical dual; they
+    are drawn from ``seed`` within the canonical dual's Frobenius norm.
+    ``method`` is ``"smoothed"`` or ``"subgradient"``; ``max_iterations``
+    bounds the iterations of one start (shared out over the smoothing
+    stages).
     """
 
     restarts: int = 20
     max_iterations: int = 5000
-    tolerance: float = 1e-8
     seed: int = 0
     method: str = "smoothed"  # "smoothed" or "subgradient"
-    start_radius: float = 1.0
-    step_scale: float | None = None
-    stall_window: int = 200
-    stall_tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -75,21 +84,9 @@ class CertificationOutcome:
     result: SearchResult
 
 
-def _spectral_one_value(pair: DualPair, profile: ProbabilityProfile) -> float:
-    return float(np.max(profile.weights * np.abs(np.diagonal(pair.cross_gram))))
-
-
-def _norm_one_value(pair: DualPair, profile: ProbabilityProfile) -> float:
-    return float(
-        np.max(
-            profile.weights
-            * np.linalg.norm(pair.frame.matrix, axis=0)
-            * np.linalg.norm(pair.dual.matrix, axis=0)
-        )
-    )
-
-
-_VALUE_FUNCTIONS = {"spectral": _spectral_one_value, "norm": _norm_one_value}
+def _one_erasure_value(kind: str, pair: DualPair, profile: ProbabilityProfile) -> float:
+    measure = spectral_measure if kind == "spectral" else norm_measure
+    return measure(pair, profile, 1).value
 
 
 class _Objective:
@@ -185,7 +182,7 @@ def _minimize_smoothed(
 def _minimize_subgradient(
     objective: _Objective, x0: np.ndarray, options: SearchOptions, scale: float
 ) -> tuple[np.ndarray, int]:
-    step0 = options.step_scale if options.step_scale is not None else 0.5 * scale
+    step0 = _STEP_SCALE * scale
     x = x0.copy()
     best_x = x.copy()
     best = np.inf
@@ -197,12 +194,12 @@ def _minimize_subgradient(
         if value < best:
             best = value
             best_x = x.copy()
-        if value < window_best - options.stall_tol:
+        if value < window_best - _STALL_TOL:
             window_best = value
             since_improvement = 0
         else:
             since_improvement += 1
-            if since_improvement >= options.stall_window:
+            if since_improvement >= _STALL_WINDOW:
                 break
         norm = float(np.linalg.norm(sub))
         if norm == 0.0:
@@ -225,8 +222,7 @@ def _run_search(
     solver = _SOLVERS[opts.method]
     basis = dual_perturbation_basis(frame)
     canonical = canonical_dual(frame)
-    value_of = _VALUE_FUNCTIONS[kind]
-    canonical_value = value_of(canonical, profile)
+    canonical_value = _one_erasure_value(kind, canonical, profile)
     if basis.size == 0:
         return SearchResult(
             best_dual=canonical,
@@ -242,7 +238,7 @@ def _run_search(
     scale = max(1.0, canonical_value)
     dim = 2 * basis.size
     rng = np.random.default_rng(opts.seed)
-    radius = opts.start_radius * float(np.linalg.norm(canonical.dual.matrix))
+    radius = float(np.linalg.norm(canonical.dual.matrix))
 
     starts = [np.zeros(dim)]
     for _ in range(max(0, opts.restarts)):
@@ -263,11 +259,11 @@ def _run_search(
             best_value = value
             best_x = x
     spread = max(finals) - min(finals)
-    converged = spread <= max(opts.tolerance, 1e-12 * scale)
+    converged = spread <= max(_CONVERGENCE_TOL, 1e-12 * scale)
 
     coeffs = best_x[: basis.size] + 1j * best_x[basis.size :]
     best_pair = dual_from_coefficients(basis, coeffs)
-    measured = value_of(best_pair, profile)
+    measured = _one_erasure_value(kind, best_pair, profile)
     if measured > canonical_value:
         best_pair, measured = canonical, canonical_value
     return SearchResult(
@@ -314,7 +310,6 @@ def random_dual_sampler(
         raise ValueError(f"count must be >= 1, got {count}")
     basis = dual_perturbation_basis(frame)
     canonical = canonical_dual(frame)
-    value_of = _VALUE_FUNCTIONS[measure_kind]
     rng = np.random.default_rng(seed)
     base_radius = float(np.linalg.norm(canonical.dual.matrix))
     levels = (0.0, 0.1, 0.3, 1.0, 3.0)
@@ -327,7 +322,7 @@ def random_dual_sampler(
             direction = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
             direction /= np.linalg.norm(direction)
             pair = dual_from_coefficients(basis, radius * direction)
-        out.append((pair, value_of(pair, profile)))
+        out.append((pair, _one_erasure_value(measure_kind, pair, profile)))
     return out
 
 

@@ -211,7 +211,8 @@ def assert_measures_match_enumeration(pair, profile, m):
         assert_allclose(report.per_set_values, oracle, rtol=1e-9, atol=1e-12)
         assert report.value == pytest.approx(oracle.max(), abs=1e-9)
         assert report.value == report.per_set_values.max()
-        ties = report.per_set_values >= report.value - fl.erasures.TIE_TOL
+        cut = report.value - fl.erasures.TIE_TOL * max(1.0, abs(report.value))
+        ties = report.per_set_values >= cut
         assert [s.indices for s in report.argmax_sets] == [s for s, t in zip(sets, ties) if t]
         assert sets[int(np.argmax(oracle))] in [s.indices for s in report.argmax_sets]
         assert list(report.sets()) == sets
@@ -384,3 +385,22 @@ def test_erasure_set_validation():
     with pytest.raises(ValueError):
         fl.ErasureSet.of([4], 3)
     assert fl.ErasureSet.of([3, 1], 3).indices == (1, 3)
+
+
+def test_ties_are_relative_to_the_maximum():
+    # n = 1, N = 2 with g = (1/2 + x, 1/2 - x): both m = 1 values are about
+    # 2000 and differ by about 1e-7, between the absolute cut 1e-9 and the
+    # relative cut 1e-9 * 2000, so both indices attain the maximum.
+    frame = fl.build_frame(1, [(1,), (1,)])
+    x = 5e-5 + 1000j
+    pair = fl.DualPair(frame, fl.Frame([[0.5 + x, 0.5 - x]]))
+    profile = fl.uniform_profile(2, 1)
+    for measure in (fl.spectral_measure, fl.norm_measure):
+        report = measure(pair, profile, 1)
+        gap = report.value - report.value_of([2])
+        assert fl.erasures.TIE_TOL < gap < fl.erasures.TIE_TOL * report.value
+        assert report.argmax_sets == (fl.ErasureSet((1,)), fl.ErasureSet((2,)))
+    # below 1 the relative cut is the absolute one
+    values = np.array([0.5, 0.5 - 0.9e-9, 0.5 - 1.1e-9])
+    best, attaining = erasures._ties(values)
+    assert best == 0.5 and attaining.tolist() == [True, True, False]

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import framelab as fl
 from conftest import (
+    mercedes_vectors,
     plane_better_dual,
     random_dual_pair,
     random_frame,
@@ -335,3 +336,154 @@ def test_parseval_equivalence_random_frames():
         profile = random_profile(rng, 2, 4)
         cert = fl.parseval_equivalence_report(frame, profile, options=options)
         assert cert.conclusion is True
+
+
+# Oracle: the per-pair Python loops the pairwise certificates used to run,
+# kept to check that the vectorised cross products give the same bits.
+
+
+def oracle_two_uniform(pair, profile, tol):
+    alpha, q = pair.cross_gram, profile.weights
+    hypotheses, worst = [], 0.0
+    for i in range(pair.count):
+        for j in range(i + 1, pair.count):
+            product = alpha[i, j] * alpha[j, i]
+            witness = float(abs(product - 1.0 / (q[i] * q[j])))
+            worst = max(worst, witness)
+            hypotheses.append(
+                (f"pair ({i + 1},{j + 1}): cross products match", witness <= tol, witness)
+            )
+    return hypotheses, worst
+
+
+def oracle_spectral_two_pair(pair, profile, tol):
+    bounds = fl.optimal_values(profile)
+    target = bounds.cross_budget / bounds.offdiag_weight_sum
+    alpha, q = pair.cross_gram, profile.weights
+    hypotheses = []
+    for i in range(pair.count):
+        for j in range(i + 1, pair.count):
+            product = q[i] * q[j] * alpha[i, j] * alpha[j, i]
+            witness = float(abs(product - target))
+            hypotheses.append(
+                (
+                    f"pair ({i + 1},{j + 1}): weighted cross product equals the shared constant",
+                    witness <= tol,
+                    witness,
+                )
+            )
+    return hypotheses
+
+
+def oracle_prediction_cross(pair, profile, tol):
+    alpha, q = pair.cross_gram, profile.weights
+    products = [
+        q[i] * q[j] * alpha[i, j] * alpha[j, i]
+        for i in range(pair.count)
+        for j in range(i + 1, pair.count)
+    ]
+    mean = complex(np.mean(products))
+    deviation = float(max(abs(p - mean) for p in products))
+    holds = deviation <= tol and abs(mean.imag) <= tol and mean.real > tol
+    return (
+        "weighted cross products share one positive constant",
+        holds,
+        max(deviation, abs(mean.imag)),
+    )
+
+
+def oracle_canonical_two_worst(frame, profile):
+    bounds = fl.optimal_values(profile)
+    target = bounds.cross_budget / bounds.offdiag_weight_sum
+    gram = frame.matrix.conj().T @ fl.canonical_dual(frame).dual.matrix
+    q = profile.weights
+    worst = 0.0
+    for i in range(frame.count):
+        for j in range(i + 1, frame.count):
+            worst = max(worst, abs(q[i] * q[j] * abs(gram[i, j]) ** 2 - target))
+    return worst
+
+
+def triples(hypotheses):
+    return [(h.description, h.holds, h.witness) for h in hypotheses]
+
+
+def one_uniform_dual(frame, profile):
+    """A dual with ``<g_i, f_i> = 1/q_i`` for every i: the least-squares
+    solution of these N linear equations in ``C``."""
+    basis = fl.dual_perturbation_basis(frame)
+    f, v = frame.matrix, basis.null_vectors
+    g0 = fl.canonical_dual(frame).dual.matrix
+    a = np.einsum("ri,ik->irk", f.conj(), v.conj()).reshape(frame.count, -1)
+    b = 1.0 / profile.weights - np.einsum("ri,ri->i", f.conj(), g0)
+    return fl.dual_from_coefficients(basis, np.linalg.lstsq(a, b, rcond=None)[0])
+
+
+def oracle_cases():
+    rng = np.random.default_rng(83)
+    for n, count in ((1, 2), (2, 2), (2, 3), (2, 4), (3, 6), (4, 9)):
+        for field in ("real", "complex"):
+            for zeros in sorted({0, count - 2}):
+                m = rng.standard_normal((n, count))
+                if field == "complex":
+                    m = m + 1j * rng.standard_normal((n, count))
+                frame = fl.Frame(m)
+                p = rng.dirichlet(np.ones(count))
+                p[rng.choice(count, size=zeros, replace=False)] = 0.0
+                profile = fl.weights_from_probabilities(p / p.sum(), n)
+                pairs = [fl.canonical_dual(frame), random_dual_pair(rng, frame)]
+                if count > n:
+                    pairs.append(one_uniform_dual(frame, profile))
+                yield frame, profile, pairs
+
+
+def test_pair_certificates_match_the_loop_oracle(mercedes_frame, mercedes_profile):
+    tol = fl.optimality.DEFAULT_TOL
+    cases = [(mercedes_frame, mercedes_profile, [fl.canonical_dual(mercedes_frame)])]
+    pair_two_checked = 0
+    for frame, profile, pairs in [*cases, *oracle_cases()]:
+        for pair in pairs:
+            cert = fl.is_two_uniform(pair, profile)
+            hypotheses, worst = oracle_two_uniform(pair, profile, tol)
+            assert triples(cert.hypotheses) == hypotheses
+            assert cert.details["max_residual"] == worst
+
+            try:
+                prediction = fl.two_erasure_spectral_prediction(pair, profile).hypotheses
+            except fl.HypothesisFailed as exc:
+                prediction = exc.hypotheses
+            assert triples(prediction)[1] == oracle_prediction_cross(pair, profile, tol)
+
+            if fl.is_one_uniform(pair, profile).conclusion:
+                cert = fl.two_erasure_spectral_optimal_pair(pair, profile)
+                assert triples(cert.hypotheses) == oracle_spectral_two_pair(pair, profile, tol)
+                pair_two_checked += 1
+        # The canonical certificate now uses a_ij a_ji where the loop used
+        # |<S^-1 f_j, f_i>|^2: equal up to rounding for the Hermitian Gram.
+        cert = fl.canonical_spectral_two_certificate(frame, profile)
+        if fl.optimal_values(profile).cross_budget >= 0:
+            assert cert.hypotheses[2].witness == pytest.approx(
+                oracle_canonical_two_worst(frame, profile), rel=1e-13, abs=1e-13
+            )
+    assert pair_two_checked >= 12
+
+
+def test_two_erasure_prediction_ties_are_relative():
+    # Mercedes frame with the dual g_i = 2/3 f_i + c/sqrt(3): the weighted
+    # diagonal is q_i (2/3 + s_i) with s_i = <f_i, c>/sqrt(3).  With
+    # p = (0.45, 0.45, 0.1) the choice s_1 = s_2 = s below makes the weighted
+    # cross products constant; s_2 is then lowered so the second weighted
+    # diagonal value lies between the old absolute cut and the relative one.
+    tol = 1e-6
+    f = np.array(mercedes_vectors()).T
+    profile = fl.weights_from_probabilities([0.45, 0.45, 0.1], 2)
+    a, b = profile.weights[0], profile.weights[2]
+    s = (a - b) / (3 * (a + 2 * b))
+    r1 = a * (2 / 3 + s)
+    gap = 1.15 * tol
+    assert tol < gap < tol * r1
+    c = np.linalg.solve(f[:, :2].T, np.sqrt(3) * np.array([s, s - gap / a]))
+    dual = fl.Frame(2 / 3 * f + np.outer(c, np.ones(3)) / np.sqrt(3))
+    cert = fl.two_erasure_spectral_prediction(fl.DualPair(fl.Frame(f), dual), profile, tol)
+    assert cert.details["one_erasure_value"] == pytest.approx(r1, abs=1e-12)
+    assert cert.details["tie_set"] == [1, 2]

@@ -180,3 +180,17 @@ def test_objective_value_matches_measure(kind):
     for _ in range(10):
         x = rng.standard_normal(2 * basis.size)
         assert objective.value(x) == pytest.approx(measure(x), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["spectral", "norm"])
+def test_reported_values_are_the_one_erasure_measures(kind):
+    rng = np.random.default_rng(79)
+    frame = random_frame(rng, 3, 6)
+    profile = random_profile(rng, 3, 6)
+    measure = fl.spectral_measure if kind == "spectral" else fl.norm_measure
+    minimize = fl.minimize_spectral_one if kind == "spectral" else fl.minimize_norm_one
+    result = minimize(frame, profile, FAST)
+    assert result.best_value == measure(result.best_dual, profile, 1).value
+    assert result.canonical_value == measure(fl.canonical_dual(frame), profile, 1).value
+    for pair, value in fl.random_dual_sampler(frame, profile, 6, 5, kind):
+        assert value == measure(pair, profile, 1).value
