@@ -77,7 +77,6 @@ from .optimality import (
 )
 from .search import (
     CertificationOutcome,
-    SearchOptions,
     SearchResult,
     certify_canonical_optimal,
     minimize_norm_one,

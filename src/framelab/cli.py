@@ -72,7 +72,7 @@ from .reporting import (
     simulation_to_dict,
     weight_properties_to_dict,
 )
-from .search import SearchOptions, minimize_norm_one, minimize_spectral_one
+from .search import minimize_norm_one, minimize_spectral_one
 from .weights import ProbabilityProfile, weight_properties_report, weights_from_probabilities
 
 EXIT_OK = 0
@@ -93,6 +93,10 @@ _INPUT_ERRORS = (
 )
 
 THREADS_ENV_VAR = "FRAME_LAB_THREADS"
+
+# ``search`` options of the earlier restarted solver, with their old defaults:
+# still parsed and echoed under ``options``, but they change nothing.
+_IGNORED_SEARCH_OPTIONS = {"restarts": 20, "seed": 0, "method": "smoothed"}
 
 
 def thread_cap() -> int:
@@ -183,13 +187,7 @@ def _analyze_certificates(frame: Frame, profile: ProbabilityProfile) -> list:
             entries.append(entry)
     entries.append(_certificate_entry(is_probabilistic_uniform_parseval(frame, profile)))
     if frame.is_parseval(1e-9):
-        entries.append(
-            _certificate_entry(
-                parseval_equivalence_report(
-                    frame, profile, options=SearchOptions(restarts=4, seed=0)
-                )
-            )
-        )
+        entries.append(_certificate_entry(parseval_equivalence_report(frame, profile)))
     else:
         entries.append(_skipped_entry("parseval_equivalence", "frame is not Parseval"))
     return entries
@@ -234,11 +232,16 @@ def cmd_search(args) -> int:
     content, profile, input_section = _load_inputs(args)
     frame = content.frame
     kinds = ("spectral", "norm") if args.measure == "both" else (args.measure,)
-    options = SearchOptions(restarts=args.restarts, seed=args.seed, method=args.method)
+    given = {name: getattr(args, name) for name in _IGNORED_SEARCH_OPTIONS}
+    if any(value is not None for value in given.values()):
+        print(
+            "note: --restarts, --seed and --method are accepted but no longer change the result",
+            file=sys.stderr,
+        )
     searches = []
     for kind in kinds:
         minimize = minimize_spectral_one if kind == "spectral" else minimize_norm_one
-        result = minimize(frame, profile, options)
+        result = minimize(frame, profile)
         entry = {"kind": kind, **search_result_to_dict(result)}
         best_measures = {
             "spectral_one": spectral_measure(result.best_dual, profile, 1).value,
@@ -255,9 +258,8 @@ def cmd_search(args) -> int:
         "input": input_section,
         "weights": profile_to_dict(profile),
         "options": {
-            "restarts": args.restarts,
-            "seed": args.seed,
-            "method": args.method,
+            name: default if given[name] is None else given[name]
+            for name, default in _IGNORED_SEARCH_OPTIONS.items()
         },
         "searches": searches,
     }
@@ -334,13 +336,12 @@ def _check(example: str, quantity: str, expected, actual, tol: float = 1e-9) -> 
     }
 
 
-def builtin_example_checks(search_options: SearchOptions | None = None) -> list[dict]:
+def builtin_example_checks() -> list[dict]:
     """Evaluate both built-in examples against their expected values.
 
     Expected values are exact rationals or closed forms evaluated at run
     time, never truncated decimals.
     """
-    opts = search_options or SearchOptions(restarts=3, seed=0)
     checks: list[dict] = []
 
     frame, profile = _example_a()
@@ -420,8 +421,8 @@ def builtin_example_checks(search_options: SearchOptions | None = None) -> list[
     checks.append(
         _check("B", "norm_remaining_span_dim", [2, 0, 0], list(norm_partition.subspace_dims))
     )
-    spectral_search = minimize_spectral_one(frame, profile, opts)
-    norm_search = minimize_norm_one(frame, profile, opts)
+    spectral_search = minimize_spectral_one(frame, profile)
+    norm_search = minimize_norm_one(frame, profile)
     checks.append(_check("B", "spectral_search_gap", 0.0, spectral_search.gap, tol=1e-6))
     checks.append(_check("B", "norm_search_gap", 0.0, norm_search.gap, tol=1e-6))
     return checks
@@ -471,9 +472,11 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--measure", choices=("spectral", "norm", "both"), default="both"
     )
-    search.add_argument("--restarts", type=int, default=20)
-    search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--method", choices=("smoothed", "subgradient"), default="smoothed")
+    search.add_argument("--restarts", type=int, help="accepted but ignored")
+    search.add_argument("--seed", type=int, help="accepted but ignored")
+    search.add_argument(
+        "--method", choices=("smoothed", "subgradient"), help="accepted but ignored"
+    )
     search.add_argument("--out", help="write the report here instead of stdout")
     search.set_defaults(handler=cmd_search)
 

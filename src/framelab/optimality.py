@@ -115,9 +115,12 @@ class OptimalBounds:
     offdiag_weight_sum: float
 
 
-def _diag_products(pair: DualPair, profile: ProbabilityProfile) -> np.ndarray:
-    """Complex values ``q_i <f_i, g_i>`` (target 1 for optimal pairs)."""
-    return profile.weights * np.conj(np.diagonal(pair.cross_gram))
+def _index_hypotheses(witnesses: np.ndarray, claim: str, tol: float) -> tuple[Hypothesis, ...]:
+    """One hypothesis per vector ``i``, in index order."""
+    return tuple(
+        Hypothesis(description=f"vector {i}: {claim}", holds=w <= tol, witness=w)
+        for i, w in enumerate(witnesses.tolist(), start=1)
+    )
 
 
 def _pair_hypotheses(
@@ -148,25 +151,17 @@ def is_one_uniform(
     The products are complex; both the deviation of the real part from the
     target and the imaginary part must stay within ``tol``.
     """
-    products = _diag_products(pair, profile)
-    hypotheses = []
-    for i, value in enumerate(products, start=1):
-        witness = max(abs(value.real - 1.0), abs(value.imag)) / profile.weight(i)
-        hypotheses.append(
-            Hypothesis(
-                description=f"vector {i}: <f,g> equals the reciprocal weight",
-                holds=witness <= tol,
-                witness=float(witness),
-            )
-        )
-    conclusion = all(h.holds for h in hypotheses)
+    q = profile.weights
+    products = q * np.conj(np.diagonal(pair.cross_gram))
+    witnesses = np.maximum(np.abs(products.real - 1.0), np.abs(products.imag)) / q
+    hypotheses = _index_hypotheses(witnesses, "<f,g> equals the reciprocal weight", tol)
     return OptimalityCertificate(
         condition_id=CONDITION_ONE_UNIFORM,
-        hypotheses=tuple(hypotheses),
-        conclusion=conclusion,
+        hypotheses=hypotheses,
+        conclusion=all(h.holds for h in hypotheses),
         details={
             "weighted_diagonal": [complex(v) for v in products],
-            "max_residual": max(h.witness for h in hypotheses),
+            "max_residual": float(np.max(witnesses)),
         },
     )
 
@@ -482,18 +477,11 @@ def one_erasure_norm_optimal_pair(
     f_norms = np.linalg.norm(pair.frame.matrix, axis=0)
     g_norms = np.linalg.norm(pair.dual.matrix, axis=0)
     inv_q = 1.0 / profile.weights
-    hypotheses = []
-    for i in range(pair.count):
-        inner_dev = max(abs(diag[i].real - inv_q[i]), abs(diag[i].imag))
-        norm_dev = abs(f_norms[i] * g_norms[i] - inv_q[i])
-        witness = float(max(inner_dev, norm_dev))
-        hypotheses.append(
-            Hypothesis(
-                description=f"vector {i + 1}: inner product and norm product equal the reciprocal weight",
-                holds=witness <= tol,
-                witness=witness,
-            )
-        )
+    inner_dev = np.maximum(np.abs(diag.real - inv_q), np.abs(diag.imag))
+    witnesses = np.maximum(inner_dev, np.abs(f_norms * g_norms - inv_q))
+    hypotheses = _index_hypotheses(
+        witnesses, "inner product and norm product equal the reciprocal weight", tol
+    )
     conclusion = all(h.holds for h in hypotheses)
     details = {
         "measure_value": norm_measure(pair, profile, 1).value,
@@ -504,7 +492,7 @@ def one_erasure_norm_optimal_pair(
         details["one_uniform_implied"] = bool(implied.conclusion)
     return OptimalityCertificate(
         condition_id=CONDITION_NORM_ONE_PAIR,
-        hypotheses=tuple(hypotheses),
+        hypotheses=hypotheses,
         conclusion=conclusion,
         details=details,
     )
@@ -542,7 +530,6 @@ def parseval_equivalence_report(
     profile: ProbabilityProfile,
     tol: float = DEFAULT_TOL,
     gap_tol: float = 1e-5,
-    options=None,
 ) -> OptimalityCertificate:
     """For a Parseval frame, canonical-dual optimality under the spectral
     and norm measures must agree; this runs both searches and compares.
@@ -555,8 +542,8 @@ def parseval_equivalence_report(
     residual = frame.parseval_residual
     if residual > tol:
         raise NotParseval(f"frame operator deviates from identity by {residual:.3e}")
-    spectral = certify_canonical_optimal(frame, profile, "spectral", gap_tol, options)
-    norm = certify_canonical_optimal(frame, profile, "norm", gap_tol, options)
+    spectral = certify_canonical_optimal(frame, profile, "spectral", gap_tol)
+    norm = certify_canonical_optimal(frame, profile, "norm", gap_tol)
     if spectral.optimal is None or norm.optimal is None:
         conclusion = None
     else:

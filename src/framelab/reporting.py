@@ -194,6 +194,7 @@ def search_result_to_dict(result: SearchResult) -> dict:
         "best_value": result.best_value,
         "canonical_value": result.canonical_value,
         "gap": result.gap,
+        "lower_bound": result.lower_bound,
         "iterations": result.iterations,
         "converged": result.converged,
         "note": result.note,

@@ -1,24 +1,38 @@
-"""Minimax search over the dual-frame space for one-erasure optimal duals.
+"""Certified minimax search over the dual-frame space for one-erasure optimal duals.
 
 Every dual of a frame is ``G = S^-1 F + C V^H`` (see :mod:`framelab.frames`),
-so both one-erasure objectives are maxima of convex functions of the real and
-imaginary parts of the ``n x (N - n)`` matrix ``C``:
+and both one-erasure measures are maxima over the indices of norms of affine
+functions of the ``n x (N - n)`` matrix ``C``:
 
-* spectral: ``max_i q_i |<g_i, f_i>|`` -- moduli of affine complex maps,
-* norm:     ``max_i q_i ||f_i|| ||g_i||`` -- norms of affine maps.
+* spectral: ``e_i = q_i |<f_i, g_i>|``,
+* norm:     ``e_i = q_i ||f_i|| ||g_i||``.
 
-Values and gradients are ``n x N`` and ``n x (N - n)`` matrix products
-against ``V``.  The reported values (``best_value``, ``canonical_value`` and
-the sampler's) are the m = 1 measures of :mod:`framelab.erasures`, where
-these closed forms are written; ``_Objective`` is the same maximum as a
-function of ``C``, with its gradient.
+Minimizing ``max_i e_i`` over ``C`` is a convex minimax problem, solved by
+Lawson's iteratively reweighted least squares (C. L. Lawson, PhD thesis,
+UCLA, 1961; Y. Nakatsukasa and L. N. Trefethen, SIAM J. Sci. Comput. 42,
+2020).  Weights ``lam`` on the simplex select the ``C`` minimizing
+``sum_i lam_i e_i^2``, one least-squares solve, and are then updated to
+``lam_i e_i / sum_j lam_j e_j``.  Each step brackets the optimum: its
+``max_i e_i`` is attained, and its ``sqrt(sum_i lam_i e_i^2)`` is a lower
+bound, because no ``C`` has a maximum below a weighted mean.  The trace
+identity ``sum_i <f_i, g_i> = n`` bounds both optima below by 1.  The search
+stops when the bounds are within a relative ``1e-10``, or unconverged after
+``_MAX_SOLVES`` least-squares solves.
 
-Two convergent convex-minimax methods are provided: log-sum-exp smoothing
-with L-BFGS refinement over a decreasing smoothing schedule (default), and
-plain subgradient descent with diminishing ``c/sqrt(k)`` steps.  Each solve
-runs from the canonical dual (zero coefficients) plus a number of random
-restarts and keeps the best evaluated point, so the reported value never
-exceeds the canonical value.
+Lawson's steps approach the optimum slowly when an index has a small optimal
+weight.  So every ``_POLISH_EVERY`` steps a short chain of Newton steps on
+the weights, an active-set method for the dual problem, proposes further
+brackets; the Lawson iteration itself goes on unchanged.
+
+The first weights are ``lam_i = 1 / (n q_i)``.  By the trace identity and
+Cauchy-Schwarz, the first spectral step is then the minimum-norm solution of
+``<f_i, g_i> = 1 / q_i`` for every ``i`` whenever such a one-uniform dual
+exists, and its value 1 ends the search.  For the norm the rows of ``G``
+decouple, so a step is one ``N x (N - n)`` solve with ``n`` right-hand sides.
+
+The reported values are the m = 1 measures of :mod:`framelab.erasures`.  The
+canonical dual is the starting point, so ``best_value`` never exceeds
+``canonical_value``.
 """
 
 from __future__ import annotations
@@ -33,39 +47,32 @@ from .weights import ProbabilityProfile
 
 MEASURE_KINDS = ("spectral", "norm")
 
-# Largest spread between restart outcomes for a search to count as converged.
-_CONVERGENCE_TOL = 1e-8
-# The subgradient step is ``_STEP_SCALE * max(1, canonical value) / sqrt(k)``.
-_STEP_SCALE = 0.5
-# The subgradient method stops after ``_STALL_WINDOW`` steps that improve on
-# the best value by no more than ``_STALL_TOL``.
-_STALL_WINDOW = 200
-_STALL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SearchOptions:
-    """Solver configuration.
-
-    ``restarts`` random starts follow the start at the canonical dual; they
-    are drawn from ``seed`` within the canonical dual's Frobenius norm.
-    ``method`` is ``"smoothed"`` or ``"subgradient"``; ``max_iterations``
-    bounds the iterations of one start (shared out over the smoothing
-    stages).
-    """
-
-    restarts: int = 20
-    max_iterations: int = 5000
-    seed: int = 0
-    method: str = "smoothed"  # "smoothed" or "subgradient"
+# The search stops once (upper - lower) <= _GAP_TOL * upper.
+_GAP_TOL = 1e-10
+# Least-squares solves after which a search stops unconverged.
+_MAX_SOLVES = 1000
+# Every _POLISH_EVERY Lawson steps, up to _POLISH_STEPS Newton steps run from
+# the current weights.
+_POLISH_EVERY = 10
+_POLISH_STEPS = 8
+# Singular values below this fraction of the largest count as zero.
+_RANK_TOL = 1e-13
+# A Newton system whose relative residual exceeds this has no solution.
+_NEWTON_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SearchResult:
+    """``best_dual`` attains ``best_value``; no dual has a one-erasure value
+    below ``lower_bound``.  ``converged`` means ``best_value - lower_bound``
+    is at most ``1e-10 * best_value``, so ``best_value`` is the optimum to
+    that precision.  ``iterations`` counts the least-squares solves."""
+
     best_dual: DualPair
     best_value: float
     canonical_value: float
     gap: float
+    lower_bound: float
     iterations: int
     converged: bool
     note: str = ""
@@ -89,137 +96,101 @@ def _one_erasure_value(kind: str, pair: DualPair, profile: ProbabilityProfile) -
     return measure(pair, profile, 1).value
 
 
-class _Objective:
-    """One objective over x in R^(2K), the real and imaginary parts of ``C``.
+def _fit(w, a, b, lam):
+    """The ``x`` minimizing ``sum_i lam_i e_i^2``, its residual rows
+    ``b + a x`` and its ``e``."""
+    root = (np.sqrt(lam) * w)[:, None]
+    x = np.linalg.lstsq(root * a, -root * b, rcond=None)[0]
+    r = b + a @ x
+    return x, r, w * np.linalg.norm(r, axis=1)
 
-    Index ``i`` contributes ``scales_i |a_i|``, where ``a_i`` is
-    ``<g_i, f_i>`` (spectral) or the vector ``g_i`` (norm).  The gradient of
-    ``|a_i|`` with respect to ``C`` is ``conj(D[:, i]) conj(V[i, :]) / |a_i|``
-    for the carrier ``D = F * a`` (spectral) or ``D = G`` (norm).
+
+def _newton_weights(w, a, lam, r, e, active):
+    """Weights on ``active`` from one Newton step, from ``lam``, towards a fit
+    with equal ``e_i`` on ``active``: the stationarity condition of the dual
+    problem on that face of the simplex.  None if no step is defined.
+
+    The fit moves by ``dx/dlam_j = -H^+ a_j^H w_j^2 r_j`` with
+    ``H = sum_i lam_i w_i^2 a_i^H a_i``, so ``de_i/dlam_j`` is
+    ``-w_i^2 w_j^2 Re(P_ij conj(r_i r_j^H)) / e_i`` with ``P = a H^+ a^H``.
+    An index whose new weight is not positive leaves ``active``; when the
+    Newton system has no solution, the face holds no stationary point and
+    the index with the smallest ``e`` leaves.
     """
-
-    def __init__(self, kind: str, frame: Frame, profile: ProbabilityProfile, basis) -> None:
-        self.kind = kind
-        self.k = basis.size
-        self.f = frame.matrix
-        self.g0 = canonical_dual(frame).dual.matrix
-        self.v = basis.null_vectors
-        self.scales = profile.weights
-        if kind == "norm":
-            self.scales = self.scales * np.linalg.norm(self.f, axis=0)
-
-    def _carrier(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The carrier ``D`` and the moduli ``|a_i|`` at ``x``."""
-        c = (x[: self.k] + 1j * x[self.k :]).reshape(-1, self.v.shape[1])
-        g = self.g0 + c @ self.v.conj().T
-        if self.kind == "spectral":
-            t = np.einsum("di,di->i", self.f.conj(), g)
-            return self.f * t, np.abs(t)
-        return g, np.linalg.norm(g, axis=0)
-
-    def _gradient(self, carrier: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Gradient in x of ``sum_i weights_i |a_i|^2 / 2``."""
-        row = ((carrier.conj() * weights) @ self.v.conj()).reshape(-1)
-        return np.concatenate([np.real(row), -np.imag(row)])
-
-    def value(self, x: np.ndarray) -> float:
-        _, moduli = self._carrier(x)
-        return float(np.max(self.scales * moduli))
-
-    def smoothed(self, x: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
-        """Log-sum-exp smoothed objective and gradient; upper-bounds the max."""
-        carrier, moduli = self._carrier(x)
-        radicals = np.sqrt(moduli**2 + mu * mu)
-        terms = self.scales * radicals
-        top = float(np.max(terms))
-        expo = np.exp((terms - top) / mu)
-        total = float(np.sum(expo))
-        value = top + mu * np.log(total)
-        weights = (expo / total) * (self.scales / radicals)
-        return value, self._gradient(carrier, weights)
-
-    def subgradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """True objective value and a subgradient of the active term."""
-        carrier, moduli = self._carrier(x)
-        vals = self.scales * moduli
-        i = int(np.argmax(vals))
-        value = float(vals[i])
-        if moduli[i] == 0.0:
-            return value, np.zeros(2 * self.k)
-        weights = np.zeros(vals.size)
-        weights[i] = self.scales[i] / moduli[i]
-        return value, self._gradient(carrier, weights)
-
-
-def _scipy_minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use: the import takes
-    most of the package's start-up time, and only a search needs it."""
-    from scipy.optimize import minimize
-
-    return minimize(*args, **kwargs)
-
-
-def _minimize_smoothed(
-    objective: _Objective, x0: np.ndarray, options: SearchOptions, scale: float
-) -> tuple[np.ndarray, int]:
-    schedule = scale * 10.0 ** -np.arange(1, 10, dtype=float)
-    per_stage = max(50, options.max_iterations // schedule.size)
-    x = x0.copy()
-    iterations = 0
-    for mu in schedule:
-        res = _scipy_minimize(
-            lambda v: objective.smoothed(v, mu),
-            x,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": per_stage, "ftol": 1e-15, "gtol": 1e-12},
+    if not np.all(e[active] > 0.0):
+        return None
+    _, s, vh = np.linalg.svd((np.sqrt(lam) * w)[:, None] * a, full_matrices=False)
+    rank = s > _RANK_TOL * s[0]
+    half = (a @ vh[rank].conj().T) / s[rank]
+    w2 = w**2
+    dw = np.divide(w2, e, out=np.zeros_like(e), where=e > 0.0)
+    jac = -np.real((half @ half.conj().T) * (r @ r.conj().T).conj()) * np.outer(dw, w2)
+    while active.size:
+        k = active.size
+        kkt = np.block(
+            [[jac[np.ix_(active, active)], -np.ones((k, 1))], [np.ones((1, k)), 0.0]]
         )
-        x = res.x
-        iterations += int(res.nit)
-    return x, iterations
-
-
-def _minimize_subgradient(
-    objective: _Objective, x0: np.ndarray, options: SearchOptions, scale: float
-) -> tuple[np.ndarray, int]:
-    step0 = _STEP_SCALE * scale
-    x = x0.copy()
-    best_x = x.copy()
-    best = np.inf
-    window_best = np.inf
-    since_improvement = 0
-    k = 0
-    for k in range(1, options.max_iterations + 1):
-        value, sub = objective.subgradient(x)
-        if value < best:
-            best = value
-            best_x = x.copy()
-        if value < window_best - _STALL_TOL:
-            window_best = value
-            since_improvement = 0
+        # e on active, linearized at weights that are zero off active, equals t
+        rhs = np.append(jac[active] @ lam - e[active], 1.0)
+        solution = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        new = solution[:k]
+        if np.linalg.norm(kkt @ solution - rhs) > _NEWTON_TOL * np.linalg.norm(rhs):
+            active = np.delete(active, np.argmin(e[active]))
+        elif np.all(new > 0.0):
+            out = np.zeros_like(lam)
+            out[active] = new
+            return out / out.sum()
         else:
-            since_improvement += 1
-            if since_improvement >= _STALL_WINDOW:
-                break
-        norm = float(np.linalg.norm(sub))
-        if norm == 0.0:
-            break
-        x = x - (step0 / np.sqrt(k)) * (sub / norm)
-    return best_x, k
+            active = active[new > 0.0]
+    return None
 
 
-_SOLVERS = {"smoothed": _minimize_smoothed, "subgradient": _minimize_subgradient}
+def _minimax(w, a, b, lam, upper):
+    """Minimize ``max_i e_i`` with ``e_i = w_i ||b_i + a_i x||`` (rows
+    ``i``), starting from Lawson weights ``lam`` and the attained value
+    ``upper``.
+
+    Every ``_POLISH_EVERY`` Lawson steps, a chain of Newton steps from the
+    current weights equalizes ``e`` on the indices with positive weight,
+    adding back any index whose ``e`` exceeds the chain's lower bound.  Each
+    fit, Lawson's or Newton's, tightens the bounds.
+
+    Returns the best fit's ``x`` (None if no fit beat ``upper``), the best
+    lower bound and the number of fits.
+    """
+    best_x, lower, solves = None, 1.0, 0
+
+    def bracket(weights):
+        nonlocal best_x, upper, lower, solves
+        x, r, e = _fit(w, a, b, weights)
+        solves += 1
+        lower = max(lower, float(np.sqrt(weights @ e**2)))
+        if e.max() < upper:
+            best_x, upper = x, float(e.max())
+        return r, e, upper - lower <= _GAP_TOL * upper or solves >= _MAX_SOLVES
+
+    done = upper - lower <= _GAP_TOL * upper
+    step = 0
+    while not done:
+        r, e, done = bracket(lam)
+        step += 1
+        if step % _POLISH_EVERY == 0:
+            trial, tr, te, active = lam, r, e, np.flatnonzero(lam > 0.0)
+            for _ in range(_POLISH_STEPS):
+                if done:
+                    break
+                trial = _newton_weights(w, a, trial, tr, te, active)
+                if trial is None:
+                    break
+                tr, te, done = bracket(trial)
+                active = np.flatnonzero((trial > 0.0) | (te**2 > trial @ te**2))
+        lam = lam * e / (lam @ e)
+    return best_x, lower, solves
 
 
-def _run_search(
-    kind: str, frame: Frame, profile: ProbabilityProfile, options: SearchOptions | None
-) -> SearchResult:
+def _run_search(kind: str, frame: Frame, profile: ProbabilityProfile) -> SearchResult:
     if kind not in MEASURE_KINDS:
         raise ValueError(f"measure kind must be one of {MEASURE_KINDS}, got {kind!r}")
-    opts = options or SearchOptions()
-    if opts.method not in _SOLVERS:
-        raise ValueError(f"unknown method {opts.method!r}")
-    solver = _SOLVERS[opts.method]
     basis = dual_perturbation_basis(frame)
     canonical = canonical_dual(frame)
     canonical_value = _one_erasure_value(kind, canonical, profile)
@@ -229,65 +200,50 @@ def _run_search(
             best_value=canonical_value,
             canonical_value=canonical_value,
             gap=0.0,
+            lower_bound=canonical_value,
             iterations=0,
             converged=True,
             note="canonical dual is the unique dual; the search space is empty",
         )
 
-    objective = _Objective(kind, frame, profile, basis)
-    scale = max(1.0, canonical_value)
-    dim = 2 * basis.size
-    rng = np.random.default_rng(opts.seed)
-    radius = float(np.linalg.norm(canonical.dual.matrix))
+    f, g0, v, q = frame.matrix, canonical.dual.matrix, basis.null_vectors, profile.weights
+    if kind == "spectral":
+        # <f_i, g_i>^* = f_i^H g0_i + (f_i^* kron v_i^*) . x, with x = C row by row
+        a = (f.conj().T[:, :, None] * v.conj()[:, None, :]).reshape(frame.count, -1)
+        w, b = q, np.sum(f.conj() * g0, axis=0)[:, None]
+    else:
+        # g_i^T = g0_i^T + v_i^* x, with x = C^T
+        a, w, b = v.conj(), q * np.linalg.norm(f, axis=0), g0.T
+    x, lower, solves = _minimax(w, a, b, 1.0 / (frame.dim * q), canonical_value)
 
-    starts = [np.zeros(dim)]
-    for _ in range(max(0, opts.restarts)):
-        direction = rng.standard_normal(dim)
-        direction /= np.linalg.norm(direction)
-        starts.append(radius * rng.uniform(0.1, 1.0) * direction)
-
-    finals: list[float] = []
-    best_x = np.zeros(dim)
-    best_value = canonical_value
-    iterations = 0
-    for x0 in starts:
-        x, its = solver(objective, x0, opts, scale)
-        iterations += its
-        value = objective.value(x)
-        finals.append(value)
-        if value < best_value:
-            best_value = value
-            best_x = x
-    spread = max(finals) - min(finals)
-    converged = spread <= max(_CONVERGENCE_TOL, 1e-12 * scale)
-
-    coeffs = best_x[: basis.size] + 1j * best_x[basis.size :]
-    best_pair = dual_from_coefficients(basis, coeffs)
-    measured = _one_erasure_value(kind, best_pair, profile)
-    if measured > canonical_value:
-        best_pair, measured = canonical, canonical_value
+    best_pair, measured = canonical, canonical_value
+    if x is not None:
+        coeffs = x.reshape(-1) if kind == "spectral" else x.T.reshape(-1)
+        pair = dual_from_coefficients(basis, coeffs)
+        value = _one_erasure_value(kind, pair, profile)
+        if value <= canonical_value:
+            best_pair, measured = pair, value
+    # a computed bound above an attained value is rounding
+    lower = min(lower, measured)
     return SearchResult(
         best_dual=best_pair,
         best_value=measured,
         canonical_value=canonical_value,
         gap=canonical_value - measured,
-        iterations=iterations,
-        converged=converged,
+        lower_bound=lower,
+        iterations=solves,
+        converged=measured - lower <= _GAP_TOL * measured,
     )
 
 
-def minimize_spectral_one(
-    frame: Frame, profile: ProbabilityProfile, options: SearchOptions | None = None
-) -> SearchResult:
+def minimize_spectral_one(frame: Frame, profile: ProbabilityProfile) -> SearchResult:
     """Minimize the worst one-erasure spectral value over all duals of ``frame``."""
-    return _run_search("spectral", frame, profile, options)
+    return _run_search("spectral", frame, profile)
 
 
-def minimize_norm_one(
-    frame: Frame, profile: ProbabilityProfile, options: SearchOptions | None = None
-) -> SearchResult:
+def minimize_norm_one(frame: Frame, profile: ProbabilityProfile) -> SearchResult:
     """Minimize the worst one-erasure norm value over all duals of ``frame``."""
-    return _run_search("norm", frame, profile, options)
+    return _run_search("norm", frame, profile)
 
 
 def random_dual_sampler(
@@ -331,15 +287,13 @@ def certify_canonical_optimal(
     profile: ProbabilityProfile,
     measure_kind: str,
     tol: float = 1e-6,
-    options: SearchOptions | None = None,
 ) -> CertificationOutcome:
     """Is the canonical dual within ``tol`` of the searched optimum?
 
     Returns an inconclusive outcome (``optimal=None``) when the search does
-    not converge; a numerical search can bound the gap but never prove
-    optimality, so inconclusiveness is kept distinct from False.
+    not converge, so inconclusiveness is kept distinct from False.
     """
-    result = _run_search(measure_kind, frame, profile, options)
+    result = _run_search(measure_kind, frame, profile)
     if not result.converged:
         return CertificationOutcome(optimal=None, gap=result.gap, result=result)
     return CertificationOutcome(optimal=bool(result.gap <= tol), gap=result.gap, result=result)

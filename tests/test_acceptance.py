@@ -12,7 +12,6 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-import scipy.optimize  # noqa: F401
 from numpy.testing import assert_allclose
 
 import framelab as fl
@@ -25,9 +24,6 @@ from conftest import (
     random_profile,
 )
 
-# framelab imports scipy.optimize when its first search runs.  It is imported
-# above so that no criterion's runtime budget pays for that one-time import:
-# criterion 2 runs the first search of this module.
 PLANE_VECTORS = [(1, 0), (0, 1), (1, 1)]
 PLANE_PROBS = [0.25, 0.25, 0.5]
 TIGHT_VECTORS = [(1, 0), (0, 1), (1, 1), (1, -1)]
@@ -95,9 +91,8 @@ def test_criterion_2_second_example_golden():
         assert spectral_cert.conclusion and norm_cert.conclusion
         assert spectral_partition.subspace_dims[1] == 0  # remaining span is {0}
         assert norm_partition.subspace_dims[1] == 0
-        options = fl.SearchOptions(restarts=2, seed=0)
-        assert fl.minimize_spectral_one(frame, profile, options).gap <= 1e-6
-        assert fl.minimize_norm_one(frame, profile, options).gap <= 1e-6
+        assert fl.minimize_spectral_one(frame, profile).gap <= 1e-6
+        assert fl.minimize_norm_one(frame, profile).gap <= 1e-6
 
 
 def test_criterion_3_weight_identities():
@@ -199,14 +194,13 @@ def test_criterion_6_mercedes_certification():
 def test_criterion_7_parseval_equivalence():
     with criterion(7, "Parseval spectral/norm optimality agreement", 30.0):
         rng = np.random.default_rng(7171)
-        options = fl.SearchOptions(restarts=2, seed=11)
         for k in range(20):
             n = 2 if k % 2 == 0 else 3
             count = int(rng.integers(n + 1, 9))
             frame = random_parseval_frame(rng, n, count)
             profile = random_profile(rng, n, count)
-            spectral = fl.certify_canonical_optimal(frame, profile, "spectral", 1e-5, options)
-            norm = fl.certify_canonical_optimal(frame, profile, "norm", 1e-5, options)
+            spectral = fl.certify_canonical_optimal(frame, profile, "spectral", 1e-5)
+            norm = fl.certify_canonical_optimal(frame, profile, "norm", 1e-5)
             assert spectral.optimal is not None and norm.optimal is not None
             assert spectral.optimal == norm.optimal
 

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import framelab as fl
 import framelab.cli as cli
-from framelab.reporting import parse_report
+from framelab.reporting import emit_report, parse_report
 
 PLANE_DOC = """
 {
@@ -247,24 +247,47 @@ def test_simulate_stdout_independent_of_blas_threads(tmp_path):
     assert [len(m["per_set_values"]) for m in reports["analyze"]["measures"]] == [40, 40, 780, 780, 9880, 9880]
 
 
-def test_start_up_leaves_scipy_optimize_unloaded():
-    # importing scipy.optimize takes most of the start-up time; only a search needs it
+def test_search_and_parseval_analyze_run_without_scipy(tmp_path, tight_path):
+    # numpy is the only run-time dependency; the fresh interpreter cannot import scipy
+    angles = (0, 2 * np.pi / 3, 4 * np.pi / 3)
+    parseval = np.sqrt(2 / 3) * np.array([[np.cos(a), np.sin(a)] for a in angles])
+    doc = {
+        "dim": 2,
+        "count": 3,
+        "field": "real",
+        "vectors": [[[x, 0], [y, 0]] for x, y in parseval],
+        "probabilities": [0.2, 0.3, 0.5],
+    }
+    parseval_path = tmp_path / "parseval.json"
+    parseval_path.write_text(json.dumps(doc), encoding="utf-8")
+    search = ["search", str(tight_path), "--measure", "both", "--out", str(tmp_path / "s.json")]
+    analyze = ["analyze", str(parseval_path), "--out", str(tmp_path / "a.json")]
     code = (
-        "import sys, framelab, framelab.cli\n"
-        "imported = 'scipy.optimize' in sys.modules\n"
-        "try:\n"
-        "    framelab.cli.main(['--version'])\n"
-        "except SystemExit:\n"
-        "    pass\n"
-        "print(imported, 'scipy.optimize' in sys.modules)\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import framelab.cli\n"
+        f"print(framelab.cli.main({search!r}), framelab.cli.main({analyze!r}))\n"
     )
-    done = framelab_process(code)
-    assert done.stdout.decode().splitlines() == [f"framelab {fl.__version__}", "False False"]
+    assert framelab_process(code).stdout.decode().split() == ["0", "0"]
+    analyze = parse_report((tmp_path / "a.json").read_text(encoding="utf-8"))
+    (equivalence,) = [c for c in analyze["certificates"] if c["condition_id"] == "parseval_equivalence"]
+    assert equivalence["conclusion"] is True
+
+
+def test_search_result_ignores_restarts_and_seed(capsys, plane_path):
+    sections, notes = [], []
+    for extra in (["--seed", "0", "--restarts", "20"], ["--seed", "7", "--restarts", "0"]):
+        code, out, err = run(capsys, ["search", plane_path, "--measure", "both", *extra])
+        assert code == 0
+        sections.append(emit_report(parse_report(out)["searches"]))
+        notes.append(err)
+    assert sections[0] == sections[1]
+    assert all("no longer change the result" in err for err in notes)
+    _, _, err = run(capsys, ["search", plane_path])
+    assert err == ""
 
 
 def test_analyze_report_reemits_byte_identically(capsys, plane_path):
-    from framelab.reporting import emit_report
-
     _, out, _ = run(capsys, ["analyze", plane_path])
     assert emit_report(parse_report(out)) == out
 

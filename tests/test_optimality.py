@@ -294,7 +294,6 @@ def test_one_uniform_trace_identity_forces_budget(tight_frame, tight_profile, me
 def test_sufficiency_certificate_validated_by_search_oracle(tight_frame, tight_profile, mercedes_frame, mercedes_profile):
     # whenever the partition condition holds, the searched minimum must not
     # fall below the canonical value
-    options = fl.SearchOptions(restarts=2, seed=19)
     cases = [
         (tight_frame, tight_profile),
         (mercedes_frame, mercedes_profile),
@@ -303,14 +302,13 @@ def test_sufficiency_certificate_validated_by_search_oracle(tight_frame, tight_p
     for frame, profile in cases:
         cert, _ = fl.canonical_spectral_one_certificate(frame, profile)
         assert cert.conclusion
-        result = fl.minimize_spectral_one(frame, profile, options)
+        result = fl.minimize_spectral_one(frame, profile)
         assert result.best_value >= result.canonical_value - 1e-6
 
 
 def test_parseval_equivalence_on_examples(scaled_tight_pair):
     frame, profile = scaled_tight_pair
-    options = fl.SearchOptions(restarts=2, seed=5)
-    cert = fl.parseval_equivalence_report(frame, profile, options=options)
+    cert = fl.parseval_equivalence_report(frame, profile)
     assert cert.conclusion is True
     assert cert.details["canonical_spectral_optimal"] is True
     assert cert.details["canonical_norm_optimal"] is True
@@ -330,11 +328,10 @@ def test_parseval_equivalence_rejects_non_parseval(plane_frame, plane_profile):
 
 def test_parseval_equivalence_random_frames():
     rng = np.random.default_rng(43)
-    options = fl.SearchOptions(restarts=2, seed=9)
     for _ in range(3):
         frame = random_parseval_frame(rng, 2, 4)
         profile = random_profile(rng, 2, 4)
-        cert = fl.parseval_equivalence_report(frame, profile, options=options)
+        cert = fl.parseval_equivalence_report(frame, profile)
         assert cert.conclusion is True
 
 
@@ -466,6 +463,49 @@ def test_pair_certificates_match_the_loop_oracle(mercedes_frame, mercedes_profil
                 oracle_canonical_two_worst(frame, profile), rel=1e-13, abs=1e-13
             )
     assert pair_two_checked >= 12
+
+
+# Oracle: the per-index Python loops of the one-erasure membership tests.
+
+
+def oracle_one_uniform(pair, profile, tol):
+    products = profile.weights * np.conj(np.diagonal(pair.cross_gram))
+    hypotheses = []
+    for i, value in enumerate(products, start=1):
+        witness = float(max(abs(value.real - 1.0), abs(value.imag)) / profile.weight(i))
+        hypotheses.append((f"vector {i}: <f,g> equals the reciprocal weight", witness <= tol, witness))
+    return hypotheses
+
+
+def oracle_norm_one_pair(pair, profile, tol):
+    diag = np.conj(np.diagonal(pair.cross_gram))
+    f_norms = np.linalg.norm(pair.frame.matrix, axis=0)
+    g_norms = np.linalg.norm(pair.dual.matrix, axis=0)
+    inv_q = 1.0 / profile.weights
+    hypotheses = []
+    for i in range(pair.count):
+        inner_dev = max(abs(diag[i].real - inv_q[i]), abs(diag[i].imag))
+        witness = float(max(inner_dev, abs(f_norms[i] * g_norms[i] - inv_q[i])))
+        claim = "inner product and norm product equal the reciprocal weight"
+        hypotheses.append((f"vector {i + 1}: {claim}", witness <= tol, witness))
+    return hypotheses
+
+
+def test_index_certificates_match_the_loop_oracle(tight_frame, tight_profile):
+    tol = fl.optimality.DEFAULT_TOL
+    cases = [(tight_frame, tight_profile, [fl.canonical_dual(tight_frame)])]
+    held = {"one": 0, "norm": 0}
+    for _, profile, pairs in [*cases, *oracle_cases()]:
+        for pair in pairs:
+            cert = fl.is_one_uniform(pair, profile)
+            hypotheses = oracle_one_uniform(pair, profile, tol)
+            assert triples(cert.hypotheses) == hypotheses
+            assert cert.details["max_residual"] == max(h[2] for h in hypotheses)
+            held["one"] += cert.conclusion
+            cert = fl.one_erasure_norm_optimal_pair(pair, profile)
+            assert triples(cert.hypotheses) == oracle_norm_one_pair(pair, profile, tol)
+            held["norm"] += cert.conclusion
+    assert held["one"] >= 12 and held["norm"] >= 1
 
 
 def test_two_erasure_prediction_ties_are_relative():

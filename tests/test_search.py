@@ -2,14 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import check_grad
+from scipy.linalg import null_space
+from scipy.optimize import linprog
 
 import framelab as fl
-from framelab.search import _Objective
 from conftest import random_frame, random_profile
-
-
-FAST = fl.SearchOptions(restarts=3, seed=2)
 
 
 def coefficient_objective(frame, profile, kind):
@@ -30,18 +27,18 @@ def coefficient_objective(frame, profile, kind):
 
 
 def test_spectral_search_beats_canonical_on_plane(plane_frame, plane_profile):
-    result = fl.minimize_spectral_one(plane_frame, plane_profile, FAST)
+    result = fl.minimize_spectral_one(plane_frame, plane_profile)
     assert result.canonical_value == pytest.approx(4 / 3, abs=1e-12)
-    # a dual attaining 10/9 exists, and the searched optimum is even lower
-    assert result.best_value <= 10 / 9 + 1e-6
-    assert result.best_value >= 1.0 - 1e-6
+    # a one-uniform dual exists, so the optimum is the global lower bound 1
+    assert result.best_value == pytest.approx(1.0, abs=1e-12)
+    assert result.lower_bound == 1.0
     assert result.gap > 0.1
     assert result.converged
     assert fl.verify_dual(plane_frame, result.best_dual.dual, 1e-9)
 
 
 def test_norm_search_beats_canonical_on_plane(plane_frame, plane_profile):
-    result = fl.minimize_norm_one(plane_frame, plane_profile, FAST)
+    result = fl.minimize_norm_one(plane_frame, plane_profile)
     assert result.canonical_value == pytest.approx(4 / 3, abs=1e-12)
     assert result.best_value <= 2 * math.sqrt(26) / 9 + 1e-6
     assert result.best_value >= 1.0 - 1e-6
@@ -49,10 +46,10 @@ def test_norm_search_beats_canonical_on_plane(plane_frame, plane_profile):
 
 
 def test_searches_confirm_tight_frame_optimal(tight_frame, tight_profile):
-    spectral = fl.minimize_spectral_one(tight_frame, tight_profile, FAST)
+    spectral = fl.minimize_spectral_one(tight_frame, tight_profile)
     assert spectral.best_value == pytest.approx(1.0, abs=1e-6)
     assert spectral.gap <= 1e-6
-    norm = fl.minimize_norm_one(tight_frame, tight_profile, FAST)
+    norm = fl.minimize_norm_one(tight_frame, tight_profile)
     assert norm.best_value == pytest.approx(1.0, abs=1e-6)
     assert norm.gap <= 1e-6
 
@@ -65,37 +62,18 @@ def test_search_with_unique_dual():
     assert result.converged
     assert "unique" in result.note
     assert result.gap == 0.0
-
-
-def test_subgradient_method_agrees(plane_frame, plane_profile):
-    options = fl.SearchOptions(restarts=2, seed=3, method="subgradient", max_iterations=4000)
-    result = fl.minimize_spectral_one(plane_frame, plane_profile, options)
-    assert result.best_value <= result.canonical_value + 1e-12
-    assert result.best_value >= 1.0 - 1e-6
-    # subgradient progress is slower but must clearly improve on 4/3
-    assert result.best_value <= 1.2
-    smoothed = fl.minimize_spectral_one(plane_frame, plane_profile, FAST)
-    assert abs(result.best_value - smoothed.best_value) <= 5e-2
-
-
-def test_search_rejects_unknown_method(plane_frame, plane_profile):
-    basis_frame = fl.build_frame(2, [(1, 0), (0, 1)])  # unique dual, empty search space
-    basis_profile = fl.weights_from_probabilities([0.4, 0.6], 2)
-    for frame, profile in ((plane_frame, plane_profile), (basis_frame, basis_profile)):
-        with pytest.raises(ValueError):
-            fl.minimize_spectral_one(frame, profile, fl.SearchOptions(method="annealing"))
+    assert result.lower_bound == result.best_value
 
 
 def test_search_monotone_and_verified_on_random_frames():
     rng = np.random.default_rng(51)
-    options = fl.SearchOptions(restarts=1, seed=4)
     for _ in range(3):
         n = int(rng.integers(2, 4))
         count = int(rng.integers(n + 1, 7))
         frame = random_frame(rng, n, count)
         profile = random_profile(rng, n, count)
         for minimize in (fl.minimize_spectral_one, fl.minimize_norm_one):
-            result = minimize(frame, profile, options)
+            result = minimize(frame, profile)
             assert result.best_value <= result.canonical_value + 1e-12
             assert result.best_value >= 1.0 - 1e-6
             assert fl.verify_dual(frame, result.best_dual.dual, 1e-9)
@@ -144,42 +122,13 @@ def test_random_dual_sampler_determinism(plane_frame, plane_profile):
 
 
 def test_certify_canonical_optimal(tight_frame, tight_profile, plane_frame, plane_profile):
-    good = fl.certify_canonical_optimal(tight_frame, tight_profile, "spectral", 1e-6, FAST)
+    good = fl.certify_canonical_optimal(tight_frame, tight_profile, "spectral", 1e-6)
     assert good.optimal is True
-    bad = fl.certify_canonical_optimal(plane_frame, plane_profile, "spectral", 1e-6, FAST)
+    bad = fl.certify_canonical_optimal(plane_frame, plane_profile, "spectral", 1e-6)
     assert bad.optimal is False
     assert bad.gap >= 4 / 3 - 10 / 9 - 1e-6
-    bad_norm = fl.certify_canonical_optimal(plane_frame, plane_profile, "norm", 1e-6, FAST)
+    bad_norm = fl.certify_canonical_optimal(plane_frame, plane_profile, "norm", 1e-6)
     assert bad_norm.optimal is False
-
-
-@pytest.mark.parametrize("kind", ["spectral", "norm"])
-@pytest.mark.parametrize("shape", [(2, 3), (4, 12)])
-def test_smoothed_gradient_matches_finite_differences(kind, shape):
-    rng = np.random.default_rng(71)
-    frame = random_frame(rng, *shape)
-    profile = random_profile(rng, *shape)
-    basis = fl.dual_perturbation_basis(frame)
-    objective = _Objective(kind, frame, profile, basis)
-    mu = 0.1
-    for _ in range(5):
-        x = rng.standard_normal(2 * basis.size)
-        error = check_grad(
-            lambda v: objective.smoothed(v, mu)[0], lambda v: objective.smoothed(v, mu)[1], x
-        )
-        assert error <= 1e-5 * max(1.0, np.linalg.norm(objective.smoothed(x, mu)[1]))
-
-
-@pytest.mark.parametrize("kind", ["spectral", "norm"])
-def test_objective_value_matches_measure(kind):
-    rng = np.random.default_rng(73)
-    frame = random_frame(rng, 3, 7)
-    profile = random_profile(rng, 3, 7)
-    basis, measure = coefficient_objective(frame, profile, kind)
-    objective = _Objective(kind, frame, profile, basis)
-    for _ in range(10):
-        x = rng.standard_normal(2 * basis.size)
-        assert objective.value(x) == pytest.approx(measure(x), rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["spectral", "norm"])
@@ -189,8 +138,93 @@ def test_reported_values_are_the_one_erasure_measures(kind):
     profile = random_profile(rng, 3, 6)
     measure = fl.spectral_measure if kind == "spectral" else fl.norm_measure
     minimize = fl.minimize_spectral_one if kind == "spectral" else fl.minimize_norm_one
-    result = minimize(frame, profile, FAST)
+    result = minimize(frame, profile)
     assert result.best_value == measure(result.best_dual, profile, 1).value
     assert result.canonical_value == measure(fl.canonical_dual(frame), profile, 1).value
     for pair, value in fl.random_dual_sampler(frame, profile, 6, 5, kind):
         assert value == measure(pair, profile, 1).value
+
+
+def spectral_linear_program(vectors, probabilities):
+    """The one-erasure spectral optimum of a real frame as a linear program.
+
+    The duals are ``S^-1 F + C V^T`` with ``V`` from ``scipy.linalg.null_space``
+    and ``C`` real, which loses nothing for real data: the objective is convex
+    and ``C`` and its conjugate give the same value.  Minimize ``t`` subject
+    to ``-t <= q_i <f_i, g_i> <= t``.
+    """
+    f = np.array(vectors, dtype=float).T
+    n, count = f.shape
+    q = fl.weights_from_probabilities(probabilities, n).weights
+    v = null_space(f)
+    g0 = np.linalg.solve(f @ f.T, f)
+    rows = q[:, None] * np.einsum("ri,ij->irj", f, v).reshape(count, -1)
+    offsets = q * np.einsum("ri,ri->i", f, g0)
+    ones = np.ones((count, 1))
+    a_ub = np.block([[rows, -ones], [-rows, -ones]])
+    b_ub = np.concatenate([-offsets, offsets])
+    cost = np.zeros(rows.shape[1] + 1)
+    cost[-1] = 1.0
+    result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+    assert result.status == 0
+    return float(result.fun)
+
+
+def spectral_lp_cases():
+    rng = np.random.default_rng(83)
+    cases = [
+        ([(1, 0), (0, 1), (1, 1)], [0.25, 0.25, 0.5]),
+        ([(1, 0), (0, 1), (0, 0.5), (0, 0.5)], [0.34, 0.56, 0.05, 0.05]),
+    ]
+    for n, count in ((2, 4), (3, 6), (4, 7), (3, 8)):
+        # the first vector alone carries e1, so no one-uniform dual exists
+        f = rng.standard_normal((n, count))
+        f[0, 1:] = 0.0
+        cases.append((f.T.tolist(), rng.dirichlet(np.ones(count)).tolist()))
+    return cases
+
+
+@pytest.mark.parametrize("vectors,probabilities", spectral_lp_cases())
+def test_spectral_value_matches_the_linear_program(vectors, probabilities):
+    frame = fl.build_frame(len(vectors[0]), vectors)
+    profile = fl.weights_from_probabilities(probabilities, frame.dim)
+    result = fl.minimize_spectral_one(frame, profile)
+    assert result.converged
+    assert abs(result.best_value - spectral_linear_program(vectors, probabilities)) <= 1e-9
+
+
+def real_frame(rng, n, count):
+    return fl.Frame(rng.standard_normal((n, count)))
+
+
+@pytest.mark.parametrize("make_frame", [real_frame, random_frame], ids=["real", "complex"])
+@pytest.mark.parametrize("kind", ["spectral", "norm"])
+def test_lower_bound_brackets_the_optimum(make_frame, kind):
+    rng = np.random.default_rng(89)
+    minimize = fl.minimize_spectral_one if kind == "spectral" else fl.minimize_norm_one
+    evaluate = fl.spectral_radius if kind == "spectral" else fl.operator_norm
+    for _ in range(8):
+        n = int(rng.integers(2, 5))
+        count = int(rng.integers(n + 1, 2 * n + 3))
+        frame = make_frame(rng, n, count)
+        profile = random_profile(rng, n, count)
+        result = minimize(frame, profile)
+        lower = result.lower_bound
+        assert result.converged
+        assert lower <= result.best_value <= lower * (1 + 1e-10)
+        brute = max(
+            evaluate(fl.error_operator(result.best_dual, profile, fl.ErasureSet.of([i], count)))
+            for i in range(1, count + 1)
+        )
+        assert lower <= brute
+        samples = fl.random_dual_sampler(frame, profile, 40, seed=3, measure_kind=kind)
+        assert min(value for _, value in samples) >= lower
+
+
+def test_search_stops_unconverged_at_the_solve_cap(monkeypatch, plane_frame, plane_profile):
+    monkeypatch.setattr(fl.search, "_MAX_SOLVES", 2)
+    result = fl.minimize_norm_one(plane_frame, plane_profile)
+    assert result.iterations == 2
+    assert not result.converged
+    assert result.lower_bound < result.best_value <= result.canonical_value
+    assert fl.certify_canonical_optimal(plane_frame, plane_profile, "norm").optimal is None
