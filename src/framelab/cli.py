@@ -60,16 +60,12 @@ from .optimality import (
     two_erasure_spectral_prediction,
 )
 from .reporting import (
-    _hypotheses_to_list,
-    certificate_to_dict,
     dual_pair_to_dict,
     emit_report,
     frame_to_dict,
     measure_report_to_dict,
-    partition_to_dict,
     profile_to_dict,
     search_result_to_dict,
-    simulation_to_dict,
     weight_properties_to_dict,
 )
 from .search import minimize_norm_one, minimize_spectral_one
@@ -150,9 +146,9 @@ def _write_report(document: dict, out_path: str | None) -> None:
 
 
 def _certificate_entry(cert, partition=None) -> dict:
-    entry = certificate_to_dict(cert)
+    entry = dict(vars(cert))
     if partition is not None:
-        entry["partition"] = partition_to_dict(partition)
+        entry["partition"] = partition
     return entry
 
 
@@ -183,7 +179,7 @@ def _analyze_certificates(frame: Frame, profile: ProbabilityProfile) -> list:
             entries.append(_certificate_entry(two_erasure_spectral_prediction(pair, profile)))
         except HypothesisFailed as exc:
             entry = _skipped_entry("two_erasure_prediction", str(exc))
-            entry["hypotheses"] = _hypotheses_to_list(exc.hypotheses)
+            entry["hypotheses"] = exc.hypotheses
             entries.append(entry)
     entries.append(_certificate_entry(is_probabilistic_uniform_parseval(frame, profile)))
     if frame.is_parseval(1e-9):
@@ -280,7 +276,7 @@ def cmd_simulate(args) -> int:
         "report": "simulate",
         "input": input_section,
         "weights": profile_to_dict(profile),
-        "simulation": simulation_to_dict(stats),
+        "simulation": stats,
         "worst_case": {
             "norm_value": worst_case,
             "within_bound": bool(stats.max_error <= worst_case + 1e-9),
@@ -501,13 +497,14 @@ def main(argv=None) -> int:
     thread_cap()
     try:
         return args.handler(args)
+    # LinAlgError subclasses ValueError, so it is caught before the input errors
+    except np.linalg.LinAlgError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FrameLabError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except np.linalg.LinAlgError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +44,14 @@ class FrameFileContent:
     digest: str
 
 
+def _finite(x) -> bool:
+    """Whether a parsed JSON number is a finite double."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer literal beyond the double range
+        return False
+
+
 def _entry_to_complex(entry, where: str) -> complex:
     if (
         not isinstance(entry, (list, tuple))
@@ -50,6 +59,8 @@ def _entry_to_complex(entry, where: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
     ):
         raise ParseError(f"{where}: every entry must be an [re, im] pair, got {entry!r}")
+    if not all(map(_finite, entry)):
+        raise ParseError(f"{where}: entries must be finite, got {entry!r}")
     return complex(float(entry[0]), float(entry[1]))
 
 
@@ -102,6 +113,8 @@ def _as_probability_tuple(raw, source: str) -> tuple[float, ...]:
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
     ):
         raise ParseError(f"{source}: probabilities must be a list of numbers")
+    if not all(map(_finite, raw)):
+        raise ParseError(f"{source}: probabilities must be finite, got {raw!r}")
     return tuple(float(x) for x in raw)
 
 

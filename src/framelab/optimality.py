@@ -80,9 +80,6 @@ class OptimalityCertificate:
     conclusion: object  # bool for membership conditions, float for predictions
     details: dict = field(default_factory=dict)
 
-    def failed_hypotheses(self) -> tuple[Hypothesis, ...]:
-        return tuple(h for h in self.hypotheses if not h.holds)
-
 
 @dataclass(frozen=True)
 class PartitionReport:

@@ -1,78 +1,45 @@
 """Canonical report serialization.
 
-Reports are JSON documents emitted with a fixed layout: keys in insertion
-order, two-space indentation, and every float printed with 17 significant
-digits so that parsing recovers the exact double.  Identical inputs therefore
-produce byte-identical reports, and ``parse_report(emit_report(r)) == r``.
+Reports are JSON documents written by the standard encoder with a fixed
+layout: keys in insertion order and two-space indentation.  Floats take the
+shortest spelling that parses back to the same double (Python's ``repr``), so
+identical inputs produce byte-identical reports and
+``parse_report(emit_report(r)) == r``.  Non-finite floats are rejected.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from dataclasses import is_dataclass
 
 import numpy as np
 
-from .erasures import ErasureMeasureReport, SimulationStats
+from .erasures import ErasureMeasureReport
 from .errors import ParseError
 from .frames import DualPair, Frame
-from .optimality import OptimalityCertificate, PartitionReport
 from .search import SearchResult
 from .weights import ProbabilityProfile, WeightPropertiesReport
 
 
-def _format_float(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError(f"reports cannot carry non-finite values, got {value}")
-    text = format(value, ".17g")
-    if not any(c in text for c in ".eE") and "inf" not in text and "nan" not in text:
-        text += ".0"
-    return text
-
-
-def _emit(obj, indent: int, out: list) -> None:
-    pad = "  " * indent
-    if obj is None or obj is True or obj is False:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, np.bool_):
-        out.append(json.dumps(bool(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for k, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {type(key).__name__}")
-            out.append(f"{pad}  {json.dumps(key)}: ")
-            _emit(value, indent + 1, out)
-            out.append(",\n" if k < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for k, value in enumerate(obj):
-            out.append(pad + "  ")
-            _emit(value, indent + 1, out)
-            out.append(",\n" if k < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+def _plain(obj):
+    """Encoder hook for values the stdlib JSON encoder cannot write: numpy
+    arrays and scalars, complex numbers (an ``[re, im]`` pair, or a float when
+    the imaginary part is 0) and dataclasses (the dict of their fields, in
+    declaration order, which is the order of the report's keys)."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, complex):
+        return complex_pair(obj) if obj.imag != 0.0 else obj.real
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
 def emit_report(document: dict) -> str:
     """Serialize a report document to canonical JSON text."""
-    out: list[str] = []
-    _emit(document, 0, out)
-    return "".join(out) + "\n"
+    return json.dumps(document, indent=2, allow_nan=False, default=_plain) + "\n"
 
 
 def parse_report(text: str) -> dict:
@@ -136,51 +103,6 @@ def measure_report_to_dict(report: ErasureMeasureReport) -> dict:
     }
 
 
-def _detail_value(value):
-    if isinstance(value, (complex, np.complexfloating)) and not isinstance(value, float):
-        if np.imag(value) != 0.0:
-            return complex_pair(value)
-        return float(np.real(value))
-    if isinstance(value, np.ndarray):
-        return [_detail_value(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_detail_value(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _detail_value(v) for k, v in value.items()}
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
-
-
-def _hypotheses_to_list(hypotheses) -> list:
-    return [
-        {"description": h.description, "holds": h.holds, "witness": h.witness}
-        for h in hypotheses
-    ]
-
-
-def certificate_to_dict(cert: OptimalityCertificate) -> dict:
-    return {
-        "condition_id": cert.condition_id,
-        "hypotheses": _hypotheses_to_list(cert.hypotheses),
-        "conclusion": _detail_value(cert.conclusion),
-        "details": {k: _detail_value(v) for k, v in cert.details.items()},
-    }
-
-
-def partition_to_dict(partition: PartitionReport) -> dict:
-    return {
-        "threshold": partition.threshold,
-        "attaining": list(partition.attaining),
-        "remaining": list(partition.remaining),
-        "subspace_dims": list(partition.subspace_dims),
-    }
-
-
 def dual_pair_to_dict(pair: DualPair) -> dict:
     return {
         "dual_vectors": vectors_as_rows(pair.dual.matrix),
@@ -199,17 +121,4 @@ def search_result_to_dict(result: SearchResult) -> dict:
         "converged": result.converged,
         "note": result.note,
         "best_dual": vectors_as_rows(result.best_dual.dual.matrix),
-    }
-
-
-def simulation_to_dict(stats: SimulationStats) -> dict:
-    return {
-        "m": stats.m,
-        "trials": stats.trials,
-        "seed": stats.seed,
-        "rng": stats.rng,
-        "max_error": stats.max_error,
-        "mean_error": stats.mean_error,
-        "histogram_edges": list(stats.histogram_edges),
-        "histogram_counts": list(stats.histogram_counts),
     }

@@ -56,7 +56,7 @@ def weights_from_probabilities(probabilities, dim: int) -> ProbabilityProfile:
         raise InvalidProbability(f"dimension must be positive, got {dim}")
     if p.size < dim:
         raise InvalidProbability(f"need at least {dim} probabilities, got {p.size}")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise InvalidProbability("probabilities must lie in [0, 1]")
     total = float(p.sum())
     if abs(total - 1.0) > PROBABILITY_SUM_TOL:

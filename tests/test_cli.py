@@ -149,6 +149,33 @@ def test_numeric_failure_exit_code(capsys, tmp_path):
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "search", "simulate"])
+@pytest.mark.parametrize(
+    "token", ["NaN", "Infinity", "1e400", "1" + "0" * 400], ids=["NaN", "Infinity", "1e400", "int400"]
+)
+@pytest.mark.parametrize("place", ["vector", "probability"])
+def test_non_finite_input_is_an_input_error(capfd, tmp_path, command, token, place):
+    old = "[[1, 0], [1, 0]]" if place == "vector" else "0.5]"
+    new = f"[[{token}, 0], [1, 0]]" if place == "vector" else f"{token}]"
+    path = tmp_path / "nonfinite.json"
+    path.write_text(PLANE_DOC.replace(old, new), encoding="utf-8")
+    code, out, err = run(capfd, [command, path])
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err and str(path) in err
+
+
+def test_lapack_failure_is_a_numeric_failure(capsys, plane_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    code, out, err = run(capsys, ["search", plane_path, "--measure", "spectral"])
+    assert code == 3
+    assert out == ""
+    assert "numeric failure" in err
+
+
 def test_search_report(capsys, plane_path):
     code, out, _ = run(
         capsys, ["search", plane_path, "--measure", "spectral", "--restarts", "3", "--seed", "1"]

@@ -25,7 +25,7 @@ def test_is_one_uniform(plane_frame, plane_profile, tight_frame, tight_profile):
     cert = fl.is_one_uniform(fl.canonical_dual(plane_frame), plane_profile)
     assert not cert.conclusion
     assert not cert.hypotheses[0].holds  # q_1 <f_1, g_1> = 8/9, not 1
-    failed = cert.failed_hypotheses()
+    failed = [h for h in cert.hypotheses if not h.holds]
     assert len(failed) == 3 and all(h.witness > 1e-3 for h in failed)
 
 

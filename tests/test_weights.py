@@ -22,7 +22,7 @@ def test_uniform_weights_are_count_over_dim():
 
 @pytest.mark.parametrize(
     "probs",
-    [[0.5, 0.4], [0.5, 0.6], [-0.1, 1.1], [1.5, -0.5]],
+    [[0.5, 0.4], [0.5, 0.6], [-0.1, 1.1], [1.5, -0.5], [float("nan"), 0.5, 0.5]],
 )
 def test_invalid_probabilities_rejected(probs):
     with pytest.raises(fl.InvalidProbability):
