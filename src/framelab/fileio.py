@@ -76,7 +76,7 @@ def parse_frame_document(text: str, source: str = "<frame>") -> FrameFileContent
         if key not in doc:
             raise ParseError(f"{source}: missing required key {key!r}")
     dim, count, field = doc["dim"], doc["count"], doc["field"]
-    if not isinstance(dim, int) or not isinstance(count, int):
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (dim, count)):
         raise ParseError(f"{source}: dim and count must be integers")
     if field not in FIELDS:
         raise ParseError(f"{source}: field must be one of {FIELDS}, got {field!r}")

@@ -1,10 +1,17 @@
 """Canonical report serialization.
 
-Reports are JSON documents written by the standard encoder with a fixed
-layout: keys in insertion order and two-space indentation.  Floats take the
-shortest spelling that parses back to the same double (Python's ``repr``), so
-identical inputs produce byte-identical reports and
+Reports are JSON documents with the layout of the standard encoder's
+``json.dumps(indent=2)``: keys in insertion order and two-space indentation.
+Floats take the shortest spelling that parses back to the same double
+(Python's ``repr``), so identical inputs produce byte-identical reports and
 ``parse_report(emit_report(r)) == r``.  Non-finite floats are rejected.
+
+The per-set tables of the erasure measures (one row per erasure set, up to
+tens of thousands of rows) are written from a ``%``-format row template
+instead of the encoder's pure-Python recursion; their bytes are the ones
+``json.dumps`` would write, and a NaN or infinite value raises
+``ValueError`` as ``allow_nan=False`` does.  Everything else goes through
+``json.dumps``.
 """
 
 from __future__ import annotations
@@ -37,9 +44,49 @@ def _plain(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
+# What the encoder writes for a per-set table before the table is spliced in.
+# Report strings are file paths, fixed names and messages, none of which can
+# hold a NUL character, so no other string is written this way.
+_TABLE_PLACEHOLDER = json.dumps("\0")
+
+
 def emit_report(document: dict) -> str:
     """Serialize a report document to canonical JSON text."""
-    return json.dumps(document, indent=2, allow_nan=False, default=_plain) + "\n"
+    tables = []
+
+    def default(obj):
+        if isinstance(obj, ErasureMeasureReport):
+            tables.append(obj)
+            return "\0"
+        return _plain(obj)
+
+    head, *tails = json.dumps(document, indent=2, allow_nan=False, default=default).split(
+        _TABLE_PLACEHOLDER
+    )
+    pieces = [head]
+    for report, tail in zip(tables, tails):
+        line = pieces[-1][pieces[-1].rfind("\n") + 1 :]
+        pieces += [_set_table(report, len(line) - len(line.lstrip(" "))), tail]
+    return "".join(pieces) + "\n"
+
+
+def _set_table(report: ErasureMeasureReport, indent: int) -> str:
+    """The ``json.dumps(indent=2)`` text of the rows ``{"indices": [...],
+    "value": v}`` of ``report``, opened on a line indented by ``indent``."""
+    values = report.per_set_values
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite value in the {report.kind} m={report.m} per-set table")
+    pad = " " * indent
+    row = (
+        f"{pad}  {{\n{pad}    \"indices\": [\n"
+        + ",\n".join([f"{pad}      %d"] * report.m)
+        + f"\n{pad}    ],\n{pad}    \"value\": %s\n{pad}  }}"
+    )
+    rows = map(
+        row.__mod__,
+        map(tuple.__add__, report.sets(), zip(map(float.__repr__, values.tolist()))),
+    )
+    return "[\n" + ",\n".join(rows) + f"\n{pad}]"
 
 
 def parse_report(text: str) -> dict:
@@ -96,10 +143,7 @@ def measure_report_to_dict(report: ErasureMeasureReport) -> dict:
         "m": report.m,
         "value": report.value,
         "argmax_sets": [list(s.indices) for s in report.argmax_sets],
-        "per_set_values": [
-            {"indices": list(s), "value": v}
-            for s, v in zip(report.sets(), report.per_set_values.tolist())
-        ],
+        "per_set_values": report,
     }
 
 

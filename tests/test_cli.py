@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -83,11 +84,15 @@ def test_analyze_is_deterministic(capsys, plane_path):
 
 def test_analyze_out_file(capsys, plane_path, tmp_path):
     out_path = tmp_path / "report.json"
-    code, out, _ = run(capsys, ["analyze", plane_path, "--out", out_path])
+    argv = ["analyze", plane_path, "--m", "1", "--m", "2", "--m", "3"]
+    code, out, _ = run(capsys, [*argv, "--out", out_path])
     assert code == 0
     assert out == ""
     doc = parse_report(out_path.read_text(encoding="utf-8"))
     assert doc["report"] == "analyze"
+    assert [m["m"] for m in doc["measures"]] == [1, 1, 2, 2, 3, 3]
+    _, stdout, _ = run(capsys, argv)
+    assert out_path.read_bytes() == stdout.encode("utf-8")
 
 
 def test_analyze_tight_certificates(capsys, tight_path):
@@ -248,18 +253,29 @@ def framelab_process(code_or_argv, **env_overrides):
     )
 
 
-def test_simulate_stdout_independent_of_blas_threads(tmp_path):
-    rng = np.random.default_rng(61)
-    matrix = rng.standard_normal((16, 40)) + 1j * rng.standard_normal((16, 40))
-    doc = {
-        "dim": 16,
-        "count": 40,
-        "field": "complex",
+def random_frame_document(seed, dim, count, field, zero_mass=0):
+    """A random frame file with Dirichlet probabilities, the first
+    ``zero_mass`` of them zero."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((dim, count))
+    if field == "complex":
+        matrix = matrix + 1j * rng.standard_normal((dim, count))
+    p = rng.dirichlet(np.ones(count))
+    if zero_mass:
+        p[:zero_mass] = 0.0
+        p /= p.sum()
+    return {
+        "dim": dim,
+        "count": count,
+        "field": field,
         "vectors": [[[z.real, z.imag] for z in column] for column in matrix.T],
-        "probabilities": rng.dirichlet(np.ones(40)).tolist(),
+        "probabilities": p.tolist(),
     }
+
+
+def test_simulate_stdout_independent_of_blas_threads(tmp_path):
     path = tmp_path / "complex.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps(random_frame_document(61, 16, 40, "complex")), encoding="utf-8")
     reports = {}
     for argv in (
         ["simulate", str(path), "--m", "2", "--trials", "20000", "--seed", "5"],
@@ -314,9 +330,32 @@ def test_search_result_ignores_restarts_and_seed(capsys, plane_path):
     assert err == ""
 
 
-def test_analyze_report_reemits_byte_identically(capsys, plane_path):
-    _, out, _ = run(capsys, ["analyze", plane_path])
-    assert emit_report(parse_report(out)) == out
+def test_analyze_report_reemits_byte_identically(capsys, plane_path, tmp_path):
+    # the standard encoder, run on the parsed plain document, is the oracle
+    cases = [
+        (plane_path, []),
+        ((61, 16, 40, "complex"), ["--m", "1", "--m", "2", "--m", "3", "--measure", "both"]),
+        ((62, 4, 9, "real", 1), ["--m", "4"]),  # a zero-mass index
+        ((63, 4, 31, "real"), ["--m", "3"]),  # 4,495 sets: more than one CHUNK_SETS chunk
+    ]
+    for frame, extra in cases:
+        path = frame
+        if isinstance(frame, tuple):
+            path = tmp_path / "frame.json"
+            path.write_text(json.dumps(random_frame_document(*frame)), encoding="utf-8")
+        code, out, _ = run(capsys, ["analyze", path, *extra])
+        assert code == 0
+        doc = parse_report(out)
+        reemitted = emit_report(doc)
+        # compared by hand: pytest's diff of two megabyte strings takes minutes
+        if reemitted != out:
+            at = len(os.path.commonprefix([reemitted, out]))
+            pytest.fail(f"{frame}: differs from the stdlib at {at}: {out[at - 60 : at + 60]!r}")
+        for measure in doc["measures"]:
+            table = measure["per_set_values"]
+            every_set = itertools.combinations(range(1, doc["input"]["count"] + 1), measure["m"])
+            assert [e["indices"] for e in table] == [list(s) for s in every_set]
+            assert max(e["value"] for e in table) == measure["value"]
 
 
 def test_analyze_orthonormal_basis(capsys, tmp_path):

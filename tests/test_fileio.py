@@ -11,7 +11,14 @@ from framelab.fileio import (
     parse_probability_document,
     resolve_profile,
 )
-from framelab.reporting import emit_report, frame_to_dict, parse_report, vectors_as_rows
+from framelab.erasures import ErasureMeasureReport
+from framelab.reporting import (
+    emit_report,
+    frame_to_dict,
+    measure_report_to_dict,
+    parse_report,
+    vectors_as_rows,
+)
 
 PLANE_DOC = """
 {
@@ -61,6 +68,9 @@ def test_parse_complex_frame_document():
         lambda d: d.update(probabilities=[0.5, 0.5]),
         lambda d: d["vectors"][0].__setitem__(0, [1, 0, 0]),
         lambda d: d.update(dim="two"),
+        # JSON booleans are not integers, although Python counts True as 1
+        lambda d: d.update(dim=True, vectors=[row[:1] for row in d["vectors"]]),
+        lambda d: d.update(dim=1, count=True, vectors=[[[1, 0]]], probabilities=[1.0]),
     ],
 )
 def test_parse_frame_document_rejects_defects(mutate):
@@ -165,6 +175,24 @@ def test_report_rejects_non_finite_and_bad_types():
         emit_report({"x": object()})
     with pytest.raises(fl.ParseError):
         parse_report("{broken")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_report_rejects_non_finite_per_set_value(bad):
+    report = ErasureMeasureReport("norm", 1, 3, 1.0, (), np.array([0.5, bad, 1.0]))
+    with pytest.raises(ValueError):
+        emit_report({"measures": [measure_report_to_dict(report)]})
+
+
+def test_per_set_table_has_the_stdlib_layout_at_any_depth(plane_frame, plane_profile):
+    report = fl.norm_measure(fl.canonical_dual(plane_frame), plane_profile, 2)
+    for document in ({"table": report}, {"a": [{"b": [report]}, report]}, report):
+        text = emit_report(document)
+        assert emit_report(parse_report(text)) == text
+    assert parse_report(emit_report(report)) == [
+        {"indices": list(s), "value": v}
+        for s, v in zip(report.sets(), report.per_set_values.tolist())
+    ]
 
 
 def test_vectors_as_rows_round_trip(plane_frame):
