@@ -18,9 +18,22 @@ largest eigenvalue of ``D G_L^H G_L D F_L^H F_L`` with ``D = diag(q_L)``,
 whose factors are cut from the Gram matrices ``G^H G`` and ``F^H F``; both
 keep the eigenproblem at size ``m`` instead of ``n``.
 
+For ``m == 3`` both values are read off the characteristic cubic of the
+block, whose coefficients are sums of products of gathered entries: the
+trace, the principal 2x2 minors (the pair terms of ``m == 2``) and the
+determinant for the spectral block, and Cauchy-Binet sums of the minors of
+the two Gram blocks for the norm.  Cardano's formula with one Newton step
+gives the roots; a set's value is kept only when an a-posteriori bound (the
+Newton residual plus a rounding term, and Vieta's relations between the
+roots and the coefficients) places it within ``CUBIC_TOL``.  The other sets,
+a few in a thousand on random frames, and every set for ``m >= 4``, go
+through stacked eigenvalue solves of the blocks.
+
 The measures enumerate the erasure sets in lexicographic order, in chunks of
-``CHUNK_SETS`` sets evaluated by array expressions and stacked eigenvalue
-solves, and keep one value per set in that order.
+``CHUNK_SETS`` sets evaluated by array expressions, and keep one value per
+set in that order.  The cubic's complex products, quotients and moduli are
+spelled out in real parts (``_cmul``, ``_cdiv``, ``_cabs``), so a value does
+not depend on the chunk it is evaluated in.
 
 ``simulate_erasure_channel`` draws erasure sets proportional to the
 probabilities without replacement by exponential keys (Efraimidis and
@@ -31,6 +44,7 @@ Erasure-set indices are 1-based throughout, matching the vector numbering.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,8 +66,22 @@ from .weights import ProbabilityProfile
 TIE_TOL = 1e-9
 # Default cap on the number of erasure sets enumerated per measure call.
 DEFAULT_MAX_SETS = 1_000_000
-# Erasure sets evaluated together; at m = 3 a chunk's blocks take 0.6 MB.
+# Erasure sets evaluated together; at m = 3 a chunk's temporaries are
+# vectors of one number per set (64 kB when complex), and only the sets the
+# cubic leaves uncertified are gathered into 3 x 3 blocks.
 CHUNK_SETS = 4096
+# An m = 3 value read off the characteristic cubic is kept only when its
+# a-posteriori error bound is within this fraction of it; the other sets go to
+# the stacked eigenvalue solver.
+CUBIC_TOL = 1e-12
+# First-order bound on the relative rounding of a cubic's coefficients and of
+# its Horner evaluation, each a few dozen floating-point operations.
+_ROUNDING = 32 * 2.0**-53
+# The cube roots of unity other than 1.
+_OMEGA = (
+    np.complex128(complex(-0.5, math.sqrt(3.0) / 2.0)),
+    np.complex128(complex(-0.5, -math.sqrt(3.0) / 2.0)),
+)
 
 RNG_ID = "numpy.random.PCG64"
 # Trials simulated together; keeps each chunk's arrays near a megabyte.
@@ -138,10 +166,13 @@ def _check_compatible(pair: DualPair, profile: ProbabilityProfile) -> None:
 def error_operator(
     pair: DualPair, profile: ProbabilityProfile, lam: ErasureSet
 ) -> np.ndarray:
-    """Matrix of ``f -> sum_{i in lam} q_i <f, f_i> g_i`` (rank <= |lam|)."""
+    """Matrix of ``f -> sum_{i in lam} q_i <f, f_i> g_i`` (rank <= |lam|).
+
+    ``lam`` must hold distinct indices in ``1..count``; ``ValueError``
+    otherwise.
+    """
     _check_compatible(pair, profile)
-    if lam.size and lam.indices[-1] > pair.count:
-        raise ShapeMismatch(f"erasure set {lam.indices} exceeds vector count {pair.count}")
+    lam = ErasureSet.of(lam.indices, pair.count)
     n = pair.dim
     if lam.size == 0:
         return np.zeros((n, n), dtype=np.complex128)
@@ -199,6 +230,14 @@ def _cabs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
+def _cdiv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    den = y.real * y.real + y.imag * y.imag
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
+    out.real = (x.real * y.real + x.imag * y.imag) / den
+    out.imag = (x.imag * y.real - x.real * y.imag) / den
+    return out
+
+
 def _ties(values: np.ndarray, tol: float = TIE_TOL) -> tuple[float, np.ndarray]:
     """The maximum of ``values`` and the mask of the values within
     ``tol * max(1, |maximum|)`` of it, which all count as attaining it."""
@@ -228,7 +267,8 @@ def _two_erasure_roots(alpha: np.ndarray, q: np.ndarray, i: np.ndarray, j: np.nd
 def two_erasure_eigenvalues(
     pair: DualPair, profile: ProbabilityProfile, i: int, j: int
 ) -> tuple[complex, complex]:
-    """Both eigenvalues of the two-erasure error block for indices ``i != j``.
+    """Both eigenvalues of the two-erasure error block for distinct indices
+    ``i, j`` in ``1..count`` (``ValueError`` otherwise).
 
     Roots of ``x^2 - (q_i a_ii + q_j a_jj) x + q_i q_j (a_ii a_jj - a_ij a_ji)``
     where ``a`` is the cross-Gram matrix; evaluated via the explicit quadratic
@@ -236,12 +276,180 @@ def two_erasure_eigenvalues(
     evaluates over all pairs at once.
     """
     _check_compatible(pair, profile)
-    if i == j:
-        raise ValueError("two-erasure indices must differ")
+    ErasureSet.of((i, j), pair.count)
     hi, lo = _two_erasure_roots(
         pair.cross_gram, profile.weights, np.array([i - 1]), np.array([j - 1])
     )
     return complex(hi[0]), complex(lo[0])
+
+
+def _cubic(c1, c2, c3, x):
+    """``p(x) = x^3 - c1 x^2 + c2 x - c3`` and ``p'(x)`` by Horner's rule."""
+    return _cmul(_cmul(x - c1, x) + c2, x) - c3, _cmul(3.0 * x - 2.0 * c1, x) + c2
+
+
+def _cubic_roots(c1, c2, c3):
+    """The three roots of ``x^3 - c1 x^2 + c2 x - c3`` at each set, by
+    Cardano's formula, each polished by one Newton step."""
+    h = c1 / 3.0
+    hh = _cmul(h, h)
+    # x = h + t turns the cubic into t^3 + 3 p t - 2 r, solved by
+    # t = u - p / u with u^3 = r + sqrt(r^2 + p^3)
+    p = (c2 - 3.0 * hh) / 3.0
+    r = (c3 - _cmul(c2 - 2.0 * hh, h)) / 2.0
+    root = np.sqrt(_cmul(r, r) + _cmul(_cmul(p, p), p))
+    # the sign of the square root that avoids cancellation in r + root
+    flip = r.real * root.real + r.imag * root.imag < 0.0
+    root[flip] = -root[flip]
+    w = r + root
+    rho = np.cbrt(_cabs(w))
+    phase = np.arctan2(w.imag, w.real) / 3.0
+    u = np.empty_like(w)
+    u.real = rho * np.cos(phase)
+    u.imag = rho * np.sin(phase)
+    # p / u = p conj(u) / rho^2; u = 0 only when p = r = 0, a triple root
+    inverse = np.zeros_like(rho)
+    np.divide(1.0, rho * rho, out=inverse, where=rho > 0.0)
+    roots = []
+    for uk in (u, _cmul(u, _OMEGA[0]), _cmul(u, _OMEGA[1])):
+        x = h + uk - _cmul(p, uk.conj()) * inverse
+        value, slope = _cubic(c1, c2, c3, x)
+        roots.append(x - _cdiv(value, slope))
+    return roots
+
+
+def _cubic_top_moduli(c1, c2, c3, a1, a2, a3):
+    """Largest root modulus of ``x^3 - c1 x^2 + c2 x - c3`` at each set, and
+    the mask of the sets where it is certified to ``CUBIC_TOL``.
+
+    ``a_k`` bounds the sum of the magnitudes of the terms that form ``c_k``.
+    Each root ``x`` lies within ``(|p(x)| + _ROUNDING s) / |p'(x)|`` of a root
+    of the exact cubic, where ``s = sum a_k |x|^(3-k) + |x|^3`` bounds the
+    rounding of ``c_k`` and of Horner's rule.  A set is accepted when these
+    bounds place the largest modulus within ``CUBIC_TOL`` of the value and
+    when the roots reproduce ``c1, c2, c3`` (Vieta), so that none is missed.
+    """
+    with np.errstate(all="ignore"):
+        x0, x1, x2 = _cubic_roots(c1, c2, c3)
+        m0, m1, m2 = _cabs(x0), _cabs(x1), _cabs(x2)
+        top = np.maximum(np.maximum(m0, m1), m2)
+        upper = np.zeros_like(top)
+        lower = np.zeros_like(top)
+        for x, mod in ((x0, m0), (x1, m1), (x2, m2)):
+            value, slope = _cubic(c1, c2, c3, x)
+            residual = _cabs(value) + _ROUNDING * (((mod + a1) * mod + a2) * mod + a3)
+            # a zero residual makes x an exact root, even where p'(x) = 0
+            bound = np.where(residual == 0.0, 0.0, residual / _cabs(slope))
+            np.maximum(upper, mod + bound, out=upper)
+            np.maximum(lower, mod - bound, out=lower)
+        vieta = (
+            (_cabs(x0 + x1 + x2 - c1) <= CUBIC_TOL * 3.0 * top + _ROUNDING * (a1 + m0 + m1 + m2))
+            & (
+                _cabs(_cmul(x0, x1 + x2) + _cmul(x1, x2) - c2)
+                <= CUBIC_TOL * 3.0 * top * top + _ROUNDING * (a2 + m0 * (m1 + m2) + m1 * m2)
+            )
+            & (
+                _cabs(_cmul(_cmul(x0, x1), x2) - c3)
+                <= CUBIC_TOL * top * top * top + _ROUNDING * (a3 + m0 * m1 * m2)
+            )
+        )
+        certified = (
+            vieta
+            & (upper <= top * (1.0 + CUBIC_TOL))
+            & (lower >= top * (1.0 - CUBIC_TOL))
+        )
+    return top, certified
+
+
+def _re_conj(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``Re(x conj(y))``."""
+    return x.real * y.real + x.imag * y.imag
+
+
+def _three_cycles(alpha: np.ndarray, i, j, k):
+    """``alpha_ij alpha_jk alpha_ki + alpha_ik alpha_kj alpha_ji`` at each
+    set, with the sum of the magnitudes of its two terms."""
+    forward = (alpha[i, j], alpha[j, k], alpha[k, i])
+    backward = (alpha[i, k], alpha[k, j], alpha[j, i])
+    value = _cmul(_cmul(forward[0], forward[1]), forward[2]) + _cmul(
+        _cmul(backward[0], backward[1]), backward[2]
+    )
+    f0, f1, f2 = (_cabs(z) for z in forward)
+    b0, b1, b2 = (_cabs(z) for z in backward)
+    return value, f0 * f1 * f2 + b0 * b1 * b2
+
+
+def _spectral_cubic(alpha: np.ndarray, q: np.ndarray, ix: np.ndarray):
+    """Characteristic cubic ``x^3 - c1 x^2 + c2 x - c3`` of each set's block
+    ``[q_a alpha_ba]``: ``c1, c2, c3`` and the sums ``a1, a2, a3`` of the
+    magnitudes of the terms that form them."""
+    i, j, k = ix[:, 0], ix[:, 1], ix[:, 2]
+    d0, d1, d2 = q[i] * alpha[i, i], q[j] * alpha[j, j], q[k] * alpha[k, k]
+    m0, m1, m2 = _cabs(d0), _cabs(d1), _cabs(d2)
+    k01, k02, k12 = (_cross_products(alpha, q, a, b) for a, b in ((i, j), (i, k), (j, k)))
+    n01, n02, n12 = _cabs(k01), _cabs(k02), _cabs(k12)
+    # q_i q_j q_k det alpha_L: the diagonal, the diagonal times a pair's
+    # cross product, and the two 3-cycles
+    qqq = q[i] * q[j] * q[k]
+    cycles, cycles_mag = _three_cycles(alpha, i, j, k)
+    d01 = _cmul(d0, d1)
+    c3 = _cmul(d01, d2) - _cmul(d0, k12) - _cmul(d1, k02) - _cmul(d2, k01) + qqq * cycles
+    a3 = m0 * m1 * m2 + m0 * n12 + m1 * n02 + m2 * n01 + qqq * cycles_mag
+    c2 = d01 + _cmul(d0, d2) + _cmul(d1, d2) - (k01 + k02 + k12)
+    a2 = m0 * m1 + m0 * m2 + m1 * m2 + n01 + n02 + n12
+    return d0 + d1 + d2, c2, c3, m0 + m1 + m2, a2, a3
+
+
+def _hermitian_minors(diagonal, upper, moduli):
+    """The 2x2 minors of Hermitian 3x3 blocks, given by their diagonal, upper
+    entries and their moduli (pairs 01, 02, 12): the minors at row pairs S
+    and column pairs T, the three with S = T and then the three with S < T,
+    each with its weight in ``c2`` (1 or 2, since the minor at T, S is the
+    conjugate) and the sum of the magnitudes of its terms."""
+    (d0, d1, d2), (z01, z02, z12), (m01, m02, m12) = diagonal, upper, moduli
+    for a, b, z, m in ((d0, d1, z01, m01), (d0, d2, z02, m02), (d1, d2, z12, m12)):
+        yield 1.0, a * b - _re_conj(z, z), a * b + m * m
+    yield 2.0, d0 * z12 - _cmul(z02, z01.conj()), d0 * m12 + m02 * m01
+    yield 2.0, _cmul(z01, z12) - d1 * z02, m01 * m12 + d1 * m02
+    yield 2.0, d2 * z01 - _cmul(z02, z12.conj()), d2 * m01 + m02 * m12
+
+
+def _hermitian_det(diagonal, upper, moduli):
+    """Determinant of Hermitian 3x3 blocks, with the sum of the magnitudes
+    of its terms."""
+    (d0, d1, d2), (z01, z02, z12), (m01, m02, m12) = diagonal, upper, moduli
+    s01, s02, s12 = _re_conj(z01, z01), _re_conj(z02, z02), _re_conj(z12, z12)
+    det = d0 * d1 * d2 + 2.0 * _re_conj(_cmul(z01, z12), z02) - d0 * s12 - d1 * s02 - d2 * s01
+    mag = d0 * d1 * d2 + 2.0 * m01 * m12 * m02 + d0 * s12 + d1 * s02 + d2 * s01
+    return det, mag
+
+
+def _norm_cubic(weighted: np.ndarray, gram_f: np.ndarray, ix: np.ndarray):
+    """Characteristic cubic of each set's ``W_L H_L``, where ``W = D G^H G D``
+    (``G`` the dual, ``D = diag(q)``) and ``H = F^H F``: ``c1`` is the trace,
+    ``c2`` the sum of the products of the 2x2 minors of the two blocks
+    (Cauchy-Binet) and ``c3`` the product of their determinants; with the
+    sums ``a1, a2, a3`` of the magnitudes of the terms that form them."""
+    i, j, k = ix[:, 0], ix[:, 1], ix[:, 2]
+    blocks = []
+    for gram in (weighted, gram_f):
+        upper = (gram[i, j], gram[i, k], gram[j, k])
+        diagonal = (gram[i, i].real, gram[j, j].real, gram[k, k].real)
+        blocks.append((diagonal, upper, tuple(_cabs(z) for z in upper)))
+    (wd, wz, wm), (hd, hz, hm) = blocks
+    c1 = a1 = 0.0
+    for s in range(3):
+        c1 = c1 + wd[s] * hd[s] + 2.0 * _re_conj(wz[s], hz[s])
+        a1 = a1 + wd[s] * hd[s] + 2.0 * wm[s] * hm[s]
+    c2 = a2 = 0.0
+    for (weight, w, w_mag), (_, h, h_mag) in zip(
+        _hermitian_minors(*blocks[0]), _hermitian_minors(*blocks[1])
+    ):
+        c2 = c2 + weight * _re_conj(w, h)
+        a2 = a2 + weight * w_mag * h_mag
+    (w_det, w_det_mag), (h_det, h_det_mag) = (_hermitian_det(*block) for block in blocks)
+    c1, c2, c3 = (c.astype(np.complex128) for c in (c1, c2, w_det * h_det))
+    return c1, c2, c3, a1, a2, w_det_mag * h_det_mag
 
 
 def _check_measure_args(
@@ -272,6 +480,39 @@ def _per_set(count: int, m: int, evaluate) -> np.ndarray:
     return values
 
 
+def _spectral_blocks(alpha: np.ndarray, q: np.ndarray, ix: np.ndarray) -> np.ndarray:
+    """Spectral radius of each set's block ``[a, b] = q_a <g_b, f_a>``, which
+    shares its nonzero spectrum with ``E_L``, by stacked eigenvalue solves."""
+    blocks = q[ix][:, :, None] * alpha[ix[:, None, :], ix[:, :, None]]
+    return _largest_eigenvalue_moduli(blocks)
+
+
+def _norm_blocks(weighted: np.ndarray, gram_f: np.ndarray, ix: np.ndarray) -> np.ndarray:
+    """Square root of the largest eigenvalue of each set's ``W_L H_L`` (see
+    :func:`_norm_cubic`), by stacked eigenvalue solves."""
+    rows, cols = ix[:, :, None], ix[:, None, :]
+    return np.sqrt(_largest_eigenvalue_moduli(weighted[rows, cols] @ gram_f[rows, cols]))
+
+
+def _spectral_three(alpha: np.ndarray, q: np.ndarray, ix: np.ndarray) -> np.ndarray:
+    """:func:`_spectral_blocks` at ``m = 3``, read off the characteristic
+    cubic where its bound certifies the value."""
+    top, certified = _cubic_top_moduli(*_spectral_cubic(alpha, q, ix))
+    if not certified.all():
+        top[~certified] = _spectral_blocks(alpha, q, ix[~certified])
+    return top
+
+
+def _norm_three(weighted: np.ndarray, gram_f: np.ndarray, ix: np.ndarray) -> np.ndarray:
+    """:func:`_norm_blocks` at ``m = 3``, read off the characteristic cubic
+    where its bound certifies the value."""
+    top, certified = _cubic_top_moduli(*_norm_cubic(weighted, gram_f, ix))
+    values = np.sqrt(top)
+    if not certified.all():
+        values[~certified] = _norm_blocks(weighted, gram_f, ix[~certified])
+    return values
+
+
 def _build_report(kind: str, m: int, count: int, values: np.ndarray) -> ErasureMeasureReport:
     values.setflags(write=False)
     best, attaining = _ties(values)
@@ -295,8 +536,10 @@ def spectral_measure(
     """Worst-case spectral radius of the error operator over size-m erasures.
 
     Uses the per-index closed form for ``m == 1``, the quadratic roots for
-    ``m == 2`` and stacked small-block eigenproblems for larger ``m``;
-    enumeration is lexicographic, so reports are reproducible.
+    ``m == 2``, the certified characteristic cubic for ``m == 3`` and
+    stacked small-block eigenproblems for larger ``m`` (and for the sets the
+    cubic does not certify); enumeration is lexicographic, so reports are
+    reproducible.
     """
     _check_measure_args(pair, profile, m, max_sets)
     alpha, q = pair.cross_gram, profile.weights
@@ -310,13 +553,8 @@ def spectral_measure(
 
         values = _per_set(pair.count, m, evaluate)
     else:
-
-        def evaluate(ix):
-            # block [a, b] = q_a <g_b, f_a> shares its nonzero spectrum with E_L
-            blocks = q[ix][:, :, None] * alpha[ix[:, None, :], ix[:, :, None]]
-            return _largest_eigenvalue_moduli(blocks)
-
-        values = _per_set(pair.count, m, evaluate)
+        evaluate = _spectral_three if m == 3 else _spectral_blocks
+        values = _per_set(pair.count, m, functools.partial(evaluate, alpha, q))
     return _build_report("spectral", m, pair.count, values)
 
 
@@ -332,7 +570,8 @@ def norm_measure(
     value at the attaining index is cross-checked against the full singular
     value path (the argmax index is used for the check so that reports stay
     deterministic).  For larger ``m`` the squared norm is the largest
-    eigenvalue of an ``m x m`` product of Gram blocks (see the module
+    eigenvalue of an ``m x m`` product of Gram blocks, read off its
+    certified characteristic cubic for ``m == 3`` (see the module
     docstring).
     """
     _check_measure_args(pair, profile, m, max_sets)
@@ -348,14 +587,9 @@ def norm_measure(
             )
     else:
         gram_f = f.conj().T @ f
-        gram_g = g.conj().T @ g
-
-        def evaluate(ix):
-            rows, cols = ix[:, :, None], ix[:, None, :]
-            weighted = q[rows] * gram_g[rows, cols] * q[cols]
-            return np.sqrt(_largest_eigenvalue_moduli(weighted @ gram_f[rows, cols]))
-
-        values = _per_set(pair.count, m, evaluate)
+        weighted = q[:, None] * (g.conj().T @ g) * q
+        evaluate = _norm_three if m == 3 else _norm_blocks
+        values = _per_set(pair.count, m, functools.partial(evaluate, weighted, gram_f))
     return _build_report("norm", m, pair.count, values)
 
 

@@ -54,6 +54,19 @@ def test_error_operator_shape_mismatch(plane_frame, tight_profile):
         fl.error_operator(pair, tight_profile, fl.ErasureSet.of([1], 4))
 
 
+def test_erasure_indices_are_validated(plane_frame, plane_profile):
+    # index 0 used to wrap to the last vector, and count + 1 raised IndexError
+    pair = fl.canonical_dual(plane_frame)
+    for i, j in ((0, 1), (1, 4), (2, 2)):
+        with pytest.raises(ValueError):
+            fl.two_erasure_eigenvalues(pair, plane_profile, i, j)
+    for indices in ((0,), (4,), (1, 1), (0, 2)):
+        with pytest.raises(ValueError):
+            fl.error_operator(pair, plane_profile, fl.ErasureSet(indices))
+    unsorted = fl.error_operator(pair, plane_profile, fl.ErasureSet((3, 1)))
+    assert_allclose(unsorted, fl.error_operator(pair, plane_profile, fl.ErasureSet((1, 3))), atol=0)
+
+
 def test_spectral_radius_basics():
     assert fl.spectral_radius([[2, 0], [0, 1]]) == pytest.approx(2.0)
     assert fl.spectral_radius([[0, 1], [0, 0]]) == pytest.approx(0.0, abs=1e-12)
@@ -239,6 +252,96 @@ def test_block_measures_match_full_operator_enumeration():
     complex_pair = random_dual_pair(rng, random_frame(rng, 4, 31))
     for pair in (fl.canonical_dual(real), complex_pair):
         assert_measures_match_enumeration(pair, zero_mass_profile(rng, 4, 31, zeros=3), 3)
+
+
+def two_orthonormal_bases():
+    """The standard basis of C^3 and the columns of the unitary DFT matrix:
+    a tight frame with S = 2 I, so that with equal weights each basis's
+    three-erasure blocks are multiples of I (a triple root)."""
+    dft = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)
+    return fl.Frame(np.hstack([np.eye(3), dft]))
+
+
+def three_erasure_cases():
+    """Frames and duals whose three-erasure blocks stress the cubic: rank-
+    deficient blocks, triple roots, near-repeated vectors, non-normal blocks
+    and conjugate top roots."""
+    rng = np.random.default_rng(41)
+    line = random_frame(rng, 1, 6)
+    yield "n = 1", fl.canonical_dual(line), random_profile(rng, 1, 6)
+    yield "n = 1, other dual", random_dual_pair(rng, line), random_profile(rng, 1, 6)
+    plane = random_frame(rng, 2, 7)
+    yield "n = 2", random_dual_pair(rng, plane), random_profile(rng, 2, 7)
+    identity = fl.Frame(np.eye(5))
+    yield "orthonormal, equal weights", fl.DualPair(identity, identity), fl.uniform_profile(5, 5)
+    bases = fl.canonical_dual(two_orthonormal_bases())
+    yield "two orthonormal bases", bases, fl.uniform_profile(6, 3)
+    near = random_frame(rng, 3, 7).matrix.copy()
+    near[:, 1] = near[:, 0] + 1e-6 * rng.standard_normal(3)
+    yield "near-repeated vectors", fl.canonical_dual(fl.Frame(near)), random_profile(rng, 3, 7)
+    yield "other dual", random_dual_pair(rng, random_frame(rng, 3, 8)), random_profile(rng, 3, 8)
+    real = fl.Frame(rng.standard_normal((3, 7)))
+    # a real dual G = S^-1 F + C V^H with real C, whose blocks are real and
+    # not similar to symmetric matrices
+    basis = fl.dual_perturbation_basis(real)
+    coeffs = 0.8 * rng.standard_normal(basis.size)
+    real_dual = fl.dual_from_coefficients(basis, coeffs)
+    yield "real, conjugate top roots", real_dual, random_profile(rng, 3, 7)
+
+
+def test_three_erasure_cubic_matches_full_operator():
+    conjugate_tops = 0
+    for label, pair, profile in three_erasure_cases():
+        for kind, measure in (("spectral", fl.spectral_measure), ("norm", fl.norm_measure)):
+            oracle = enumerated_values(pair, profile, 3, kind)
+            got = measure(pair, profile, 3).per_set_values
+            assert_allclose(got, oracle, rtol=1e-12, atol=0, err_msg=f"{label}, {kind}")
+        if label.startswith("real"):
+            assert not np.any(pair.dual.matrix.imag)
+            for combo in itertools.combinations(range(1, pair.count + 1), 3):
+                lam = fl.ErasureSet.of(combo, pair.count)
+                roots = np.linalg.eigvals(fl.error_operator(pair, profile, lam))
+                top = roots[np.argmax(np.abs(roots))]
+                conjugate_tops += abs(top.imag) > 1e-6 * abs(top)
+    assert conjugate_tops > 0
+
+
+def test_three_erasure_cubic_rejects_triple_roots():
+    # an error bound without the rounding scale and the Vieta check accepted
+    # 1.9e11 for these blocks, whose true value is 1
+    identity = fl.Frame(np.eye(5))
+    pair, profile = fl.DualPair(identity, identity), fl.uniform_profile(5, 5)
+    ix = np.array([[0, 1, 2], [1, 3, 4]])
+    alpha, q = pair.cross_gram, profile.weights
+    _, certified = erasures._cubic_top_moduli(*erasures._spectral_cubic(alpha, q, ix))
+    assert not certified.any()
+    weighted = q[:, None] * np.eye(5) * q
+    _, certified = erasures._cubic_top_moduli(*erasures._norm_cubic(weighted, np.eye(5), ix))
+    assert not certified.any()
+    for measure in (fl.spectral_measure, fl.norm_measure):
+        assert_allclose(measure(pair, profile, 3).per_set_values, 1.0, rtol=1e-15)
+
+
+def test_three_erasure_values_do_not_depend_on_the_chunk():
+    rng = np.random.default_rng(43)
+    frame = fl.Frame(rng.standard_normal((4, 31)))
+    pair, profile = random_dual_pair(rng, frame), random_profile(rng, 4, 31)
+    combos = itertools.chain.from_iterable(itertools.combinations(range(31), 3))
+    ix = np.fromiter(combos, dtype=np.intp).reshape(-1, 3)[: erasures.CHUNK_SETS]
+    assert ix.shape[0] == erasures.CHUNK_SETS
+    f, g, q = pair.frame.matrix, pair.dual.matrix, profile.weights
+    weighted = q[:, None] * (g.conj().T @ g) * q
+    kernels = (
+        (fl.spectral_measure, erasures._spectral_three, (pair.cross_gram, q)),
+        (fl.norm_measure, erasures._norm_three, (weighted, f.conj().T @ f)),
+    )
+    positions = np.unique(np.r_[0:17, rng.integers(0, ix.shape[0], 48), ix.shape[0] - 1])
+    for measure, kernel, args in kernels:
+        chunk = kernel(*args, ix)
+        reported = measure(pair, profile, 3).per_set_values
+        assert chunk.tobytes() == reported[: ix.shape[0]].tobytes()
+        for k in positions:
+            assert kernel(*args, ix[k : k + 1]).tobytes() == chunk[k : k + 1].tobytes()
 
 
 def test_value_of_matches_lexicographic_position():
