@@ -3,11 +3,18 @@
 Subcommands: ``analyze`` (weights, canonical dual, measures, certificates),
 ``search`` (dual-space minimax search), ``simulate`` (seeded erasure-channel
 Monte Carlo), and ``examples`` (run the built-in worked examples against
-their expected values).
+their expected values).  Each imports only the modules it uses:
+``simulate`` loads neither :mod:`framelab.optimality` nor
+:mod:`framelab.search`, and ``search`` does not load
+:mod:`framelab.optimality`.
 
 Reports are canonical JSON written to stdout or ``--out``; warnings and the
 human-readable pass/fail table of ``examples`` go to stderr so stdout stays
 byte-deterministic for identical inputs and seeds.
+
+numpy's BLAS runs ``FRAME_LAB_THREADS`` threads, 1 by default (see
+:func:`thread_cap`), so stdout does not depend on the machine's core count
+or on the BLAS thread variables either.
 
 Exit codes: 0 success, 1 expected-value mismatch in ``examples``, 2 input
 error, 3 numeric failure.
@@ -20,11 +27,42 @@ import math
 import os
 import sys
 
-import numpy as np
+THREADS_ENV_VAR = "FRAME_LAB_THREADS"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-from . import __version__
-from .erasures import norm_measure, simulate_erasure_channel, spectral_measure
-from .errors import (
+
+def thread_cap() -> int:
+    """The BLAS thread cap: ``FRAME_LAB_THREADS``, or 1 when it is unset or
+    not a positive integer (with a warning on stderr).
+
+    Unless numpy is loaded already, the cap is written into
+    ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``,
+    replacing what they held: numpy's BLAS sizes its thread pool from them
+    once, when numpy loads.  A process that loaded numpy first keeps its
+    environment and its BLAS threads."""
+    raw = os.environ.get(THREADS_ENV_VAR, "1")
+    try:
+        cap = int(raw)
+        if cap < 1:
+            raise ValueError
+    except ValueError:
+        print(
+            f"warning: ignoring invalid {THREADS_ENV_VAR}={raw!r} (want a positive integer)",
+            file=sys.stderr,
+        )
+        cap = 1
+    if "numpy" not in sys.modules:
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, str(cap)))
+    return cap
+
+
+thread_cap()
+
+import numpy as np  # noqa: E402  (after the thread cap)
+
+from . import __version__  # noqa: E402
+from .erasures import norm_measure, simulate_erasure_channel, spectral_measure  # noqa: E402
+from .errors import (  # noqa: E402
     DegenerateWeight,
     DimensionMismatch,
     FrameLabError,
@@ -37,8 +75,13 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .fileio import FrameFileContent, load_frame_file, load_probability_file, resolve_profile
-from .frames import (
+from .fileio import (  # noqa: E402
+    FrameFileContent,
+    load_frame_file,
+    load_probability_file,
+    resolve_profile,
+)
+from .frames import (  # noqa: E402
     Frame,
     build_frame,
     canonical_dual,
@@ -46,30 +89,20 @@ from .frames import (
     dual_from_coefficients,
     dual_perturbation_basis,
 )
-from .optimality import (
-    canonical_norm_one_certificate,
-    canonical_spectral_one_certificate,
-    canonical_spectral_two_certificate,
-    is_one_uniform,
-    is_probabilistic_uniform_parseval,
-    is_two_uniform,
-    one_erasure_norm_optimal_pair,
-    one_erasure_spectral_optimal_pair,
-    parseval_equivalence_report,
-    two_erasure_spectral_optimal_pair,
-    two_erasure_spectral_prediction,
-)
-from .reporting import (
+from .reporting import (  # noqa: E402
     dual_pair_to_dict,
-    emit_report,
     frame_to_dict,
     measure_report_to_dict,
     profile_to_dict,
     search_result_to_dict,
     weight_properties_to_dict,
+    write_report,
 )
-from .search import minimize_norm_one, minimize_spectral_one
-from .weights import ProbabilityProfile, weight_properties_report, weights_from_probabilities
+from .weights import (  # noqa: E402
+    ProbabilityProfile,
+    weight_properties_report,
+    weights_from_probabilities,
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -88,30 +121,9 @@ _INPUT_ERRORS = (
     ValueError,
 )
 
-THREADS_ENV_VAR = "FRAME_LAB_THREADS"
-
 # ``search`` options of the earlier restarted solver, with their old defaults:
 # still parsed and echoed under ``options``, but they change nothing.
 _IGNORED_SEARCH_OPTIONS = {"restarts": 20, "seed": 0, "method": "smoothed"}
-
-
-def thread_cap() -> int:
-    """Parallelism cap from the environment (library code is sequential and
-    therefore always within the cap)."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        print(
-            f"warning: ignoring invalid {THREADS_ENV_VAR}={raw!r} (want a positive integer)",
-            file=sys.stderr,
-        )
-        return 1
-    return value
 
 
 def _load_inputs(args) -> tuple[FrameFileContent, ProbabilityProfile, dict]:
@@ -136,15 +148,6 @@ def _load_inputs(args) -> tuple[FrameFileContent, ProbabilityProfile, dict]:
     return content, profile, input_section
 
 
-def _write_report(document: dict, out_path: str | None) -> None:
-    text = emit_report(document)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _certificate_entry(cert, partition=None) -> dict:
     entry = dict(vars(cert))
     if partition is not None:
@@ -157,6 +160,20 @@ def _skipped_entry(condition_id: str, reason: str) -> dict:
 
 
 def _analyze_certificates(frame: Frame, profile: ProbabilityProfile) -> list:
+    from .optimality import (
+        canonical_norm_one_certificate,
+        canonical_spectral_one_certificate,
+        canonical_spectral_two_certificate,
+        is_one_uniform,
+        is_probabilistic_uniform_parseval,
+        is_two_uniform,
+        one_erasure_norm_optimal_pair,
+        one_erasure_spectral_optimal_pair,
+        parseval_equivalence_report,
+        two_erasure_spectral_optimal_pair,
+        two_erasure_spectral_prediction,
+    )
+
     pair = canonical_dual(frame)
     entries = [
         _certificate_entry(is_one_uniform(pair, profile)),
@@ -220,11 +237,13 @@ def cmd_analyze(args) -> int:
         "measures": measures,
         "certificates": _analyze_certificates(frame, profile),
     }
-    _write_report(document, args.out)
+    write_report(document, args.out)
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
+    from .search import minimize_norm_one, minimize_spectral_one
+
     content, profile, input_section = _load_inputs(args)
     frame = content.frame
     kinds = ("spectral", "norm") if args.measure == "both" else (args.measure,)
@@ -259,7 +278,7 @@ def cmd_search(args) -> int:
         },
         "searches": searches,
     }
-    _write_report(document, args.out)
+    write_report(document, args.out)
     return EXIT_OK
 
 
@@ -282,7 +301,7 @@ def cmd_simulate(args) -> int:
             "within_bound": bool(stats.max_error <= worst_case + 1e-9),
         },
     }
-    _write_report(document, args.out)
+    write_report(document, args.out)
     return EXIT_OK
 
 
@@ -338,6 +357,9 @@ def builtin_example_checks() -> list[dict]:
     Expected values are exact rationals or closed forms evaluated at run
     time, never truncated decimals.
     """
+    from .optimality import canonical_norm_one_certificate, canonical_spectral_one_certificate
+    from .search import minimize_norm_one, minimize_spectral_one
+
     checks: list[dict] = []
 
     frame, profile = _example_a()
@@ -433,7 +455,7 @@ def cmd_examples(args) -> int:
         "checks": checks,
         "all_pass": all_pass,
     }
-    _write_report(document, args.out)
+    write_report(document, args.out)
     width = max(len(f"{c['example']}.{c['quantity']}") for c in checks)
     for c in checks:
         name = f"{c['example']}.{c['quantity']}"
@@ -494,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    thread_cap()
     try:
         return args.handler(args)
     # LinAlgError subclasses ValueError, so it is caught before the input errors

@@ -12,20 +12,33 @@ instead of the encoder's pure-Python recursion; their bytes are the ones
 ``json.dumps`` would write, and a NaN or infinite value raises
 ``ValueError`` as ``allow_nan=False`` does.  Everything else goes through
 ``json.dumps``.
+
+:func:`write_report` writes the text in pieces of at most ``TABLE_BLOCK``
+table rows, so a report is never held in memory whole.  Every check runs
+before the first piece, so a report that fails one writes nothing.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import sys
+from collections.abc import Iterator
 from dataclasses import is_dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .erasures import ErasureMeasureReport
 from .errors import ParseError
 from .frames import DualPair, Frame
-from .search import SearchResult
 from .weights import ProbabilityProfile, WeightPropertiesReport
+
+if TYPE_CHECKING:
+    from .search import SearchResult
+
+# Per-set table rows per piece of report text.
+TABLE_BLOCK = 1024
 
 
 def _plain(obj):
@@ -52,10 +65,33 @@ _TABLE_PLACEHOLDER = json.dumps("\0")
 
 def emit_report(document: dict) -> str:
     """Serialize a report document to canonical JSON text."""
+    return "".join(_report_pieces(document))
+
+
+def write_report(document: dict, path: str | None) -> None:
+    """Write the report to the file ``path``, or to stdout when ``path`` is
+    empty.  A document that fails a check raises before the file is opened."""
+    pieces = _report_pieces(document)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+    else:
+        sys.stdout.writelines(pieces)
+
+
+def _report_pieces(document: dict) -> Iterator[str]:
+    """The text of :func:`emit_report` as an iterator of pieces.
+
+    The document is encoded, and every table checked, in this call, so an
+    error is raised before the first piece exists; the table rows are
+    formatted as the pieces are taken.
+    """
     tables = []
 
     def default(obj):
         if isinstance(obj, ErasureMeasureReport):
+            if not np.isfinite(obj.per_set_values).all():
+                raise ValueError(f"non-finite value in the {obj.kind} m={obj.m} per-set table")
             tables.append(obj)
             return "\0"
         return _plain(obj)
@@ -63,19 +99,26 @@ def emit_report(document: dict) -> str:
     head, *tails = json.dumps(document, indent=2, allow_nan=False, default=default).split(
         _TABLE_PLACEHOLDER
     )
-    pieces = [head]
-    for report, tail in zip(tables, tails):
-        line = pieces[-1][pieces[-1].rfind("\n") + 1 :]
-        pieces += [_set_table(report, len(line) - len(line.lstrip(" "))), tail]
-    return "".join(pieces) + "\n"
+    return _spliced(head, zip(tables, tails))
 
 
-def _set_table(report: ErasureMeasureReport, indent: int) -> str:
+def _spliced(head: str, tables) -> Iterator[str]:
+    """``head``, then each table followed by the text after it, then the
+    final newline."""
+    before = head
+    yield head
+    for report, tail in tables:
+        line = before[before.rfind("\n") + 1 :]
+        yield from _set_table(report, len(line) - len(line.lstrip(" ")))
+        yield tail
+        before = tail
+    yield "\n"
+
+
+def _set_table(report: ErasureMeasureReport, indent: int) -> Iterator[str]:
     """The ``json.dumps(indent=2)`` text of the rows ``{"indices": [...],
-    "value": v}`` of ``report``, opened on a line indented by ``indent``."""
-    values = report.per_set_values
-    if not np.isfinite(values).all():
-        raise ValueError(f"non-finite value in the {report.kind} m={report.m} per-set table")
+    "value": v}`` of ``report``, opened on a line indented by ``indent``, in
+    pieces of at most ``TABLE_BLOCK`` rows."""
     pad = " " * indent
     row = (
         f"{pad}  {{\n{pad}    \"indices\": [\n"
@@ -84,9 +127,14 @@ def _set_table(report: ErasureMeasureReport, indent: int) -> str:
     )
     rows = map(
         row.__mod__,
-        map(tuple.__add__, report.sets(), zip(map(float.__repr__, values.tolist()))),
+        map(tuple.__add__, report.sets(), zip(map(float.__repr__, report.per_set_values.tolist()))),
     )
-    return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+    yield "[\n"
+    separator = ""
+    while block := list(itertools.islice(rows, TABLE_BLOCK)):
+        yield separator + ",\n".join(block)
+        separator = ",\n"
+    yield f"\n{pad}]"
 
 
 def parse_report(text: str) -> dict:

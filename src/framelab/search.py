@@ -246,42 +246,6 @@ def minimize_norm_one(frame: Frame, profile: ProbabilityProfile) -> SearchResult
     return _run_search("norm", frame, profile)
 
 
-def random_dual_sampler(
-    frame: Frame,
-    profile: ProbabilityProfile,
-    count: int,
-    seed: int,
-    measure_kind: str,
-) -> list[tuple[DualPair, float]]:
-    """Sample duals at several coefficient radii and measure each.
-
-    Radii cycle through ``(0, 0.1, 0.3, 1, 3)`` times the canonical dual's
-    Frobenius norm, with directions uniform on the coefficient sphere; the
-    first sample is always the canonical dual itself.  Deterministic for a
-    fixed seed.
-    """
-    if measure_kind not in MEASURE_KINDS:
-        raise ValueError(f"measure kind must be one of {MEASURE_KINDS}, got {measure_kind!r}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    basis = dual_perturbation_basis(frame)
-    canonical = canonical_dual(frame)
-    rng = np.random.default_rng(seed)
-    base_radius = float(np.linalg.norm(canonical.dual.matrix))
-    levels = (0.0, 0.1, 0.3, 1.0, 3.0)
-    out: list[tuple[DualPair, float]] = []
-    for j in range(count):
-        radius = levels[j % len(levels)] * base_radius
-        if basis.size == 0 or radius == 0.0:
-            pair = canonical
-        else:
-            direction = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-            direction /= np.linalg.norm(direction)
-            pair = dual_from_coefficients(basis, radius * direction)
-        out.append((pair, _one_erasure_value(measure_kind, pair, profile)))
-    return out
-
-
 def certify_canonical_optimal(
     frame: Frame,
     profile: ProbabilityProfile,

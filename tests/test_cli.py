@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -93,6 +94,25 @@ def test_analyze_out_file(capsys, plane_path, tmp_path):
     assert [m["m"] for m in doc["measures"]] == [1, 1, 2, 2, 3, 3]
     _, stdout, _ = run(capsys, argv)
     assert out_path.read_bytes() == stdout.encode("utf-8")
+
+
+def test_non_finite_table_value_writes_nothing(capsys, plane_path, tmp_path, monkeypatch):
+    spectral_measure = cli.spectral_measure
+
+    def with_nan(*args):
+        report = spectral_measure(*args)
+        values = report.per_set_values.copy()
+        values[-1] = np.nan
+        return dataclasses.replace(report, per_set_values=values)
+
+    monkeypatch.setattr(cli, "spectral_measure", with_nan)
+    out_path = tmp_path / "report.json"
+    for extra in ([], ["--out", out_path]):
+        code, out, err = run(capsys, ["analyze", plane_path, "--m", "2", *extra])
+        assert code == 2
+        assert out == ""
+        assert "non-finite value in the spectral m=2 per-set table" in err
+    assert not out_path.exists()
 
 
 def test_analyze_tight_certificates(capsys, tight_path):
@@ -276,10 +296,15 @@ def random_frame_document(seed, dim, count, field, zero_mass=0):
 def test_simulate_stdout_independent_of_blas_threads(tmp_path):
     path = tmp_path / "complex.json"
     path.write_text(json.dumps(random_frame_document(61, 16, 40, "complex")), encoding="utf-8")
+    # a 32x96 search, whose stdout differed in its last digits between one and
+    # two BLAS threads while the thread cap did not reach numpy
+    large = tmp_path / "large.json"
+    large.write_text(json.dumps(random_frame_document(64, 32, 96, "complex")), encoding="utf-8")
     reports = {}
     for argv in (
         ["simulate", str(path), "--m", "2", "--trials", "20000", "--seed", "5"],
         ["analyze", str(path), "--m", "1", "--m", "2", "--m", "3", "--measure", "both"],
+        ["search", str(large), "--measure", "both"],
     ):
         outputs = [
             framelab_process(argv, OPENBLAS_NUM_THREADS=threads).stdout for threads in ("1", "2")
@@ -288,6 +313,25 @@ def test_simulate_stdout_independent_of_blas_threads(tmp_path):
         reports[argv[0]] = parse_report(outputs[0].decode())
     assert reports["simulate"]["simulation"]["trials"] == 20000
     assert [len(m["per_set_values"]) for m in reports["analyze"]["measures"]] == [40, 40, 780, 780, 9880, 9880]
+    assert [entry["converged"] for entry in reports["search"]["searches"]] == [True, True]
+
+
+def loaded_modules(code):
+    """The framelab and numpy modules loaded after running ``code`` in a
+    fresh interpreter."""
+    probe = f"{code}\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith(('framelab', 'numpy'))))\n"
+    return set(framelab_process(probe).stdout.decode().split())
+
+
+def test_modules_are_imported_per_subcommand(tmp_path, plane_path):
+    assert not {"numpy", "framelab.frames"} & loaded_modules("import framelab")
+    out = str(tmp_path / "out.json")
+    simulate = ["simulate", str(plane_path), "--trials", "10", "--out", out]
+    search = ["search", str(plane_path), "--out", out]
+    for argv, absent in ((simulate, {"framelab.optimality", "framelab.search"}), (search, {"framelab.optimality"})):
+        loaded = loaded_modules(f"import framelab.cli\nassert framelab.cli.main({argv!r}) == 0")
+        assert "framelab.erasures" in loaded
+        assert not absent & loaded, argv[0]
 
 
 def test_search_and_parseval_analyze_run_without_scipy(tmp_path, tight_path):
@@ -427,13 +471,39 @@ def test_examples_corrupted_table_fails(capsys, monkeypatch):
 
 
 def test_thread_cap_env(monkeypatch, capsys):
+    for name in cli.BLAS_THREAD_VARS:
+        monkeypatch.setenv(name, "3")
+    # numpy is loaded here, so the BLAS variables are left alone
     monkeypatch.setenv(cli.THREADS_ENV_VAR, "4")
     assert cli.thread_cap() == 4
+    assert [os.environ[name] for name in cli.BLAS_THREAD_VARS] == ["3", "3", "3"]
+    # before numpy loads, the cap overrides them
+    monkeypatch.delitem(sys.modules, "numpy")
+    assert cli.thread_cap() == 4
+    assert [os.environ[name] for name in cli.BLAS_THREAD_VARS] == ["4", "4", "4"]
     monkeypatch.setenv(cli.THREADS_ENV_VAR, "zero")
     assert cli.thread_cap() == 1
     assert "ignoring invalid" in capsys.readouterr().err
+    assert [os.environ[name] for name in cli.BLAS_THREAD_VARS] == ["1", "1", "1"]
     monkeypatch.delenv(cli.THREADS_ENV_VAR)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     assert cli.thread_cap() == 1
+    assert [os.environ[name] for name in cli.BLAS_THREAD_VARS] == ["1", "1", "1"]
+
+
+def test_thread_cap_reaches_numpy():
+    code = (
+        "import os\n"
+        "import framelab.cli\n"
+        "print(*(os.environ[name] for name in framelab.cli.BLAS_THREAD_VARS))\n"
+    )
+    unset = "import os\nos.environ.pop('FRAME_LAB_THREADS', None)\n"
+    assert framelab_process(unset + code, OPENBLAS_NUM_THREADS="2").stdout.split() == [b"1"] * 3
+    capped = framelab_process(code, OPENBLAS_NUM_THREADS="1", FRAME_LAB_THREADS="2")
+    assert capped.stdout.split() == [b"2"] * 3
+    # a process that loaded numpy first keeps its environment
+    kept = framelab_process("import numpy\n" + code, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
+    assert kept.stdout.split() == [b"2"] * 3
 
 
 def test_usage_error_exit_code(capsys):

@@ -26,6 +26,33 @@ def coefficient_objective(frame, profile, kind):
     return basis, value
 
 
+def random_dual_sampler(frame, profile, count, seed, measure_kind):
+    """``count`` duals of ``frame``, each with its worst one-erasure value of
+    ``measure_kind``: the sampling oracle that no search result may beat.
+
+    Radii cycle through ``(0, 0.1, 0.3, 1, 3)`` times the canonical dual's
+    Frobenius norm, with directions uniform on the coefficient sphere; the
+    first sample is always the canonical dual itself.
+    """
+    basis = fl.dual_perturbation_basis(frame)
+    canonical = fl.canonical_dual(frame)
+    measure = fl.spectral_measure if measure_kind == "spectral" else fl.norm_measure
+    rng = np.random.default_rng(seed)
+    base_radius = float(np.linalg.norm(canonical.dual.matrix))
+    levels = (0.0, 0.1, 0.3, 1.0, 3.0)
+    samples = []
+    for j in range(count):
+        radius = levels[j % len(levels)] * base_radius
+        if basis.size == 0 or radius == 0.0:
+            pair = canonical
+        else:
+            direction = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+            direction /= np.linalg.norm(direction)
+            pair = fl.dual_from_coefficients(basis, radius * direction)
+        samples.append((pair, measure(pair, profile, 1).value))
+    return samples
+
+
 def test_spectral_search_beats_canonical_on_plane(plane_frame, plane_profile):
     result = fl.minimize_spectral_one(plane_frame, plane_profile)
     assert result.canonical_value == pytest.approx(4 / 3, abs=1e-12)
@@ -93,7 +120,7 @@ def test_objective_is_convex_in_coefficients(plane_frame, plane_profile, kind):
 
 
 def test_random_dual_sampler_lower_bound(tight_frame, tight_profile):
-    samples = fl.random_dual_sampler(tight_frame, tight_profile, 500, seed=7, measure_kind="spectral")
+    samples = random_dual_sampler(tight_frame, tight_profile, 500, seed=7, measure_kind="spectral")
     values = [v for _, v in samples]
     assert min(values) >= 1.0 - 1e-9
     # the tight canonical pair is optimal, so 1 is attained by the first sample
@@ -101,24 +128,20 @@ def test_random_dual_sampler_lower_bound(tight_frame, tight_profile):
 
 
 def test_random_dual_sampler_first_sample_is_canonical(plane_frame, plane_profile):
-    samples = fl.random_dual_sampler(plane_frame, plane_profile, 1, seed=11, measure_kind="spectral")
+    samples = random_dual_sampler(plane_frame, plane_profile, 1, seed=11, measure_kind="spectral")
     assert len(samples) == 1
     assert samples[0][1] == pytest.approx(4 / 3, abs=1e-12)
 
 
 def test_random_dual_sampler_finds_better_duals(plane_frame, plane_profile):
-    samples = fl.random_dual_sampler(plane_frame, plane_profile, 500, seed=13, measure_kind="spectral")
+    samples = random_dual_sampler(plane_frame, plane_profile, 500, seed=13, measure_kind="spectral")
     assert min(v for _, v in samples) < 4 / 3
 
 
 def test_random_dual_sampler_determinism(plane_frame, plane_profile):
-    a = fl.random_dual_sampler(plane_frame, plane_profile, 20, seed=17, measure_kind="norm")
-    b = fl.random_dual_sampler(plane_frame, plane_profile, 20, seed=17, measure_kind="norm")
+    a = random_dual_sampler(plane_frame, plane_profile, 20, seed=17, measure_kind="norm")
+    b = random_dual_sampler(plane_frame, plane_profile, 20, seed=17, measure_kind="norm")
     assert [v for _, v in a] == [v for _, v in b]
-    with pytest.raises(ValueError):
-        fl.random_dual_sampler(plane_frame, plane_profile, 0, seed=1, measure_kind="norm")
-    with pytest.raises(ValueError):
-        fl.random_dual_sampler(plane_frame, plane_profile, 1, seed=1, measure_kind="trace")
 
 
 def test_certify_canonical_optimal(tight_frame, tight_profile, plane_frame, plane_profile):
@@ -141,8 +164,6 @@ def test_reported_values_are_the_one_erasure_measures(kind):
     result = minimize(frame, profile)
     assert result.best_value == measure(result.best_dual, profile, 1).value
     assert result.canonical_value == measure(fl.canonical_dual(frame), profile, 1).value
-    for pair, value in fl.random_dual_sampler(frame, profile, 6, 5, kind):
-        assert value == measure(pair, profile, 1).value
 
 
 def spectral_linear_program(vectors, probabilities):
@@ -217,7 +238,7 @@ def test_lower_bound_brackets_the_optimum(make_frame, kind):
             for i in range(1, count + 1)
         )
         assert lower <= brute
-        samples = fl.random_dual_sampler(frame, profile, 40, seed=3, measure_kind=kind)
+        samples = random_dual_sampler(frame, profile, 40, seed=3, measure_kind=kind)
         assert min(value for _, value in samples) >= lower
 
 
