@@ -3,18 +3,14 @@
 Subcommands: ``analyze`` (weights, canonical dual, measures, certificates),
 ``search`` (dual-space minimax search), ``simulate`` (seeded erasure-channel
 Monte Carlo), and ``examples`` (run the built-in worked examples against
-their expected values).  Each imports only the modules it uses:
-``simulate`` loads neither :mod:`framelab.optimality` nor
-:mod:`framelab.search`, and ``search`` does not load
-:mod:`framelab.optimality`.
+their expected values).
 
 Reports are canonical JSON written to stdout or ``--out``; warnings and the
 human-readable pass/fail table of ``examples`` go to stderr so stdout stays
 byte-deterministic for identical inputs and seeds.
 
-numpy's BLAS runs ``FRAME_LAB_THREADS`` threads, 1 by default (see
-:func:`thread_cap`), so stdout does not depend on the machine's core count
-or on the BLAS thread variables either.
+numpy's BLAS runs on one thread (see :func:`thread_cap`), so stdout does not
+depend on the machine's core count or on the BLAS thread variables either.
 
 Exit codes: 0 success, 1 expected-value mismatch in ``examples``, 2 input
 error, 3 numeric failure.
@@ -27,33 +23,19 @@ import math
 import os
 import sys
 
-THREADS_ENV_VAR = "FRAME_LAB_THREADS"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def thread_cap() -> int:
-    """The BLAS thread cap: ``FRAME_LAB_THREADS``, or 1 when it is unset or
-    not a positive integer (with a warning on stderr).
+def thread_cap() -> None:
+    """Start numpy's BLAS on one thread.
 
-    Unless numpy is loaded already, the cap is written into
-    ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``,
-    replacing what they held: numpy's BLAS sizes its thread pool from them
-    once, when numpy loads.  A process that loaded numpy first keeps its
-    environment and its BLAS threads."""
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        print(
-            f"warning: ignoring invalid {THREADS_ENV_VAR}={raw!r} (want a positive integer)",
-            file=sys.stderr,
-        )
-        cap = 1
+    Unless numpy is loaded already, ``OPENBLAS_NUM_THREADS``,
+    ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` are set to 1, replacing what
+    they held: numpy's BLAS sizes its thread pool from them once, when numpy
+    loads.  A process that loaded numpy first keeps its environment and its
+    BLAS threads."""
     if "numpy" not in sys.modules:
-        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, str(cap)))
-    return cap
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 
 thread_cap()
@@ -89,6 +71,19 @@ from .frames import (  # noqa: E402
     dual_from_coefficients,
     dual_perturbation_basis,
 )
+from .optimality import (  # noqa: E402
+    canonical_norm_one_certificate,
+    canonical_spectral_one_certificate,
+    canonical_spectral_two_certificate,
+    is_one_uniform,
+    is_probabilistic_uniform_parseval,
+    is_two_uniform,
+    one_erasure_norm_optimal_pair,
+    one_erasure_spectral_optimal_pair,
+    parseval_equivalence_report,
+    two_erasure_spectral_optimal_pair,
+    two_erasure_spectral_prediction,
+)
 from .reporting import (  # noqa: E402
     dual_pair_to_dict,
     frame_to_dict,
@@ -98,6 +93,7 @@ from .reporting import (  # noqa: E402
     weight_properties_to_dict,
     write_report,
 )
+from .search import minimize_norm_one, minimize_spectral_one  # noqa: E402
 from .weights import (  # noqa: E402
     ProbabilityProfile,
     weight_properties_report,
@@ -160,20 +156,6 @@ def _skipped_entry(condition_id: str, reason: str) -> dict:
 
 
 def _analyze_certificates(frame: Frame, profile: ProbabilityProfile) -> list:
-    from .optimality import (
-        canonical_norm_one_certificate,
-        canonical_spectral_one_certificate,
-        canonical_spectral_two_certificate,
-        is_one_uniform,
-        is_probabilistic_uniform_parseval,
-        is_two_uniform,
-        one_erasure_norm_optimal_pair,
-        one_erasure_spectral_optimal_pair,
-        parseval_equivalence_report,
-        two_erasure_spectral_optimal_pair,
-        two_erasure_spectral_prediction,
-    )
-
     pair = canonical_dual(frame)
     entries = [
         _certificate_entry(is_one_uniform(pair, profile)),
@@ -242,8 +224,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_search(args) -> int:
-    from .search import minimize_norm_one, minimize_spectral_one
-
     content, profile, input_section = _load_inputs(args)
     frame = content.frame
     kinds = ("spectral", "norm") if args.measure == "both" else (args.measure,)
@@ -357,9 +337,6 @@ def builtin_example_checks() -> list[dict]:
     Expected values are exact rationals or closed forms evaluated at run
     time, never truncated decimals.
     """
-    from .optimality import canonical_norm_one_certificate, canonical_spectral_one_certificate
-    from .search import minimize_norm_one, minimize_spectral_one
-
     checks: list[dict] = []
 
     frame, profile = _example_a()
