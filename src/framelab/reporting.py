@@ -151,7 +151,7 @@ def complex_pair(value: complex) -> list:
 
 def vectors_as_rows(matrix: np.ndarray) -> list:
     """Columns of a synthesis matrix as rows of [re, im] entry pairs."""
-    return [[complex_pair(entry) for entry in column] for column in matrix.T]
+    return np.stack((matrix.real, matrix.imag), -1).transpose(1, 0, 2).tolist()
 
 
 def frame_to_dict(frame: Frame) -> dict:

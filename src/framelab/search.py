@@ -25,10 +25,30 @@ the weights, an active-set method for the dual problem, proposes further
 brackets; the Lawson iteration itself goes on unchanged.
 
 The first weights are ``lam_i = 1 / (n q_i)``.  By the trace identity and
-Cauchy-Schwarz, the first spectral step is then the minimum-norm solution of
-``<f_i, g_i> = 1 / q_i`` for every ``i`` whenever such a one-uniform dual
-exists, and its value 1 ends the search.  For the norm the rows of ``G``
-decouple, so a step is one ``N x (N - n)`` solve with ``n`` right-hand sides.
+Cauchy-Schwarz, the first spectral step then solves ``<f_i, g_i> = 1 / q_i``
+for every ``i`` whenever such a one-uniform dual exists, and its value 1 ends
+the search.
+
+Every step works in ``N`` dimensions.  Written as ``e_i = w_i ||b_i + a_i x||``
+over a coefficient vector ``x``, a step needs ``a`` only through its ``N x N``
+Gram matrix ``K = a a^H``, so it runs on a factor ``L`` with ``L L^H = K``:
+the minimizing ``z`` of ``sum_i lam_i w_i^2 ||b_i + L_i z||^2`` comes from one
+singular value decomposition of the weighted ``L``, which the Newton steps
+reuse.  For the norm the rows of ``G`` decouple: ``a`` is ``conj(V)``, ``N x
+(N - n)``, and ``L`` is ``a``.  For the spectral measure ``a`` is ``N x n (N -
+n)`` (``96 x 2048`` at ``32 x 96``) and is never formed: ``L = R^H`` for the
+triangular ``R`` of ``a^H = Q R``, factored ``N - n`` rows at a time.  Forming
+``K`` itself, or taking its eigenvalues, would square the condition number
+of ``a``; the bounds would then rest on fits that are not minimizers, and a
+search could certify a value above the optimum.  The spectral ``x`` is
+``S^(1/2) C``, so the conditioning of the frame operator does not enter, and
+among a step's minimizers the one with the smallest ``||S^(1/2) C||``, whose
+cross-Gram matrix ``F^H G`` is closest to the canonical one, is taken.  Its
+``C = G0 diag(y) V`` for ``y = K^+ (t - b)`` loses a further factor of the
+condition number to cancellation, which ``_REFINE_PASSES`` passes of
+iterative refinement on the fitted values ``t`` win back.  A spectral step
+costs ``O(N^3)`` and the factor ``O(n N^3)`` once per search, where a
+least-squares solve with ``a`` itself costs ``O(n N^3)`` per step.
 
 The reported values are the m = 1 measures of :mod:`framelab.erasures`.  The
 canonical dual is the starting point, so ``best_value`` never exceeds
@@ -57,6 +77,8 @@ _POLISH_EVERY = 10
 _POLISH_STEPS = 8
 # Singular values below this fraction of the largest count as zero.
 _RANK_TOL = 1e-13
+# Passes of iterative refinement that turn a spectral fit into coefficients.
+_REFINE_PASSES = 3
 # A Newton system whose relative residual exceeds this has no solution.
 _NEWTON_TOL = 1e-9
 
@@ -96,32 +118,67 @@ def _one_erasure_value(kind: str, pair: DualPair, profile: ProbabilityProfile) -
     return measure(pair, profile, 1).value
 
 
-def _fit(w, a, b, lam):
-    """The ``x`` minimizing ``sum_i lam_i e_i^2``, its residual rows
-    ``b + a x`` and its ``e``."""
+def _spectral_factor(wh, v):
+    """The upper-triangular ``R`` (at most ``N x N``) of ``a^H = Q R``, where
+    row ``(r, j)`` of ``a^H`` is ``wh[r, i] v[i, j]`` over ``i``, so that
+    ``R^H R = a a^H = K``.  The ``n`` blocks of ``N - n`` rows of ``a^H``
+    are factored in one at a time, so ``a`` is never held whole."""
+    r = np.zeros((0, v.shape[0]), dtype=np.complex128)
+    for row in wh:
+        r = np.linalg.qr(np.vstack((r, v.T * row)), mode="r")
+    return r
+
+
+def _spectral_coefficients(f, g0, v, r, t):
+    """The ``C`` with the smallest ``||S^(1/2) C||`` whose dual
+    ``G = G0 + C V^H`` has ``f_i^H g_i = t_i``.
+
+    With ``x = a^H y``, that ``C`` is ``G0 diag(y) V`` for
+    ``y = (R^H R)^+ (t_i - f_i^H g0_i)_i``.  ``y`` grows as the square of the
+    condition number of ``a`` and ``C`` only as its first power, so the
+    cancellation in ``G0 diag(y) V`` is undone by iterative refinement on the
+    values ``f_i^H g_i`` of the dual as :func:`dual_from_coefficients` forms
+    it.
+    """
+    rp = np.linalg.pinv(r)
+    c = np.zeros((f.shape[0], v.shape[1]), dtype=np.complex128)
+    for _ in range(_REFINE_PASSES):
+        delta = t - np.diagonal(f.conj().T @ (g0 + c @ v.conj().T))[:, None]
+        c = c + g0 @ ((rp @ (rp.conj().T @ delta)) * v)
+    return c
+
+
+def _fit(w, l, b, lam):
+    """The ``z`` minimizing ``sum_i lam_i e_i^2``, with minimum norm, its
+    residual rows ``b + l z``, its ``e``, and the kept right singular
+    vectors and values of the weighted ``l``."""
     root = (np.sqrt(lam) * w)[:, None]
-    x = np.linalg.lstsq(root * a, -root * b, rcond=None)[0]
-    r = b + a @ x
-    return x, r, w * np.linalg.norm(r, axis=1)
+    u, s, vh = np.linalg.svd(root * l, full_matrices=False)
+    rank = s > _RANK_TOL * s[0]
+    u, s, vh = u[:, rank], s[rank], vh[rank]
+    z = -vh.conj().T @ ((u.conj().T @ (root * b)) / s[:, None])
+    r = b + l @ z
+    return z, r, w * np.linalg.norm(r, axis=1), (vh, s)
 
 
-def _newton_weights(w, a, lam, r, e, active):
+def _newton_weights(w, l, lam, r, e, active, svd):
     """Weights on ``active`` from one Newton step, from ``lam``, towards a fit
     with equal ``e_i`` on ``active``: the stationarity condition of the dual
     problem on that face of the simplex.  None if no step is defined.
 
-    The fit moves by ``dx/dlam_j = -H^+ a_j^H w_j^2 r_j`` with
-    ``H = sum_i lam_i w_i^2 a_i^H a_i``, so ``de_i/dlam_j`` is
-    ``-w_i^2 w_j^2 Re(P_ij conj(r_i r_j^H)) / e_i`` with ``P = a H^+ a^H``.
-    An index whose new weight is not positive leaves ``active``; when the
-    Newton system has no solution, the face holds no stationary point and
-    the index with the smallest ``e`` leaves.
+    The fit moves by ``dz/dlam_j = -H^+ l_j^H w_j^2 r_j`` with
+    ``H = sum_i lam_i w_i^2 l_i^H l_i``, so ``de_i/dlam_j`` is
+    ``-w_i^2 w_j^2 Re(P_ij conj(r_i r_j^H)) / e_i`` with ``P = l H^+ l^H``,
+    which is ``K D U diag(s)^-4 U^H D K`` for the weighted ``D l = U s V^H``
+    of the fit at ``lam`` (``svd``).  An index whose new weight is not
+    positive leaves ``active``; when the Newton system has no solution, the
+    face holds no stationary point and the index with the smallest ``e``
+    leaves.
     """
     if not np.all(e[active] > 0.0):
         return None
-    _, s, vh = np.linalg.svd((np.sqrt(lam) * w)[:, None] * a, full_matrices=False)
-    rank = s > _RANK_TOL * s[0]
-    half = (a @ vh[rank].conj().T) / s[rank]
+    vh, s = svd
+    half = (l @ vh.conj().T) / s
     w2 = w**2
     dw = np.divide(w2, e, out=np.zeros_like(e), where=e > 0.0)
     jac = -np.real((half @ half.conj().T) * (r @ r.conj().T).conj()) * np.outer(dw, w2)
@@ -145,8 +202,8 @@ def _newton_weights(w, a, lam, r, e, active):
     return None
 
 
-def _minimax(w, a, b, lam, upper):
-    """Minimize ``max_i e_i`` with ``e_i = w_i ||b_i + a_i x||`` (rows
+def _minimax(w, l, b, lam, upper):
+    """Minimize ``max_i e_i`` with ``e_i = w_i ||b_i + l_i z||`` (rows
     ``i``), starting from Lawson weights ``lam`` and the attained value
     ``upper``.
 
@@ -155,37 +212,37 @@ def _minimax(w, a, b, lam, upper):
     adding back any index whose ``e`` exceeds the chain's lower bound.  Each
     fit, Lawson's or Newton's, tightens the bounds.
 
-    Returns the best fit's ``x`` (None if no fit beat ``upper``), the best
+    Returns the best fit's ``z`` (None if no fit beat ``upper``), the best
     lower bound and the number of fits.
     """
-    best_x, lower, solves = None, 1.0, 0
+    best_z, lower, solves = None, 1.0, 0
 
     def bracket(weights):
-        nonlocal best_x, upper, lower, solves
-        x, r, e = _fit(w, a, b, weights)
+        nonlocal best_z, upper, lower, solves
+        z, r, e, svd = _fit(w, l, b, weights)
         solves += 1
         lower = max(lower, float(np.sqrt(weights @ e**2)))
         if e.max() < upper:
-            best_x, upper = x, float(e.max())
-        return r, e, upper - lower <= _GAP_TOL * upper or solves >= _MAX_SOLVES
+            best_z, upper = z, float(e.max())
+        return r, e, svd, upper - lower <= _GAP_TOL * upper or solves >= _MAX_SOLVES
 
     done = upper - lower <= _GAP_TOL * upper
     step = 0
     while not done:
-        r, e, done = bracket(lam)
+        r, e, svd, done = bracket(lam)
         step += 1
         if step % _POLISH_EVERY == 0:
-            trial, tr, te, active = lam, r, e, np.flatnonzero(lam > 0.0)
+            trial, tr, te, tsvd, active = lam, r, e, svd, np.flatnonzero(lam > 0.0)
             for _ in range(_POLISH_STEPS):
                 if done:
                     break
-                trial = _newton_weights(w, a, trial, tr, te, active)
+                trial = _newton_weights(w, l, trial, tr, te, active, tsvd)
                 if trial is None:
                     break
-                tr, te, done = bracket(trial)
+                tr, te, tsvd, done = bracket(trial)
                 active = np.flatnonzero((trial > 0.0) | (te**2 > trial @ te**2))
         lam = lam * e / (lam @ e)
-    return best_x, lower, solves
+    return best_z, lower, solves
 
 
 def _run_search(kind: str, frame: Frame, profile: ProbabilityProfile) -> SearchResult:
@@ -208,17 +265,20 @@ def _run_search(kind: str, frame: Frame, profile: ProbabilityProfile) -> SearchR
 
     f, g0, v, q = frame.matrix, canonical.dual.matrix, basis.null_vectors, profile.weights
     if kind == "spectral":
-        # <f_i, g_i>^* = f_i^H g0_i + (f_i^* kron v_i^*) . x, with x = C row by row
-        a = (f.conj().T[:, :, None] * v.conj()[:, None, :]).reshape(frame.count, -1)
-        w, b = q, np.sum(f.conj() * g0, axis=0)[:, None]
+        # With F = U diag(sigma) W^H: <f_i, g_i>^* = f_i^H g0_i + (a x)_i,
+        # where x is diag(sigma) U^H C row by row (||x|| = ||S^(1/2) C||) and
+        # a_i = h_i^* kron v_i^* for the columns h_i of W^H; W^H has
+        # orthonormal rows, so the conditioning of S does not enter the fit
+        r = _spectral_factor(np.linalg.svd(f, full_matrices=False)[2], v)
+        l, w, b = r.conj().T, q, np.sum(f.conj() * g0, axis=0)[:, None]
     else:
-        # g_i^T = g0_i^T + v_i^* x, with x = C^T
-        a, w, b = v.conj(), q * np.linalg.norm(f, axis=0), g0.T
-    x, lower, solves = _minimax(w, a, b, 1.0 / (frame.dim * q), canonical_value)
+        # g_i^T = g0_i^T + (a x)_i with a = conj(V) and x = C^T
+        l, w, b = v.conj(), q * np.linalg.norm(f, axis=0), g0.T
+    z, lower, solves = _minimax(w, l, b, 1.0 / (frame.dim * q), canonical_value)
 
     best_pair, measured = canonical, canonical_value
-    if x is not None:
-        coeffs = x.reshape(-1) if kind == "spectral" else x.T.reshape(-1)
+    if z is not None:
+        coeffs = _spectral_coefficients(f, g0, v, r, b + l @ z) if kind == "spectral" else z.T
         pair = dual_from_coefficients(basis, coeffs)
         value = _one_erasure_value(kind, pair, profile)
         if value <= canonical_value:

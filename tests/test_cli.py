@@ -192,9 +192,10 @@ def test_non_finite_input_is_an_input_error(capfd, tmp_path, command, token, pla
 
 def test_lapack_failure_is_a_numeric_failure(capsys, plane_path, monkeypatch):
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        raise np.linalg.LinAlgError("QR factorization failed")
 
-    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    # only the spectral search's factor of its Gram matrix calls qr
+    monkeypatch.setattr(np.linalg, "qr", fail)
     code, out, err = run(capsys, ["search", plane_path, "--measure", "spectral"])
     assert code == 3
     assert out == ""

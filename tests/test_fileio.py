@@ -205,6 +205,20 @@ def test_vectors_as_rows_round_trip(plane_frame):
     assert_allclose(rebuilt.matrix, plane_frame.matrix)
 
 
+def test_vectors_as_rows_writes_the_entrywise_pairs():
+    """The array form writes the bytes of the per-entry ``[re, im]`` loop,
+    signed zeros and real frames included."""
+    rng = np.random.default_rng(73)
+    signed_zeros = np.array([[0.0, -0.0, complex(-0.0, -0.0)], [complex(0.0, -0.0), 1.0, -2.5j]])
+    for matrix in (
+        rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9)),
+        rng.standard_normal((3, 7)).astype(np.complex128),
+        signed_zeros,
+    ):
+        loop = [[[float(z.real), float(z.imag)] for z in column] for column in matrix.T]
+        assert emit_report({"vectors": vectors_as_rows(matrix)}) == emit_report({"vectors": loop})
+
+
 def test_report_floats_parse_back_exactly():
     rng = np.random.default_rng(71)
     values = list(rng.standard_normal(50)) + list(10.0 ** rng.uniform(-300, 300, 20))
