@@ -17,17 +17,31 @@ A frame file is a self-describing JSON document:
 imaginary parts to be zero).  ``probabilities`` is optional; a separate
 probability file (either a bare JSON array or ``{"probabilities": [...]}``)
 overrides it.
+
+A parsed file carries its ``digest``, the SHA-256 of the file's UTF-8 text,
+which reports show as ``frame_digest``.  It is taken from CPython's built-in
+SHA-256 module (``_sha2``, or ``_sha256`` before Python 3.12) rather than
+from :mod:`hashlib`, whose import loads OpenSSL's libcrypto; ``hashlib``
+falls back to the same module when OpenSSL is missing, so the digest is the
+same either way.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # an interpreter without the built-in modules
+        from hashlib import sha256
 
 from .errors import FrameLabError, ParseError
 from .frames import Frame, build_frame
@@ -102,7 +116,7 @@ def parse_frame_document(text: str, source: str = "<frame>") -> FrameFileContent
         frame = build_frame(dim, vectors)
     except FrameLabError as exc:
         raise ParseError(f"{source}: {exc}") from exc
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    digest = sha256(text.encode("utf-8")).hexdigest()
     return FrameFileContent(
         frame=frame, field=field, probabilities=probabilities, digest=digest
     )

@@ -10,12 +10,15 @@ The per-set tables of the erasure measures (one row per erasure set, up to
 tens of thousands of rows) are written from a ``%``-format row template
 instead of the encoder's pure-Python recursion; their bytes are the ones
 ``json.dumps`` would write, and a NaN or infinite value raises
-``ValueError`` as ``allow_nan=False`` does.  Everything else goes through
-``json.dumps``.
+``ValueError`` as ``allow_nan=False`` does.  Everything else, the report's
+head, goes through the standard encoder with ``indent=2``.
 
-:func:`write_report` writes the text in pieces of at most ``TABLE_BLOCK``
-table rows, so a report is never held in memory whole.  Every check runs
-before the first piece, so a report that fails one writes nothing.
+:func:`write_report` writes the text in pieces, so a report is never held in
+memory whole.  The head is encoded in full, and every check run, before the
+first piece, so a report that fails one writes nothing; its chunks are
+joined ``ENCODE_BATCH`` at a time, where ``json.dumps`` would hold all of
+them in one list.  A table is converted to Python floats, and written, one
+block of ``TABLE_BLOCK`` rows at a time.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ if TYPE_CHECKING:
 
 # Per-set table rows per piece of report text.
 TABLE_BLOCK = 1024
+# Encoder chunks per string of the report's head.
+ENCODE_BATCH = 4096
 
 
 def _plain(obj):
@@ -96,22 +101,28 @@ def _report_pieces(document: dict) -> Iterator[str]:
             return "\0"
         return _plain(obj)
 
-    head, *tails = json.dumps(document, indent=2, allow_nan=False, default=default).split(
-        _TABLE_PLACEHOLDER
-    )
-    return _spliced(head, zip(tables, tails))
+    chunks = json.JSONEncoder(indent=2, allow_nan=False, default=default).iterencode(document)
+    # the placeholder is one chunk, so no batch splits it
+    pieces = []
+    for batch in iter(lambda: list(itertools.islice(chunks, ENCODE_BATCH)), []):
+        first, *rest = "".join(batch).split(_TABLE_PLACEHOLDER)
+        pieces.append(first)
+        for text in rest:
+            pieces += (None, text)
+    return _spliced(pieces, iter(tables))
 
 
-def _spliced(head: str, tables) -> Iterator[str]:
-    """``head``, then each table followed by the text after it, then the
-    final newline."""
-    before = head
-    yield head
-    for report, tail in tables:
-        line = before[before.rfind("\n") + 1 :]
-        yield from _set_table(report, len(line) - len(line.lstrip(" ")))
-        yield tail
-        before = tail
+def _spliced(pieces, tables) -> Iterator[str]:
+    """The strings of ``pieces``, each None replaced by the next of
+    ``tables``, then the final newline."""
+    line = ""
+    for piece in pieces:
+        if piece is None:
+            yield from _set_table(next(tables), len(line) - len(line.lstrip(" ")))
+        else:
+            yield piece
+            cut = piece.rfind("\n")
+            line = piece[cut + 1 :] if cut >= 0 else line + piece
     yield "\n"
 
 
@@ -125,15 +136,14 @@ def _set_table(report: ErasureMeasureReport, indent: int) -> Iterator[str]:
         + ",\n".join([f"{pad}      %d"] * report.m)
         + f"\n{pad}    ],\n{pad}    \"value\": %s\n{pad}  }}"
     )
-    rows = map(
-        row.__mod__,
-        map(tuple.__add__, report.sets(), zip(map(float.__repr__, report.per_set_values.tolist()))),
-    )
+    sets, values = report.sets(), report.per_set_values
     yield "[\n"
-    separator = ""
-    while block := list(itertools.islice(rows, TABLE_BLOCK)):
-        yield separator + ",\n".join(block)
-        separator = ",\n"
+    for start in range(0, values.size, TABLE_BLOCK):
+        block = values[start : start + TABLE_BLOCK].tolist()
+        rows = map(
+            tuple.__add__, itertools.islice(sets, len(block)), zip(map(float.__repr__, block))
+        )
+        yield ("" if start == 0 else ",\n") + ",\n".join(map(row.__mod__, rows))
     yield f"\n{pad}]"
 
 

@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from numpy.testing import assert_allclose
 
 import framelab as fl
 import framelab.cli as cli
-from framelab.reporting import emit_report, parse_report
+from framelab.reporting import emit_report, parse_report, write_report
 
 PLANE_DOC = """
 {
@@ -320,6 +322,51 @@ def test_simulate_stdout_independent_of_blas_threads(tmp_path):
 def test_import_framelab_loads_no_module():
     probe = "import framelab, sys\nprint(*sorted(m for m in sys.modules if m.startswith(('framelab', 'numpy'))))\n"
     assert framelab_process(probe).stdout.split() == [b"framelab"]
+
+
+def test_analyze_and_search_load_no_openssl(tmp_path):
+    """The frame digest comes from the built-in SHA-256 module, not from
+    ``hashlib``, whose ``_hashlib`` loads OpenSSL's libcrypto."""
+    text = json.dumps(random_frame_document(65, 3, 7, "real"))
+    frame = tmp_path / "frame.json"
+    frame.write_bytes(text.encode("utf-8"))
+    reports = [tmp_path / "analyze.json", tmp_path / "search.json"]
+    probe = (
+        "import sys\n"
+        "from framelab.cli import main\n"
+        f"codes = [main(['analyze', {str(frame)!r}, '--out', {str(reports[0])!r}]),\n"
+        f"         main(['search', {str(frame)!r}, '--measure', 'norm', '--out', {str(reports[1])!r}])]\n"
+        "print(*codes, '_hashlib' in sys.modules)\n"
+    )
+    assert framelab_process(probe).stdout.split() == [b"0", b"0", b"False"]
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    for path in reports:
+        assert parse_report(path.read_text(encoding="utf-8"))["input"]["frame_digest"] == digest
+
+
+def test_report_write_peak_memory(monkeypatch, tmp_path):
+    """Writing a large analyze report holds neither the encoder's chunks of
+    its head in one list nor a whole table as Python floats: a seeded real
+    8x60 frame at m = 1, 2, 3 has 1,770 two-uniform hypotheses and two
+    34,220-row tables, and the write peaked at 2.2 MB when it did."""
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(random_frame_document(66, 8, 60, "real")), encoding="utf-8")
+    documents = []
+    monkeypatch.setattr(cli, "write_report", lambda document, path: documents.append(document))
+    argv = ["analyze", str(frame), "--m", "1", "--m", "2", "--m", "3", "--measure", "both"]
+    assert cli.main(argv) == 0
+    (document,) = documents
+    assert len(document["certificates"][1]["hypotheses"]) == 1770
+    assert [m["per_set_values"].per_set_values.size for m in document["measures"]][-1] == 34220
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        write_report(document, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25e6
+    assert out.read_text(encoding="utf-8") == emit_report(document)
 
 
 def test_search_and_parseval_analyze_run_without_scipy(tmp_path, tight_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 import framelab as fl
+import framelab.cli as cli
 from conftest import random_frame, random_profile
 
 
@@ -345,3 +347,31 @@ def test_ill_conditioned_searches_match_the_explicit_step(monkeypatch, kind):
             assert result.converged, name
             assert abs(result.best_value - expected) <= 1e-9 * expected, name
     assert checked >= 50
+
+
+def test_spectral_search_keeps_the_canonical_dual_when_its_fit_is_no_dual(tmp_path, capsys):
+    """On these near-parallel frames the spectral fit's coefficients are of
+    order 1e5, and its dual reconstructs only to about 1e-9: the search
+    reports the canonical dual, unconverged, with its proven lower bound."""
+    cases = {name: (matrix, probabilities) for name, matrix, probabilities in conditioning_cases()}
+    for name in ("parallel-4", "parallel-5", "parallel-9", "parallel-10"):
+        matrix, probabilities = cases[name]
+        frame = fl.Frame(matrix)
+        result = fl.minimize_spectral_one(frame, fl.weights_from_probabilities(probabilities, frame.dim))
+        assert not result.converged, name
+        assert 1.0 <= result.lower_bound <= result.best_value == result.canonical_value, name
+        assert "reconstruction identity" in result.note, name
+    # the 4x5 complex frame of np.random.default_rng(1004)
+    matrix, probabilities = cases["parallel-4"]
+    path = tmp_path / "parallel.json"
+    document = {
+        "dim": matrix.shape[0],
+        "count": matrix.shape[1],
+        "field": "complex",
+        "vectors": [[[z.real, z.imag] for z in column] for column in matrix.T],
+        "probabilities": probabilities.tolist(),
+    }
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert cli.main(["search", str(path), "--measure", "spectral"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["searches"]
+    assert entry["converged"] is False and entry["lower_bound"] <= entry["best_value"]
