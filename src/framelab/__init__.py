@@ -39,7 +39,6 @@ _MODULE_EXPORTS = {
         "DualPair",
         "DualPerturbationBasis",
         "Frame",
-        "HermitianMatrix",
         "build_frame",
         "canonical_dual",
         "coefficients_for_perturbation",

@@ -11,8 +11,15 @@ null space of ``F``, and ``C`` is any complex ``n x (N - n)`` matrix.  The
 perturbations ``C V^H`` are exactly the solutions of ``U F^H = 0``, a space of
 dimension ``n (N - n)``.  :func:`dual_perturbation_basis` holds ``V``, and a
 coefficient vector is ``C`` read row by row: coefficient ``row (N - n) + j``
-is ``C[row, j]``.  The frame operator and the canonical dual are computed
-once per :class:`Frame` and cached on it.
+is ``C[row, j]``.
+
+A :class:`Frame` takes one thin singular value decomposition of its synthesis
+matrix, ``F = U diag(s) W^H``, and derives the rest from it: the spanning
+check and the frame bounds from ``s``, the condition number ``(s_1 / s_n)^2``
+of the frame operator ``S = F F^H``, and the canonical dual
+``S^-1 F = U diag(1 / s) W^H``, which is never solved for through ``S``: that
+would square the conditioning.  The canonical dual and ``S`` itself are
+computed once per frame and cached on it.
 
 Public vector indices are 1-based (vectors are numbered ``1 .. N``), matching
 the usual convention for erasure index sets; all internal arrays are 0-based.
@@ -36,11 +43,10 @@ from .errors import (
 
 # Relative tolerance on singular values when deciding rank / spanning.
 RANK_TOL = 1e-10
-# Relative tolerance for Hermitian symmetry checks.
-HERMITIAN_TOL = 1e-12
 # Residual tolerance for the dual identity G F^H = I.
 DUAL_TOL = 1e-10
-# Condition-number cap for inverting the frame operator.
+# Cap on the frame operator's condition number cond(S) = (s_1 / s_n)^2 for a
+# canonical dual.
 CONDITION_LIMIT = 1e12
 
 
@@ -78,7 +84,7 @@ class Frame:
         n, count = matrix.shape
         if count < n:
             raise NotSpanning(f"{count} vectors cannot span a {n}-dimensional space")
-        singular_values = np.linalg.svd(matrix, compute_uv=False)
+        u, singular_values, wh = np.linalg.svd(matrix, full_matrices=False)
         if singular_values[-1] <= RANK_TOL * singular_values[0]:
             raise NotSpanning(
                 "vectors do not span the space "
@@ -87,7 +93,8 @@ class Frame:
         matrix = matrix.copy()
         matrix.setflags(write=False)
         self._matrix = matrix
-        self._singular_values = singular_values
+        # F = U diag(s) W^H: U is n x n, W^H is n x N with orthonormal rows
+        self._svd = (u, singular_values, wh)
 
     @property
     def dim(self) -> int:
@@ -105,12 +112,12 @@ class Frame:
     @property
     def lower_bound(self) -> float:
         """Optimal lower frame bound: smallest eigenvalue of the frame operator."""
-        return float(self._singular_values[-1] ** 2)
+        return float(self._svd[1][-1] ** 2)
 
     @property
     def upper_bound(self) -> float:
         """Optimal upper frame bound: largest eigenvalue of the frame operator."""
-        return float(self._singular_values[0] ** 2)
+        return float(self._svd[1][0] ** 2)
 
     def vector(self, i: int) -> np.ndarray:
         """Return vector ``i`` (1-based)."""
@@ -121,25 +128,28 @@ class Frame:
     @property
     def parseval_residual(self) -> float:
         """Largest entry of ``|S - I|``; zero exactly for a Parseval frame."""
-        return float(np.max(np.abs(self._operator.entries - np.eye(self.dim))))
+        return float(np.max(np.abs(self._operator - np.eye(self.dim))))
 
     def is_parseval(self, tol: float = 1e-9) -> bool:
         """True when the frame operator equals the identity within ``tol``."""
         return self.parseval_residual <= tol
 
     @cached_property
-    def _operator(self) -> HermitianMatrix:
+    def _operator(self) -> np.ndarray:
         f = self._matrix
-        return HermitianMatrix(f @ f.conj().T)
+        operator = f @ f.conj().T
+        operator.setflags(write=False)
+        return operator
 
     @cached_property
     def _canonical(self) -> DualPair:
-        op = self._operator
-        if op.condition_number() > CONDITION_LIMIT:
+        u, s, wh = self._svd
+        condition = float((s[0] / s[-1]) ** 2)
+        if condition > CONDITION_LIMIT:
             raise IllConditioned(
-                f"frame operator condition number {op.condition_number():.3e} exceeds {CONDITION_LIMIT:.0e}"
+                f"frame operator condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
             )
-        return DualPair(self, Frame(op.solve(self._matrix)))
+        return DualPair(self, Frame((u / s) @ wh))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Frame(dim={self.dim}, count={self.count})"
@@ -150,49 +160,9 @@ def build_frame(dim: int, vectors) -> Frame:
     return Frame(_as_complex_matrix(vectors, dim))
 
 
-class HermitianMatrix:
-    """A validated Hermitian matrix with a cached eigendecomposition."""
-
-    def __init__(self, entries) -> None:
-        mat = np.asarray(entries, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ShapeMismatch(f"expected a square matrix, got shape {mat.shape}")
-        scale = max(float(np.max(np.abs(mat))), 1.0)
-        if float(np.max(np.abs(mat - mat.conj().T))) > HERMITIAN_TOL * scale:
-            raise ShapeMismatch("matrix is not Hermitian within tolerance")
-        mat = 0.5 * (mat + mat.conj().T)
-        mat.setflags(write=False)
-        self._entries = mat
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._entries
-
-    @cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        values, vectors = np.linalg.eigh(self._entries)
-        return values, vectors
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Real eigenvalues in ascending order."""
-        return self._eigh[0]
-
-    def condition_number(self) -> float:
-        values = np.abs(self.eigenvalues)
-        if values[np.argmin(values)] == 0.0:
-            return np.inf
-        return float(np.max(values) / np.min(values))
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply the inverse through the eigendecomposition."""
-        values, vectors = self._eigh
-        return vectors @ ((vectors.conj().T @ rhs).T / values).T
-
-
-def frame_operator(frame: Frame) -> HermitianMatrix:
-    """Frame operator ``S = sum_i f_i f_i^H`` (positive definite), computed
-    once per frame."""
+def frame_operator(frame: Frame) -> np.ndarray:
+    """Frame operator ``S = F F^H = sum_i f_i f_i^H`` (positive definite), a
+    read-only array computed once per frame."""
     return frame._operator
 
 

@@ -38,14 +38,10 @@ from .errors import (
     NotOneErasureOptimal,
     NotParseval,
 )
-from .frames import DualPair, Frame, canonical_dual
+from .frames import RANK_TOL, DualPair, Frame, canonical_dual
 from .weights import ProbabilityProfile
 
 DEFAULT_TOL = 1e-9
-
-# Singular values below this fraction of the largest are treated as zero
-# when computing subspace ranks (the intersection test must be robust).
-RANK_REL_TOL = 1e-10
 
 CONDITION_ONE_UNIFORM = "one_uniform_pair"
 CONDITION_TWO_UNIFORM = "two_uniform_pair"
@@ -137,7 +133,7 @@ def _rank(matrix: np.ndarray) -> int:
     s = np.linalg.svd(matrix, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > RANK_REL_TOL * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
 def is_one_uniform(

@@ -270,7 +270,7 @@ def _run_search(kind: str, frame: Frame, profile: ProbabilityProfile) -> SearchR
         # where x is diag(sigma) U^H C row by row (||x|| = ||S^(1/2) C||) and
         # a_i = h_i^* kron v_i^* for the columns h_i of W^H; W^H has
         # orthonormal rows, so the conditioning of S does not enter the fit
-        r = _spectral_factor(np.linalg.svd(f, full_matrices=False)[2], v)
+        r = _spectral_factor(frame._svd[2], v)
         l, w, b = r.conj().T, q, np.sum(f.conj() * g0, axis=0)[:, None]
     else:
         # g_i^T = g0_i^T + (a x)_i with a = conj(V) and x = C^T

@@ -71,10 +71,21 @@ def random_frame(rng: np.random.Generator, dim: int, count: int) -> fl.Frame:
             continue
 
 
+def conditioned_matrix(
+    rng: np.random.Generator, dim: int, count: int, smallest: float
+) -> np.ndarray:
+    """A random complex ``dim x count`` synthesis matrix with singular values
+    ``geomspace(1, smallest)``, so its frame operator has condition number
+    ``smallest ** -2``."""
+    u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    w = np.linalg.qr(rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim)))[0]
+    return (u * np.geomspace(1.0, smallest, dim)) @ w.conj().T
+
+
 def random_parseval_frame(rng: np.random.Generator, dim: int, count: int) -> fl.Frame:
     frame = random_frame(rng, dim, count)
     op = fl.frame_operator(frame)
-    values, vectors = np.linalg.eigh(op.entries)
+    values, vectors = np.linalg.eigh(op)
     inv_sqrt = (vectors / np.sqrt(values)) @ vectors.conj().T
     return fl.Frame(inv_sqrt @ frame.matrix)
 

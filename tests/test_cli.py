@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 import framelab as fl
 import framelab.cli as cli
 from framelab.reporting import emit_report, parse_report, write_report
+from conftest import conditioned_matrix
 
 PLANE_DOC = """
 {
@@ -174,6 +175,31 @@ def test_numeric_failure_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, ["analyze", path])
     assert code == 3
     assert "numeric failure" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--m", "1", "--m", "2"], ["search", "--measure", "both"], ["simulate", "--trials", "2000"]],
+    ids=["analyze", "search", "simulate"],
+)
+def test_ill_conditioned_frame_runs(capsys, tmp_path, argv):
+    # cond(S) = 1e8: the canonical dual from the frame's singular value
+    # decomposition reconstructs to about 1e-12; one solved with S itself
+    # would miss the 1e-10 reconstruction check
+    rng = np.random.default_rng(9)
+    matrix = conditioned_matrix(rng, 4, 9, 1e-4)
+    doc = {
+        "dim": 4,
+        "count": 9,
+        "field": "complex",
+        "vectors": [[[z.real, z.imag] for z in column] for column in matrix.T],
+        "probabilities": rng.dirichlet(np.ones(9)).tolist(),
+    }
+    path = tmp_path / "conditioned.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, [argv[0], path, *argv[1:]])
+    assert code == 0, err
+    assert parse_report(out)
 
 
 @pytest.mark.parametrize("command", ["analyze", "search", "simulate"])

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import null_space
 
 import framelab as fl
-from conftest import random_frame
+from conftest import conditioned_matrix, random_frame
 
 
 def test_build_frame_shapes(plane_frame):
@@ -33,23 +33,18 @@ def test_build_frame_rejects_rank_deficient():
 
 def test_frame_operator_plane(plane_frame):
     op = fl.frame_operator(plane_frame)
-    assert_allclose(op.entries, [[2, 1], [1, 2]], atol=1e-14)
+    assert_allclose(op, [[2, 1], [1, 2]], atol=1e-14)
 
 
 def test_frame_operator_tight_is_scaled_identity(tight_frame):
     op = fl.frame_operator(tight_frame)
-    assert_allclose(op.entries, 3 * np.eye(2), atol=1e-14)
+    assert_allclose(op, 3 * np.eye(2), atol=1e-14)
     assert_allclose([tight_frame.lower_bound, tight_frame.upper_bound], [3, 3], atol=1e-12)
 
 
 def test_frame_operator_orthonormal_identity():
     frame = fl.build_frame(3, np.eye(3))
-    assert_allclose(fl.frame_operator(frame).entries, np.eye(3), atol=1e-14)
-
-
-def test_hermitian_matrix_rejects_asymmetric():
-    with pytest.raises(fl.ShapeMismatch):
-        fl.HermitianMatrix([[1, 2], [3, 4]])
+    assert_allclose(fl.frame_operator(frame), np.eye(3), atol=1e-14)
 
 
 def test_canonical_dual_plane(plane_frame):
@@ -78,6 +73,19 @@ def test_canonical_dual_ill_conditioned():
     frame = fl.build_frame(2, [(1, 0), (0, 1e-7)])
     with pytest.raises(fl.IllConditioned):
         fl.canonical_dual(frame)
+
+
+@pytest.mark.parametrize("condition", [1e6, 1e8, 1e10, 1e11], ids=["1e6", "1e8", "1e10", "1e11"])
+def test_canonical_dual_up_to_the_condition_limit(condition):
+    # S^-1 F = U diag(1/s) W^H reconstructs to about eps (s_1 / s_n); solving
+    # with S itself loses eps cond(S) and fails the identity from 1e6 on
+    rng = np.random.default_rng(int(np.log10(condition)))
+    for _ in range(20):
+        frame = fl.Frame(conditioned_matrix(rng, 4, 9, condition**-0.5))
+        assert frame.upper_bound / frame.lower_bound == pytest.approx(condition, rel=1e-6)
+        dual = fl.canonical_dual(frame).dual.matrix
+        residual = np.max(np.abs(dual @ frame.matrix.conj().T - np.eye(4)))
+        assert residual <= fl.frames.DUAL_TOL
 
 
 def test_verify_dual(plane_frame):
