@@ -37,7 +37,11 @@ not depend on the chunk it is evaluated in.
 
 ``simulate_erasure_channel`` draws erasure sets proportional to the
 probabilities without replacement by exponential keys (Efraimidis and
-Spirakis, Inf. Process. Lett. 97(5), 2006), in chunks of trials.
+Spirakis, Inf. Process. Lett. 97(5), 2006), in chunks of trials.  Its
+uniforms come from SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) read as
+a counter-based stream: output ``k`` (from 0) is ``mix(seed + (k + 1)
+gamma)``, so any stretch of it is computed directly, in ``uint64`` array
+arithmetic, without ``numpy.random``.
 
 Erasure-set indices are 1-based throughout, matching the vector numbering.
 """
@@ -83,9 +87,13 @@ _OMEGA = (
     np.complex128(complex(-0.5, -math.sqrt(3.0) / 2.0)),
 )
 
-RNG_ID = "numpy.random.PCG64"
+RNG_ID = "splitmix64"
 # Trials simulated together; keeps each chunk's arrays near a megabyte.
 CHUNK_TRIALS = 1024
+# SplitMix64's increment (the golden ratio times 2^64) and its two
+# multipliers; the stream's seeds are 0 .. 2^64 - 1.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)))
 
 
 @dataclass(frozen=True, order=True)
@@ -607,21 +615,87 @@ class SimulationStats:
     histogram_counts: tuple[int, ...]
 
 
-def _draw_erasures(rng: np.random.Generator, p: np.ndarray, m: int, t: int) -> np.ndarray:
+def _splitmix64(seed: int, x: np.ndarray) -> np.ndarray:
+    """Overwrites the 0-based positions ``x`` (``uint64``) with the outputs of
+    the SplitMix64 stream of ``seed`` there: output ``k`` is
+    ``mix(seed + (k + 1) gamma)``."""
+    # uint64 array arithmetic wraps modulo 2^64 without a warning
+    x += np.uint64(1)
+    x *= _GAMMA
+    x += np.uint64(seed)
+    shifted = np.empty_like(x)
+    for shift, multiplier in _MIX:
+        np.right_shift(x, shift, out=shifted)
+        x ^= shifted
+        x *= multiplier
+    np.right_shift(x, 31, out=shifted)
+    x ^= shifted
+    return x
+
+
+def _unit_interval(bits: np.ndarray) -> np.ndarray:
+    """``(b + 1) 2^-53`` in ``(0, 1]`` for the top 53 bits ``b`` of each
+    ``uint64``; overwrites ``bits``."""
+    bits >>= np.uint64(11)
+    bits += np.uint64(1)
+    u = bits.astype(np.float64)
+    u *= 2.0**-53
+    return u
+
+
+def _uniforms(seed: int, start: int, rows: int, width: int, columns: range) -> np.ndarray:
+    """``(rows, len(columns))`` uniforms in ``(0, 1]``: entry ``(r, c)`` maps
+    output ``(start + r) width + columns[c]`` of the SplitMix64 stream of
+    ``seed``, so row ``r`` reads from the ``width`` outputs of trial
+    ``start + r``."""
+    trials = np.arange(start, start + rows, dtype=np.uint64)
+    trials *= np.uint64(width)
+    offsets = np.arange(columns.start, columns.stop, dtype=np.uint64)
+    return _unit_interval(_splitmix64(seed, np.add.outer(trials, offsets)))
+
+
+def _key_count(p: np.ndarray, m: int) -> int:
+    """Uniforms :func:`_draw_erasures` takes per trial: one per index of
+    positive mass, or one per index when fewer than m have positive mass."""
+    support = int(np.count_nonzero(p > 0.0))
+    return support if support >= m else p.size
+
+
+def _draw_erasures(u: np.ndarray, p: np.ndarray, m: int) -> np.ndarray:
     """(t, m) array of 0-based erasure sets drawn proportional to p without
-    replacement: each row holds the m smallest keys ``Exp(1) / p_i``, compared
-    as logarithms so that a tiny ``p_i`` cannot overflow its key.  When fewer
-    than m indices have positive mass, all of them are taken and the rest are
-    drawn uniformly from the zero-mass indices."""
+    replacement from a ``(t, _key_count(p, m))`` array of uniforms in
+    ``(0, 1]``, which it overwrites: each row holds the m smallest keys
+    ``Exp(1) / p_i`` with ``Exp(1) = -log u``, compared as logarithms so that
+    a tiny ``p_i`` cannot overflow its key.  When fewer than m indices have
+    positive mass, all of them are taken and the rest are drawn uniformly from
+    the zero-mass indices."""
     support = np.flatnonzero(p > 0.0)
+    keys = u
     if support.size >= m:
         pool = support
-        keys = np.log(rng.standard_exponential((t, support.size))) - np.log(p[support])
+        np.log(keys, out=keys)
+        np.negative(keys, out=keys)
+        # u = 1 gives the key -inf, the limit of a vanishing Exp(1) draw
+        with np.errstate(divide="ignore"):
+            np.log(keys, out=keys)
+        keys -= np.log(p[support])
     else:
         pool = np.arange(p.size)
-        keys = rng.random((t, p.size))
         keys[:, support] = -1.0
     return pool[np.argpartition(keys, m - 1, axis=1)[:, :m]]
+
+
+def _unit_vectors(u_radius: np.ndarray, u_angle: np.ndarray) -> np.ndarray:
+    """Rows of standard complex Gaussians ``sqrt(-log u) exp(2 pi i u')``
+    (Box-Muller), one per pair of uniforms in ``(0, 1]``, each row
+    normalized: unit vectors uniform on the complex sphere."""
+    radius = np.sqrt(-np.log(u_radius))
+    angle = 2.0 * np.pi * u_angle
+    v = np.empty(radius.shape, dtype=np.complex128)
+    v.real = radius * np.cos(angle)
+    v.imag = radius * np.sin(angle)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v
 
 
 def simulate_erasure_channel(
@@ -639,7 +713,17 @@ def simulate_erasure_channel(
     replacement, by exponential keys), and records ``||E_L f||``; trials run
     in chunks of ``CHUNK_TRIALS`` with one batched error product each.  The
     reported maximum is bounded by the worst-case operator norm of the same
-    size.  Replays bit-exactly for a fixed seed (``numpy.random.PCG64``).
+    size.
+
+    Trial ``i`` reads ``D = 2 n + K`` uniforms, outputs ``i D`` to
+    ``(i + 1) D - 1`` of the SplitMix64 stream of ``seed`` (``RNG_ID``),
+    where ``K`` is the number of indices of positive mass, or ``N`` when
+    fewer than ``m`` have positive mass.  The first ``2 n`` give the
+    vector: coordinate ``k`` is ``sqrt(-log u_k) exp(2 pi i u_{n+k})``, a
+    standard complex Gaussian (Box-Muller), normalized with the others.  The
+    last ``K`` are the erasure keys.  So a trial's draws depend on ``seed``
+    and ``i`` only, and the result replays bit-exactly for a fixed seed.
+    ``seed`` must lie in ``0 .. 2^64 - 1`` (``ValueError`` otherwise).
     """
     _check_compatible(pair, profile)
     if trials < 1:
@@ -648,16 +732,18 @@ def simulate_erasure_channel(
         raise ValueError(f"erasure count m={m} must be >= 0")
     if m > pair.count:
         raise InsufficientSupport(f"cannot erase {m} of {pair.count} coefficients")
-    rng = np.random.default_rng(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} must be in 0..2^64-1")
+    n, p = pair.dim, profile.probabilities
+    width = 2 * n + _key_count(p, m)
     f_conj = pair.frame.matrix.conj()
     g_rows = pair.dual.matrix.T
     errors = np.zeros(trials)
     for start in range(0, trials, CHUNK_TRIALS):
         t = min(CHUNK_TRIALS, trials - start)
-        z = rng.standard_normal((2, t, pair.dim))
-        v = z[0] + 1j * z[1]
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        ix = _draw_erasures(rng, profile.probabilities, m, t)
+        draw = functools.partial(_uniforms, seed, start, t, width)
+        v = _unit_vectors(draw(range(n)), draw(range(n, 2 * n)))
+        ix = _draw_erasures(draw(range(2 * n, width)), p, m)
         coeffs = profile.weights[ix] * np.take_along_axis(v @ f_conj, ix, axis=1)
         errors[start : start + t] = np.linalg.norm(
             np.einsum("tk,tkn->tn", coeffs, g_rows[ix]), axis=1

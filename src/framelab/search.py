@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .erasures import norm_measure, spectral_measure
-from .errors import NotDual
+from .errors import NotDual, NotSpanning
 from .frames import DualPair, Frame, canonical_dual, dual_from_coefficients, dual_perturbation_basis
 from .weights import ProbabilityProfile
 
@@ -82,6 +82,9 @@ _RANK_TOL = 1e-13
 _REFINE_PASSES = 3
 # A Newton system whose relative residual exceeds this has no solution.
 _NEWTON_TOL = 1e-9
+# Rows of the null vectors V with a smaller norm belong to coloops, which
+# every dual shares, and are zero but for rounding.
+_COLOOP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -265,6 +268,9 @@ def _run_search(kind: str, frame: Frame, profile: ProbabilityProfile) -> SearchR
         )
 
     f, g0, v, q = frame.matrix, canonical.dual.matrix, basis.null_vectors, profile.weights
+    # a coloop's g_i is the same in every dual; a fit that read its rounded
+    # row of V as a direction would call for coefficients of order 1e16
+    v = np.where(np.linalg.norm(v, axis=1, keepdims=True) < _COLOOP_TOL, 0.0, v)
     if kind == "spectral":
         # With F = U diag(sigma) W^H: <f_i, g_i>^* = f_i^H g0_i + (a x)_i,
         # where x is diag(sigma) U^H C row by row (||x|| = ||S^(1/2) C||) and
@@ -282,9 +288,10 @@ def _run_search(kind: str, frame: Frame, profile: ProbabilityProfile) -> SearchR
         coeffs = _spectral_coefficients(f, g0, v, r, b + l @ z) if kind == "spectral" else z.T
         try:
             pair = dual_from_coefficients(basis, coeffs)
-        except NotDual as exc:
+        except (NotDual, NotSpanning) as exc:
             # near-parallel frame vectors can call for coefficients so large
-            # that the fitted dual reconstructs only to their rounding
+            # that the fitted dual reconstructs only to their rounding, or
+            # fails to span
             note = f"{exc}; the canonical dual is reported instead"
         else:
             value = _one_erasure_value(kind, pair, profile)

@@ -291,6 +291,17 @@ def test_simulate_negative_m_usage_error(capsys, plane_path):
     assert "m=-1" in err
 
 
+def test_simulate_seed_range(capsys, plane_path):
+    code, out, err = run(capsys, ["simulate", plane_path, "--trials", "10", "--seed", str(2**64 - 1)])
+    assert code == 0, err
+    assert parse_report(out)["simulation"]["rng"] == "splitmix64"
+    for seed in ("-1", "18446744073709551616"):
+        code, out, err = run(capsys, ["simulate", plane_path, "--trials", "10", "--seed", seed])
+        assert code == 2
+        assert out == ""
+        assert f"seed {seed} " in err
+
+
 def framelab_process(code_or_argv, **env_overrides):
     """Run framelab from this checkout in a fresh interpreter."""
     src = str(Path(fl.__file__).resolve().parents[1])
@@ -352,19 +363,22 @@ def test_import_framelab_loads_no_module():
 
 def test_analyze_and_search_load_no_openssl(tmp_path):
     """The frame digest comes from the built-in SHA-256 module, not from
-    ``hashlib``, whose ``_hashlib`` loads OpenSSL's libcrypto."""
+    ``hashlib``, whose ``_hashlib`` loads OpenSSL's libcrypto; and
+    ``simulate`` draws from its own SplitMix64 stream, not from
+    ``numpy.random``, whose import loads ``_hashlib`` too."""
     text = json.dumps(random_frame_document(65, 3, 7, "real"))
     frame = tmp_path / "frame.json"
     frame.write_bytes(text.encode("utf-8"))
-    reports = [tmp_path / "analyze.json", tmp_path / "search.json"]
+    reports = [tmp_path / "analyze.json", tmp_path / "search.json", tmp_path / "simulate.json"]
     probe = (
         "import sys\n"
         "from framelab.cli import main\n"
         f"codes = [main(['analyze', {str(frame)!r}, '--out', {str(reports[0])!r}]),\n"
-        f"         main(['search', {str(frame)!r}, '--measure', 'norm', '--out', {str(reports[1])!r}])]\n"
-        "print(*codes, '_hashlib' in sys.modules)\n"
+        f"         main(['search', {str(frame)!r}, '--measure', 'norm', '--out', {str(reports[1])!r}]),\n"
+        f"         main(['simulate', {str(frame)!r}, '--m', '2', '--out', {str(reports[2])!r}])]\n"
+        "print(*codes, '_hashlib' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
-    assert framelab_process(probe).stdout.split() == [b"0", b"0", b"False"]
+    assert framelab_process(probe).stdout.split() == [b"0", b"0", b"0", b"False", b"False"]
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     for path in reports:
         assert parse_report(path.read_text(encoding="utf-8"))["input"]["frame_digest"] == digest

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ from numpy.testing import assert_allclose
 
 import framelab as fl
 from framelab import erasures
-from framelab.erasures import _draw_erasures
+from framelab.erasures import (
+    _draw_erasures,
+    _key_count,
+    _splitmix64,
+    _uniforms,
+    _unit_interval,
+    _unit_vectors,
+)
 from conftest import plane_better_dual, random_dual_pair, random_frame, random_profile
 
 
@@ -445,6 +453,13 @@ def assert_set_frequencies(draws, exact):
         assert abs(observed.get(key, 0) / total - prob) <= 5.0 * sigma, bin(key)
 
 
+def key_uniforms(seed, p, m, trials):
+    """The key uniforms of ``trials`` simulated trials, as the simulation
+    draws them for a frame of dimension 0."""
+    width = _key_count(p, m)
+    return _uniforms(seed, 0, trials, width, range(width))
+
+
 @pytest.mark.parametrize(
     "p, m",
     [
@@ -454,7 +469,7 @@ def assert_set_frequencies(draws, exact):
 )
 def test_exponential_keys_match_successive_sampling(p, m):
     p = np.asarray(p)
-    draws = _draw_erasures(np.random.default_rng(11), p, m, 200_000)
+    draws = _draw_erasures(key_uniforms(11, p, m, 200_000), p, m)
     assert draws.shape == (200_000, m)
     assert_set_frequencies(draws, successive_sampling_probabilities(p, m))
 
@@ -462,7 +477,7 @@ def test_exponential_keys_match_successive_sampling(p, m):
 def test_exponential_keys_survive_subnormal_probabilities():
     # Exp(1) / 1e-310 overflows to inf, which would tie indices 2 and 3
     p = np.array([0.5, 0.5, 1e-310, 1e-310])
-    draws = _draw_erasures(np.random.default_rng(13), p, 3, 100_000)
+    draws = _draw_erasures(key_uniforms(13, p, 3, 100_000), p, 3)
     assert_set_frequencies(draws, {0b0111: 0.5, 0b1011: 0.5})
 
 
@@ -471,13 +486,69 @@ def test_exponential_keys_fall_back_to_uniform_zero_mass(m):
     # support {1, 4} is smaller than m: both are always drawn, and the other
     # m - 2 indices are a uniform subset of the zero-mass ones
     p = np.array([0.0, 0.7, 0.0, 0.0, 0.3, 0.0])
-    draws = _draw_erasures(np.random.default_rng(12), p, m, 100_000)
+    draws = _draw_erasures(key_uniforms(12, p, m, 100_000), p, m)
     zero_mass = [0, 2, 3, 5]
     exact = {
         (1 << 1) + (1 << 4) + sum(1 << i for i in extra): 1.0 / math.comb(4, m - 2)
         for extra in itertools.combinations(zero_mass, m - 2)
     }
     assert_set_frequencies(draws, exact)
+
+
+def splitmix64_reference(seed, count):
+    """The first ``count`` outputs of SplitMix64, one Python integer at a time."""
+    mask, state, out = 2**64 - 1, seed, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_splitmix64_matches_the_scalar_generator():
+    outputs = _splitmix64(0, np.arange(3, dtype=np.uint64)).tolist()
+    assert outputs == splitmix64_reference(0, 3)
+    assert outputs == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    for seed in (1, 2**63, 2**64 - 1):
+        positions = np.arange(1000, dtype=np.uint64)
+        assert _splitmix64(seed, positions).tolist() == splitmix64_reference(seed, 1000)
+
+
+def test_largest_seed_raises_no_overflow_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = _uniforms(2**64 - 1, 0, 3, 5, range(5))
+    assert np.all((u > 0.0) & (u <= 1.0))
+
+
+def test_top_bits_map_onto_the_half_open_unit_interval():
+    bits = np.array([0, 2**11 - 1, 2**11, 2**64 - 1], dtype=np.uint64)
+    assert _unit_interval(bits).tolist() == [2.0**-53, 2.0**-53, 2.0**-52, 1.0]
+
+
+def test_a_trials_draws_depend_on_the_seed_and_the_trial_only():
+    width = 11
+    ten = _uniforms(5, 0, 10, width, range(width))
+    assert _uniforms(5, 3, 4, width, range(width)).tobytes() == ten[3:7].tobytes()
+    assert _uniforms(5, 3, 4, width, range(2, 9)).tobytes() == ten[3:7, 2:9].tobytes()
+    assert not np.array_equal(_uniforms(6, 0, 10, width, range(width)), ten)
+
+
+def test_unit_vectors_are_uniform_on_the_sphere():
+    n, trials = 3, 100_000
+    v = _unit_vectors(
+        _uniforms(21, 0, trials, 2 * n, range(n)), _uniforms(21, 0, trials, 2 * n, range(n, 2 * n))
+    )
+    assert_allclose(np.linalg.norm(v, axis=1), 1.0, rtol=1e-14)
+    # |v_k|^2 is Beta(1, n - 1); Re v_k and Im v_k have variance 1 / (2 n)
+    power = np.abs(v) ** 2
+    sigma = math.sqrt((n - 1) / (n * n * (n + 1)) / trials)
+    assert np.all(np.abs(power.mean(axis=0) - 1.0 / n) <= 5.0 * sigma)
+    sigma = math.sqrt(1.0 / (2 * n) / trials)
+    assert np.all(np.abs(v.real.mean(axis=0)) <= 5.0 * sigma)
+    assert np.all(np.abs(v.imag.mean(axis=0)) <= 5.0 * sigma)
 
 
 def test_erasure_set_validation():

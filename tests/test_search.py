@@ -380,3 +380,69 @@ def test_spectral_search_keeps_the_canonical_dual_when_its_fit_is_no_dual(tmp_pa
     assert cli.main(["search", str(path), "--measure", "spectral"]) == 0
     (entry,) = json.loads(capsys.readouterr().out)["searches"]
     assert entry["converged"] is False and entry["lower_bound"] <= entry["best_value"]
+
+
+def coloop_case(seed, field):
+    """A seeded frame with coloops and Dirichlet(0.7) probabilities: a square
+    2 x 2 block and one or two d x c blocks (d <= 2, d <= c <= d + 2) on the
+    diagonal, rotated by an orthogonal matrix, with the columns permuted.
+    Each vector of the square block is a coloop: removing it lowers the rank."""
+    rng = np.random.default_rng(seed)
+    more = rng.integers(1, 3, size=int(rng.integers(1, 3)))
+    sizes = [(2, 2)] + [(d, int(rng.integers(d, d + 3))) for d in more]
+    n, count = (sum(size) for size in zip(*sizes))
+    matrix = np.zeros((n, count), dtype=np.complex128 if field == "complex" else np.float64)
+    row = column = 0
+    for d, c in sizes:
+        block = rng.standard_normal((d, c))
+        if field == "complex":
+            block = block + 1j * rng.standard_normal((d, c))
+        matrix[row : row + d, column : column + c] = block
+        row, column = row + d, column + c
+    rotation = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    matrix = (rotation @ matrix)[:, rng.permutation(count)]
+    return matrix, rng.dirichlet(np.full(count, 0.7))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["spectral", "norm"])
+def test_searches_on_frames_with_coloops(kind, field):
+    """The null vectors' coloop rows are zero but for rounding; a spectral fit
+    that read them as directions called for coefficients of order 1e16,
+    whose dual failed to span."""
+    for seed in range(12):
+        matrix, probabilities = coloop_case(seed, field)
+        frame = fl.Frame(matrix)
+        profile = fl.weights_from_probabilities(probabilities, frame.dim)
+        result = fl.search._run_search(kind, frame, profile)
+        assert result.converged, seed
+        assert 1.0 <= result.lower_bound <= result.best_value <= result.canonical_value, seed
+        assert fl.verify_dual(frame, result.best_dual.dual), seed
+
+
+def test_spectral_search_on_a_frame_with_coloops_exits_zero(tmp_path, capsys):
+    matrix, probabilities = coloop_case(4, "real")
+    path = tmp_path / "coloops.json"
+    document = {
+        "dim": matrix.shape[0],
+        "count": matrix.shape[1],
+        "field": "real",
+        "vectors": [[[float(x), 0.0] for x in column] for column in matrix.T],
+        "probabilities": probabilities.tolist(),
+    }
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert cli.main(["search", str(path), "--measure", "spectral"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["searches"]
+    assert entry["converged"] is True and entry["lower_bound"] <= entry["best_value"]
+
+
+def test_search_keeps_the_canonical_dual_when_its_fit_does_not_span(monkeypatch):
+    # with the coloop rows of V left at their rounding, the spectral fit of
+    # this frame calls for coefficients whose dual does not span
+    monkeypatch.setattr(fl.search, "_COLOOP_TOL", 0.0)
+    matrix, probabilities = coloop_case(4, "real")
+    frame = fl.Frame(matrix)
+    result = fl.minimize_spectral_one(frame, fl.weights_from_probabilities(probabilities, frame.dim))
+    assert "do not span" in result.note
+    assert not result.converged
+    assert result.lower_bound <= result.best_value == result.canonical_value
