@@ -26,7 +26,6 @@ _MODULE_EXPORTS = {
         "IllConditioned",
         "InsufficientSupport",
         "InvalidProbability",
-        "LengthMismatch",
         "NotDual",
         "NotOneErasureOptimal",
         "NotParseval",
@@ -37,7 +36,6 @@ _MODULE_EXPORTS = {
     ),
     "frames": (
         "DualPair",
-        "DualPerturbationBasis",
         "Frame",
         "build_frame",
         "canonical_dual",

@@ -29,10 +29,6 @@ class ShapeMismatch(FrameLabError):
     """Operands describe different vector counts or dimensions."""
 
 
-class LengthMismatch(FrameLabError):
-    """A coefficient vector has the wrong length."""
-
-
 class InvalidProbability(FrameLabError):
     """A probability sequence violates its constraints."""
 

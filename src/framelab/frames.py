@@ -9,17 +9,21 @@ Every dual of ``F`` is ``G = S^-1 F + C V^H``: ``S^-1 F`` is the canonical
 dual, ``V`` is an ``N x (N - n)`` matrix whose orthonormal columns span the
 null space of ``F``, and ``C`` is any complex ``n x (N - n)`` matrix.  The
 perturbations ``C V^H`` are exactly the solutions of ``U F^H = 0``, a space of
-dimension ``n (N - n)``.  :func:`dual_perturbation_basis` holds ``V``, and a
-coefficient vector is ``C`` read row by row: coefficient ``row (N - n) + j``
-is ``C[row, j]``.
+dimension ``n (N - n)``.  :func:`dual_perturbation_basis` returns ``V`` and
+:func:`dual_from_coefficients` takes ``C``.  Row ``i`` of ``V`` is zero when
+``f_i`` is a coloop, a vector whose removal lowers the rank: every dual
+shares its ``g_i``.  The rows that rounding leaves below ``_COLOOP_TOL`` are
+set to zero where ``V`` is built, so no caller reads them as directions.
 
 A :class:`Frame` takes one thin singular value decomposition of its synthesis
 matrix, ``F = U diag(s) W^H``, and derives the rest from it: the spanning
 check and the frame bounds from ``s``, the condition number ``(s_1 / s_n)^2``
 of the frame operator ``S = F F^H``, and the canonical dual
 ``S^-1 F = U diag(1 / s) W^H``, which is never solved for through ``S``: that
-would square the conditioning.  The canonical dual and ``S`` itself are
-computed once per frame and cached on it.
+would square the conditioning.  The canonical dual's own decomposition is the
+same factors in reverse order, so it takes no second one.  ``V`` comes from a
+full decomposition, taken only when it is asked for.  ``S``, the canonical
+dual and ``V`` are computed once per frame and cached on it.
 
 Public vector indices are 1-based (vectors are numbered ``1 .. N``), matching
 the usual convention for erasure index sets; all internal arrays are 0-based.
@@ -27,7 +31,6 @@ the usual convention for erasure index sets; all internal arrays are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,7 +38,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IllConditioned,
-    LengthMismatch,
     NotDual,
     NotSpanning,
     ShapeMismatch,
@@ -48,6 +50,9 @@ DUAL_TOL = 1e-10
 # Cap on the frame operator's condition number cond(S) = (s_1 / s_n)^2 for a
 # canonical dual.
 CONDITION_LIMIT = 1e12
+# Rows of the null vectors V with a smaller norm belong to coloops and are
+# zero but for rounding.
+_COLOOP_TOL = 1e-12
 
 
 def _as_complex_matrix(vectors, dim: int) -> np.ndarray:
@@ -95,6 +100,15 @@ class Frame:
         self._matrix = matrix
         # F = U diag(s) W^H: U is n x n, W^H is n x N with orthonormal rows
         self._svd = (u, singular_values, wh)
+
+    @classmethod
+    def _of_factors(cls, matrix: np.ndarray, svd) -> Frame:
+        """The frame with synthesis matrix ``matrix``, whose thin SVD ``svd``
+        is already known and so not taken again."""
+        frame = cls.__new__(cls)
+        matrix.setflags(write=False)
+        frame._matrix, frame._svd = matrix, svd
+        return frame
 
     @property
     def dim(self) -> int:
@@ -149,7 +163,19 @@ class Frame:
             raise IllConditioned(
                 f"frame operator condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
             )
-        return DualPair(self, Frame((u / s) @ wh))
+        # U diag(1/s) W^H with the singular values in descending order
+        dual = Frame._of_factors((u / s) @ wh, (u[:, ::-1], 1.0 / s[::-1], wh[::-1]))
+        return DualPair(self, dual)
+
+    @cached_property
+    def _null_vectors(self) -> np.ndarray:
+        n, count = self._matrix.shape
+        _, _, vh = np.linalg.svd(self._matrix, full_matrices=True)
+        null_vectors = [_canonical_phase(np.conj(vh[k])) for k in range(n, count)]
+        v = np.array(null_vectors, dtype=np.complex128).reshape(count - n, count).T
+        v[np.linalg.norm(v, axis=1) < _COLOOP_TOL] = 0.0
+        v.setflags(write=False)
+        return v
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Frame(dim={self.dim}, count={self.count})"
@@ -228,84 +254,40 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v * (np.conj(pivot) / abs(pivot))
 
 
-@dataclass(frozen=True)
-class DualPerturbationBasis:
-    """Orthonormal basis of the space of dual perturbations of a frame.
-
-    The perturbations are ``C V^H`` for complex ``n x (N - n)`` matrices
-    ``C``, where ``V`` (``null_vectors``, shape ``(N, N - n)``) has
-    orthonormal columns spanning the null space of ``F``.  Basis element
-    ``k = row (N - n) + j`` is ``C = e_row e_j^T``; the ``n (N - n)``
-    elements are orthonormal under the entrywise inner product.
-    """
-
-    base_frame: Frame
-    null_vectors: np.ndarray = field(repr=False)
-
-    @property
-    def size(self) -> int:
-        return self.base_frame.dim * self.null_vectors.shape[1]
-
-    def __post_init__(self) -> None:
-        n, count = self.base_frame.dim, self.base_frame.count
-        v = self.null_vectors
-        if v.shape != (count, count - n):
-            raise ShapeMismatch(
-                f"null-vector matrix shape {v.shape} does not match ({count}, {count - n})"
-            )
-        if not v.size:
-            return
-        scale = max(self.base_frame.upper_bound ** 0.5, 1.0)
-        if float(np.max(np.abs(self.base_frame.matrix @ v))) > 1e-10 * scale:
-            raise ShapeMismatch("null vectors are not in the null space of the frame")
-        if float(np.max(np.abs(v.conj().T @ v - np.eye(count - n)))) > 1e-10:
-            raise ShapeMismatch("null vectors are not orthonormal")
-
-
-def dual_perturbation_basis(frame: Frame) -> DualPerturbationBasis:
-    """Orthonormal basis of solutions of ``U F^H = 0``.
+def dual_perturbation_basis(frame: Frame) -> np.ndarray:
+    """The null vectors ``V`` of ``F``: a read-only ``N x (N - n)`` array
+    with orthonormal columns, computed once per frame.
 
     ``V`` is taken from the full singular value decomposition of the
-    synthesis matrix: its columns are the null vectors of ``F``, each
-    phase-normalized, which makes :func:`dual_from_coefficients`
-    deterministic.
+    synthesis matrix, each column phase-normalized, which makes
+    :func:`dual_from_coefficients` deterministic; coloop rows are zero.
     """
-    f = frame.matrix
-    n, count = f.shape
-    _, _, vh = np.linalg.svd(f, full_matrices=True)
-    null_vectors = [_canonical_phase(np.conj(vh[k])) for k in range(n, count)]
-    v = np.array(null_vectors, dtype=np.complex128).reshape(count - n, count).T
-    v.setflags(write=False)
-    return DualPerturbationBasis(frame, v)
+    return frame._null_vectors
 
 
-def dual_from_coefficients(basis: DualPerturbationBasis, coeffs) -> DualPair:
-    """Dual pair ``S^-1 F + C V^H`` with ``C = coeffs.reshape(n, N - n)``."""
-    c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-    if c.size != basis.size:
-        raise LengthMismatch(f"expected {basis.size} coefficients, got {c.size}")
-    base = canonical_dual(basis.base_frame)
-    if basis.size == 0:
+def dual_from_coefficients(frame: Frame, coefficients) -> DualPair:
+    """Dual pair ``S^-1 F + C V^H`` for the ``n x (N - n)`` matrix ``C``."""
+    c = np.asarray(coefficients, dtype=np.complex128)
+    v = dual_perturbation_basis(frame)
+    if c.shape != (frame.dim, v.shape[1]):
+        raise ShapeMismatch(
+            f"coefficient shape {c.shape} does not match ({frame.dim}, {v.shape[1]})"
+        )
+    base = canonical_dual(frame)
+    if not c.size:
         return base
-    v = basis.null_vectors
-    perturbation = c.reshape(-1, v.shape[1]) @ v.conj().T
-    return DualPair(basis.base_frame, Frame(base.dual.matrix + perturbation))
+    return DualPair(frame, Frame(base.dual.matrix + c @ v.conj().T))
 
 
-def coefficients_for_perturbation(
-    basis: DualPerturbationBasis, perturbation
-) -> tuple[np.ndarray, float]:
-    """Project a frame-shaped perturbation ``P`` onto the basis.
+def coefficients_for_perturbation(frame: Frame, perturbation) -> tuple[np.ndarray, float]:
+    """Project a frame-shaped perturbation ``P`` onto the dual perturbations.
 
-    Returns the coefficients ``C = P V`` read row by row, and the residual
-    ``max |P - C V^H|``; a residual near zero certifies the perturbation lies
-    in the dual-perturbation space.
+    Returns ``C = P V`` and the residual ``max |P - C V^H|``; a residual near
+    zero certifies the perturbation lies in the dual-perturbation space.
     """
     p = np.asarray(perturbation, dtype=np.complex128)
-    n, count = basis.base_frame.dim, basis.base_frame.count
-    if p.shape != (n, count):
-        raise ShapeMismatch(f"perturbation shape {p.shape} does not match ({n}, {count})")
-    v = basis.null_vectors
+    if p.shape != frame.matrix.shape:
+        raise ShapeMismatch(f"perturbation shape {p.shape} does not match {frame.matrix.shape}")
+    v = dual_perturbation_basis(frame)
     c = p @ v
-    residual = float(np.max(np.abs(p - c @ v.conj().T)))
-    return c.reshape(-1), residual
+    return c, float(np.max(np.abs(p - c @ v.conj().T)))

@@ -50,6 +50,11 @@ iterative refinement on the fitted values ``t`` win back.  A spectral step
 costs ``O(N^3)`` and the factor ``O(n N^3)`` once per search, where a
 least-squares solve with ``a`` itself costs ``O(n N^3)`` per step.
 
+``V`` is the frame's own (:func:`~framelab.frames.dual_perturbation_basis`),
+whose coloop rows are zero, and a fit's ``C`` goes to
+:func:`~framelab.frames.dual_from_coefficients` as the matrix it is: ``z^T``
+for the norm, ``G0 diag(y) V`` for the spectral measure.
+
 The reported values are the m = 1 measures of :mod:`framelab.erasures`.  The
 canonical dual is the starting point, so ``best_value`` never exceeds
 ``canonical_value``.
@@ -82,9 +87,6 @@ _RANK_TOL = 1e-13
 _REFINE_PASSES = 3
 # A Newton system whose relative residual exceeds this has no solution.
 _NEWTON_TOL = 1e-9
-# Rows of the null vectors V with a smaller norm belong to coloops, which
-# every dual shares, and are zero but for rounding.
-_COLOOP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -252,10 +254,9 @@ def _minimax(w, l, b, lam, upper):
 def _run_search(kind: str, frame: Frame, profile: ProbabilityProfile) -> SearchResult:
     if kind not in MEASURE_KINDS:
         raise ValueError(f"measure kind must be one of {MEASURE_KINDS}, got {kind!r}")
-    basis = dual_perturbation_basis(frame)
     canonical = canonical_dual(frame)
     canonical_value = _one_erasure_value(kind, canonical, profile)
-    if basis.size == 0:
+    if frame.count == frame.dim:
         return SearchResult(
             best_dual=canonical,
             best_value=canonical_value,
@@ -267,10 +268,10 @@ def _run_search(kind: str, frame: Frame, profile: ProbabilityProfile) -> SearchR
             note="canonical dual is the unique dual; the search space is empty",
         )
 
-    f, g0, v, q = frame.matrix, canonical.dual.matrix, basis.null_vectors, profile.weights
-    # a coloop's g_i is the same in every dual; a fit that read its rounded
-    # row of V as a direction would call for coefficients of order 1e16
-    v = np.where(np.linalg.norm(v, axis=1, keepdims=True) < _COLOOP_TOL, 0.0, v)
+    # V's coloop rows are zero: a fit that read their rounding as directions
+    # would call for coefficients of order 1e16
+    f, g0, q = frame.matrix, canonical.dual.matrix, profile.weights
+    v = dual_perturbation_basis(frame)
     if kind == "spectral":
         # With F = U diag(sigma) W^H: <f_i, g_i>^* = f_i^H g0_i + (a x)_i,
         # where x is diag(sigma) U^H C row by row (||x|| = ||S^(1/2) C||) and
@@ -287,7 +288,7 @@ def _run_search(kind: str, frame: Frame, profile: ProbabilityProfile) -> SearchR
     if z is not None:
         coeffs = _spectral_coefficients(f, g0, v, r, b + l @ z) if kind == "spectral" else z.T
         try:
-            pair = dual_from_coefficients(basis, coeffs)
+            pair = dual_from_coefficients(frame, coeffs)
         except (NotDual, NotSpanning) as exc:
             # near-parallel frame vectors can call for coefficients so large
             # that the fitted dual reconstructs only to their rounding, or

@@ -55,11 +55,10 @@ def mercedes_vectors():
 def plane_better_dual(frame: fl.Frame) -> fl.DualPair:
     """The dual of the plane frame whose perturbation adds (1/6, 1/6) to the
     first two vectors (and subtracts it from the third)."""
-    basis = fl.dual_perturbation_basis(frame)
     pert = np.array([[1 / 6, 1 / 6, -1 / 6], [1 / 6, 1 / 6, -1 / 6]], dtype=complex)
-    coeffs, residual = fl.coefficients_for_perturbation(basis, pert)
+    coeffs, residual = fl.coefficients_for_perturbation(frame, pert)
     assert residual < 1e-12
-    return fl.dual_from_coefficients(basis, coeffs)
+    return fl.dual_from_coefficients(frame, coeffs)
 
 
 def random_frame(rng: np.random.Generator, dim: int, count: int) -> fl.Frame:
@@ -98,8 +97,33 @@ def random_profile(rng: np.random.Generator, dim: int, count: int) -> fl.Probabi
 def random_dual_pair(
     rng: np.random.Generator, frame: fl.Frame, radius: float = 0.5
 ) -> fl.DualPair:
-    basis = fl.dual_perturbation_basis(frame)
-    coeffs = radius * (
-        rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    )
-    return fl.dual_from_coefficients(basis, coeffs)
+    shape = coefficient_shape(frame)
+    coeffs = radius * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return fl.dual_from_coefficients(frame, coeffs)
+
+
+def coefficient_shape(frame: fl.Frame) -> tuple[int, int]:
+    """Shape ``(n, N - n)`` of the matrix ``C`` of a dual ``S^-1 F + C V^H``."""
+    return frame.dim, frame.count - frame.dim
+
+
+def coloop_case(seed, field):
+    """A seeded frame with coloops and Dirichlet(0.7) probabilities: a square
+    2 x 2 block and one or two d x c blocks (d <= 2, d <= c <= d + 2) on the
+    diagonal, rotated by an orthogonal matrix, with the columns permuted.
+    Each vector of the square block is a coloop: removing it lowers the rank."""
+    rng = np.random.default_rng(seed)
+    more = rng.integers(1, 3, size=int(rng.integers(1, 3)))
+    sizes = [(2, 2)] + [(d, int(rng.integers(d, d + 3))) for d in more]
+    n, count = (sum(size) for size in zip(*sizes))
+    matrix = np.zeros((n, count), dtype=np.complex128 if field == "complex" else np.float64)
+    row = column = 0
+    for d, c in sizes:
+        block = rng.standard_normal((d, c))
+        if field == "complex":
+            block = block + 1j * rng.standard_normal((d, c))
+        matrix[row : row + d, column : column + c] = block
+        row, column = row + d, column + c
+    rotation = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    matrix = (rotation @ matrix)[:, rng.permutation(count)]
+    return matrix, rng.dirichlet(np.full(count, 0.7))

@@ -17,7 +17,13 @@ from framelab.erasures import (
     _unit_interval,
     _unit_vectors,
 )
-from conftest import plane_better_dual, random_dual_pair, random_frame, random_profile
+from conftest import (
+    coefficient_shape,
+    plane_better_dual,
+    random_dual_pair,
+    random_frame,
+    random_profile,
+)
 
 
 def enumerated_values(pair, profile, m, kind):
@@ -291,9 +297,8 @@ def three_erasure_cases():
     real = fl.Frame(rng.standard_normal((3, 7)))
     # a real dual G = S^-1 F + C V^H with real C, whose blocks are real and
     # not similar to symmetric matrices
-    basis = fl.dual_perturbation_basis(real)
-    coeffs = 0.8 * rng.standard_normal(basis.size)
-    real_dual = fl.dual_from_coefficients(basis, coeffs)
+    coeffs = 0.8 * rng.standard_normal(coefficient_shape(real))
+    real_dual = fl.dual_from_coefficients(real, coeffs)
     yield "real, conjugate top roots", real_dual, random_profile(rng, 3, 7)
 
 
@@ -387,10 +392,17 @@ def test_simulation_respects_worst_case(plane_frame, plane_profile):
     assert sum(stats.histogram_counts) == stats.trials
 
 
-def test_simulation_zero_erasures(plane_frame, plane_profile):
+def test_simulation_zero_erasures(plane_frame, plane_profile, monkeypatch):
+    # with nothing erased every error is 0, so no trial draws a uniform
+    def no_draws(*args):
+        raise AssertionError("m = 0 drew uniforms")
+
+    monkeypatch.setattr(erasures, "_uniforms", no_draws)
     pair = fl.canonical_dual(plane_frame)
     stats = fl.simulate_erasure_channel(pair, plane_profile, m=0, trials=50, seed=1)
-    assert stats.max_error == 0.0
+    assert stats.max_error == 0.0 and stats.mean_error == 0.0
+    assert stats.histogram_edges == tuple(np.linspace(0.0, 1.0, 21))
+    assert stats.histogram_counts == (50,) + (0,) * 19
 
 
 def test_simulation_zero_mass_indices_only_when_needed(tight_frame, tight_profile):

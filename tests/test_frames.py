@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import null_space
 
 import framelab as fl
-from conftest import conditioned_matrix, random_frame
+from conftest import coefficient_shape, coloop_case, conditioned_matrix, random_frame
 
 
 def test_build_frame_shapes(plane_frame):
@@ -116,18 +116,71 @@ def test_cross_gram_values(plane_frame, tight_frame):
 )
 def test_perturbation_basis_size(vectors, expected_size):
     frame = fl.build_frame(2, vectors)
-    basis = fl.dual_perturbation_basis(frame)
-    assert basis.size == expected_size
-    assert basis.size == frame.dim * (frame.count - frame.dim)
+    v = fl.dual_perturbation_basis(frame)
+    assert v.shape == (frame.count, frame.count - frame.dim)
+    assert frame.dim * v.shape[1] == expected_size
+
+
+def test_null_vectors_are_computed_once_and_read_only(plane_frame):
+    v = fl.dual_perturbation_basis(plane_frame)
+    assert fl.dual_perturbation_basis(plane_frame) is v
+    with pytest.raises(ValueError):
+        v[0, 0] = 1.0
+
+
+def null_vector_frames():
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        n = int(rng.integers(1, 6))
+        yield random_frame(rng, n, int(rng.integers(n, 2 * n + 3))), None
+    for seed in range(12):
+        for field in ("real", "complex"):
+            matrix, _ = coloop_case(seed, field)
+            # the square 2 x 2 block's two vectors are the coloops
+            yield fl.Frame(matrix), seed
+
+
+def test_null_vectors_span_the_null_space_orthonormally():
+    for frame, seed in null_vector_frames():
+        v = fl.dual_perturbation_basis(frame)
+        assert np.max(np.abs(frame.matrix @ v), initial=0.0) <= 1e-10
+        assert_allclose(v.conj().T @ v, np.eye(v.shape[1]), atol=1e-10)
+        if seed is not None:
+            # removing a coloop lowers the rank; its row of V is exactly 0
+            coloops = [
+                i for i in range(frame.count)
+                if np.linalg.matrix_rank(np.delete(frame.matrix, i, axis=1)) < frame.dim
+            ]
+            assert len(coloops) >= 2, seed
+            assert not np.any(v[coloops]), seed
+            assert np.all(np.linalg.norm(np.delete(v, coloops, axis=0), axis=1) > 1e-6), seed
+
+
+def test_frame_and_canonical_dual_take_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(23)
+    pair = fl.canonical_dual(fl.Frame(rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))))
+    assert len(calls) == 1
+    assert fl.verify_dual(pair.frame, pair.dual)
+    # the dual's factors are the frame's in reverse order
+    assert_allclose(pair.dual.upper_bound, 1.0 / pair.frame.lower_bound, rtol=1e-12)
+    assert_allclose(pair.dual.lower_bound, 1.0 / pair.frame.upper_bound, rtol=1e-12)
 
 
 def basis_perturbations(frame):
-    """The perturbations ``dual_from_coefficients(basis, e_k) - canonical``."""
-    basis = fl.dual_perturbation_basis(frame)
+    """The perturbations ``dual_from_coefficients(frame, E) - canonical`` for
+    the matrix units ``E`` in row-major order."""
+    shape = coefficient_shape(frame)
     canonical = fl.canonical_dual(frame).dual.matrix
-    return np.array(
-        [fl.dual_from_coefficients(basis, e_k).dual.matrix - canonical for e_k in np.eye(basis.size)]
-    )
+    units = np.eye(shape[0] * shape[1]).reshape(-1, *shape)
+    return np.array([fl.dual_from_coefficients(frame, e).dual.matrix - canonical for e in units])
 
 
 def test_perturbation_basis_annihilates_analysis(plane_frame):
@@ -144,36 +197,45 @@ def test_perturbation_basis_orthonormal(tight_frame):
 
 
 def test_dual_from_zero_coefficients_is_canonical(plane_frame):
-    basis = fl.dual_perturbation_basis(plane_frame)
-    pair = fl.dual_from_coefficients(basis, np.zeros(basis.size))
+    pair = fl.dual_from_coefficients(plane_frame, np.zeros((2, 1)))
     assert_allclose(pair.dual.matrix, fl.canonical_dual(plane_frame).dual.matrix, atol=1e-14)
+
+
+def test_square_frame_has_an_empty_coefficient_matrix():
+    frame = fl.build_frame(2, [(1, 0), (1, 1)])
+    assert fl.dual_perturbation_basis(frame).shape == (2, 0)
+    c, residual = fl.coefficients_for_perturbation(frame, np.zeros((2, 2)))
+    assert c.shape == (2, 0) and residual == 0.0
+    assert fl.dual_from_coefficients(frame, c) is fl.canonical_dual(frame)
 
 
 def test_dual_from_coefficients_constant_column_perturbation(plane_frame):
     # adding (1/6, 1/6) to the first two dual vectors forces subtracting it
     # from the third; the result is a valid dual with the expected vectors
-    basis = fl.dual_perturbation_basis(plane_frame)
     pert = np.array([[1 / 6, 1 / 6, -1 / 6], [1 / 6, 1 / 6, -1 / 6]], dtype=complex)
-    coeffs, residual = fl.coefficients_for_perturbation(basis, pert)
+    coeffs, residual = fl.coefficients_for_perturbation(plane_frame, pert)
+    assert coeffs.shape == (2, 1)
     assert residual <= 1e-12
-    pair = fl.dual_from_coefficients(basis, coeffs)
+    pair = fl.dual_from_coefficients(plane_frame, coeffs)
     expected = np.array([[5 / 6, -1 / 6, 1 / 6], [-1 / 6, 5 / 6, 1 / 6]])
     assert_allclose(pair.dual.matrix, expected, atol=1e-12)
     assert fl.verify_dual(plane_frame, pair.dual, 1e-10)
 
 
-def test_dual_from_coefficients_length_mismatch(plane_frame):
-    basis = fl.dual_perturbation_basis(plane_frame)
-    with pytest.raises(fl.LengthMismatch):
-        fl.dual_from_coefficients(basis, np.zeros(basis.size + 1))
+def test_dual_from_coefficients_shape_mismatch(plane_frame):
+    for shape in [(2,), (3,), (1, 2), (2, 2), (2, 1, 1)]:
+        with pytest.raises(fl.ShapeMismatch):
+            fl.dual_from_coefficients(plane_frame, np.zeros(shape))
+    with pytest.raises(fl.ShapeMismatch):
+        fl.coefficients_for_perturbation(plane_frame, np.zeros((3, 2)))
 
 
 def test_random_coefficients_always_give_duals(plane_frame):
     rng = np.random.default_rng(7)
-    basis = fl.dual_perturbation_basis(plane_frame)
+    shape = coefficient_shape(plane_frame)
     for _ in range(25):
-        coeffs = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-        pair = fl.dual_from_coefficients(basis, coeffs)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        pair = fl.dual_from_coefficients(plane_frame, coeffs)
         assert fl.verify_dual(plane_frame, pair.dual, 1e-10)
         assert abs(np.trace(pair.cross_gram) - 2.0) <= 1e-10
 
@@ -207,8 +269,7 @@ def test_independent_dual_construction_lies_in_affine_span():
         )
         dual_matrix = canonical + (kernel @ mix).conj().T if kernel.size else canonical
         assert fl.verify_dual(frame, fl.Frame(dual_matrix), 1e-9)
-        basis = fl.dual_perturbation_basis(frame)
-        _, residual = fl.coefficients_for_perturbation(basis, dual_matrix - canonical)
+        _, residual = fl.coefficients_for_perturbation(frame, dual_matrix - canonical)
         assert residual <= 1e-9
 
 

@@ -408,12 +408,12 @@ def triples(hypotheses):
 def one_uniform_dual(frame, profile):
     """A dual with ``<g_i, f_i> = 1/q_i`` for every i: the least-squares
     solution of these N linear equations in ``C``."""
-    basis = fl.dual_perturbation_basis(frame)
-    f, v = frame.matrix, basis.null_vectors
+    f, v = frame.matrix, fl.dual_perturbation_basis(frame)
     g0 = fl.canonical_dual(frame).dual.matrix
     a = np.einsum("ri,ik->irk", f.conj(), v.conj()).reshape(frame.count, -1)
     b = 1.0 / profile.weights - np.einsum("ri,ri->i", f.conj(), g0)
-    return fl.dual_from_coefficients(basis, np.linalg.lstsq(a, b, rcond=None)[0])
+    c = np.linalg.lstsq(a, b, rcond=None)[0].reshape(frame.dim, -1)
+    return fl.dual_from_coefficients(frame, c)
 
 
 def oracle_cases():

@@ -9,16 +9,17 @@ from scipy.optimize import linprog
 
 import framelab as fl
 import framelab.cli as cli
-from conftest import random_frame, random_profile
+from conftest import coefficient_shape, coloop_case, random_frame, random_profile
 
 
 def coefficient_objective(frame, profile, kind):
     """Objective over real-parameterized coefficients, via the public API."""
-    basis = fl.dual_perturbation_basis(frame)
+    shape = coefficient_shape(frame)
+    size = shape[0] * shape[1]
 
     def value(x):
-        coeffs = x[: basis.size] + 1j * x[basis.size :]
-        pair = fl.dual_from_coefficients(basis, coeffs)
+        coeffs = (x[:size] + 1j * x[size:]).reshape(shape)
+        pair = fl.dual_from_coefficients(frame, coeffs)
         report = (
             fl.spectral_measure(pair, profile, 1)
             if kind == "spectral"
@@ -26,7 +27,7 @@ def coefficient_objective(frame, profile, kind):
         )
         return report.value
 
-    return basis, value
+    return size, value
 
 
 def random_dual_sampler(frame, profile, count, seed, measure_kind):
@@ -37,7 +38,7 @@ def random_dual_sampler(frame, profile, count, seed, measure_kind):
     Frobenius norm, with directions uniform on the coefficient sphere; the
     first sample is always the canonical dual itself.
     """
-    basis = fl.dual_perturbation_basis(frame)
+    shape = coefficient_shape(frame)
     canonical = fl.canonical_dual(frame)
     measure = fl.spectral_measure if measure_kind == "spectral" else fl.norm_measure
     rng = np.random.default_rng(seed)
@@ -46,12 +47,12 @@ def random_dual_sampler(frame, profile, count, seed, measure_kind):
     samples = []
     for j in range(count):
         radius = levels[j % len(levels)] * base_radius
-        if basis.size == 0 or radius == 0.0:
+        if frame.count == frame.dim or radius == 0.0:
             pair = canonical
         else:
-            direction = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+            direction = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             direction /= np.linalg.norm(direction)
-            pair = fl.dual_from_coefficients(basis, radius * direction)
+            pair = fl.dual_from_coefficients(frame, radius * direction)
         samples.append((pair, measure(pair, profile, 1).value))
     return samples
 
@@ -111,9 +112,9 @@ def test_search_monotone_and_verified_on_random_frames():
 
 @pytest.mark.parametrize("kind", ["spectral", "norm"])
 def test_objective_is_convex_in_coefficients(plane_frame, plane_profile, kind):
-    basis, value = coefficient_objective(plane_frame, plane_profile, kind)
+    size, value = coefficient_objective(plane_frame, plane_profile, kind)
     rng = np.random.default_rng(61)
-    dim = 2 * basis.size
+    dim = 2 * size
     for _ in range(100):
         x = rng.standard_normal(dim)
         y = rng.standard_normal(dim)
@@ -289,11 +290,11 @@ def explicit_search(monkeypatch, kind, frame, profile):
         rank = s > search._RANK_TOL * s[0]
         return x, r, w * np.linalg.norm(r, axis=1), (vh[rank], s[rank])
 
-    basis = fl.dual_perturbation_basis(frame)
     canonical = fl.canonical_dual(frame)
     measure = fl.spectral_measure if kind == "spectral" else fl.norm_measure
     canonical_value = measure(canonical, profile, 1).value
-    f, g0, v, q = frame.matrix, canonical.dual.matrix, basis.null_vectors, profile.weights
+    f, g0, q = frame.matrix, canonical.dual.matrix, profile.weights
+    v = fl.dual_perturbation_basis(frame)
     if kind == "spectral":
         a = (f.conj().T[:, :, None] * v.conj()[:, None, :]).reshape(frame.count, -1)
         w, b = q, np.sum(f.conj() * g0, axis=0)[:, None]
@@ -304,8 +305,8 @@ def explicit_search(monkeypatch, kind, frame, profile):
         x, lower, _ = search._minimax(w, a, b, 1.0 / (frame.dim * q), canonical_value)
     value = canonical_value
     if x is not None:
-        coeffs = x.reshape(-1) if kind == "spectral" else x.T.reshape(-1)
-        value = min(value, measure(fl.dual_from_coefficients(basis, coeffs), profile, 1).value)
+        coeffs = x.reshape(frame.dim, -1) if kind == "spectral" else x.T
+        value = min(value, measure(fl.dual_from_coefficients(frame, coeffs), profile, 1).value)
     lower = min(lower, value)
     return value, value - lower <= search._GAP_TOL * value
 
@@ -382,28 +383,6 @@ def test_spectral_search_keeps_the_canonical_dual_when_its_fit_is_no_dual(tmp_pa
     assert entry["converged"] is False and entry["lower_bound"] <= entry["best_value"]
 
 
-def coloop_case(seed, field):
-    """A seeded frame with coloops and Dirichlet(0.7) probabilities: a square
-    2 x 2 block and one or two d x c blocks (d <= 2, d <= c <= d + 2) on the
-    diagonal, rotated by an orthogonal matrix, with the columns permuted.
-    Each vector of the square block is a coloop: removing it lowers the rank."""
-    rng = np.random.default_rng(seed)
-    more = rng.integers(1, 3, size=int(rng.integers(1, 3)))
-    sizes = [(2, 2)] + [(d, int(rng.integers(d, d + 3))) for d in more]
-    n, count = (sum(size) for size in zip(*sizes))
-    matrix = np.zeros((n, count), dtype=np.complex128 if field == "complex" else np.float64)
-    row = column = 0
-    for d, c in sizes:
-        block = rng.standard_normal((d, c))
-        if field == "complex":
-            block = block + 1j * rng.standard_normal((d, c))
-        matrix[row : row + d, column : column + c] = block
-        row, column = row + d, column + c
-    rotation = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    matrix = (rotation @ matrix)[:, rng.permutation(count)]
-    return matrix, rng.dirichlet(np.full(count, 0.7))
-
-
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("kind", ["spectral", "norm"])
 def test_searches_on_frames_with_coloops(kind, field):
@@ -439,7 +418,7 @@ def test_spectral_search_on_a_frame_with_coloops_exits_zero(tmp_path, capsys):
 def test_search_keeps_the_canonical_dual_when_its_fit_does_not_span(monkeypatch):
     # with the coloop rows of V left at their rounding, the spectral fit of
     # this frame calls for coefficients whose dual does not span
-    monkeypatch.setattr(fl.search, "_COLOOP_TOL", 0.0)
+    monkeypatch.setattr(fl.frames, "_COLOOP_TOL", 0.0)
     matrix, probabilities = coloop_case(4, "real")
     frame = fl.Frame(matrix)
     result = fl.minimize_spectral_one(frame, fl.weights_from_probabilities(probabilities, frame.dim))
