@@ -365,19 +365,11 @@ def builtin_example_checks() -> list[dict]:
             norm_measure(better, profile, 1).value,
         )
     )
+    # no component of the frame's vector matroid lies inside either attaining set
     _, spectral_partition = canonical_spectral_one_certificate(frame, profile)
     _, norm_partition = canonical_norm_one_certificate(frame, profile)
-    checks.append(
-        _check(
-            "A",
-            "spectral_partition_intersects",
-            True,
-            spectral_partition.subspace_dims[2] > 0,
-        )
-    )
-    checks.append(
-        _check("A", "norm_partition_intersects", True, norm_partition.subspace_dims[2] > 0)
-    )
+    checks.append(_check("A", "spectral_witness", [], list(spectral_partition.witness)))
+    checks.append(_check("A", "norm_witness", [], list(norm_partition.witness)))
 
     frame, profile = _example_b()
     pair = canonical_dual(frame)
@@ -406,12 +398,9 @@ def builtin_example_checks() -> list[dict]:
     norm_cert, norm_partition = canonical_norm_one_certificate(frame, profile)
     checks.append(_check("B", "spectral_condition_holds", True, spectral_cert.conclusion))
     checks.append(_check("B", "norm_condition_holds", True, norm_cert.conclusion))
-    checks.append(
-        _check("B", "remaining_span_dim", [2, 0, 0], list(spectral_partition.subspace_dims))
-    )
-    checks.append(
-        _check("B", "norm_remaining_span_dim", [2, 0, 0], list(norm_partition.subspace_dims))
-    )
+    # the frame is one component, and every index attains the threshold
+    checks.append(_check("B", "spectral_witness", [1, 2, 3, 4], list(spectral_partition.witness)))
+    checks.append(_check("B", "norm_witness", [1, 2, 3, 4], list(norm_partition.witness)))
     spectral_search = minimize_spectral_one(frame, profile)
     norm_search = minimize_norm_one(frame, profile)
     checks.append(_check("B", "spectral_search_gap", 0.0, spectral_search.gap, tol=1e-6))

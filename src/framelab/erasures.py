@@ -143,7 +143,7 @@ class ErasureMeasureReport:
         lam = ErasureSet.of(indices, self.count)
         if lam.size != self.m:
             raise ValueError(f"expected {self.m} erasure indices, got {lam.indices}")
-        return float(self.per_set_values[_lex_rank(lam.indices, self.count)])
+        return float(self.per_set_values[_combination_index(lam.indices, self.count)])
 
 
 def _sets(count: int, m: int):
@@ -151,7 +151,7 @@ def _sets(count: int, m: int):
     return itertools.combinations(range(1, count + 1), m)
 
 
-def _lex_rank(indices: tuple[int, ...], count: int) -> int:
+def _combination_index(indices: tuple[int, ...], count: int) -> int:
     """Position of a sorted 1-based set among the size-m subsets of
     ``1..count`` in lexicographic order (combinatorial number system)."""
     m = len(indices)

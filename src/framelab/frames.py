@@ -12,8 +12,17 @@ perturbations ``C V^H`` are exactly the solutions of ``U F^H = 0``, a space of
 dimension ``n (N - n)``.  :func:`dual_perturbation_basis` returns ``V`` and
 :func:`dual_from_coefficients` takes ``C``.  Row ``i`` of ``V`` is zero when
 ``f_i`` is a coloop, a vector whose removal lowers the rank: every dual
-shares its ``g_i``.  The rows that rounding leaves below ``_COLOOP_TOL`` are
-set to zero where ``V`` is built, so no caller reads them as directions.
+shares its ``g_i``.  These rows are set to exactly zero where ``V`` is built,
+so no caller reads their rounding as directions.
+
+The connected components of the frame's vector matroid (two vectors are in
+one component when some minimal dependent set holds both) are read off the
+same decomposition: ``P = W W^H`` is the orthogonal projector onto the row
+space of ``F``, and it is block-diagonal exactly along the components, so
+they are the connected components of the graph with an edge wherever
+``|P_ij|`` exceeds ``RANK_TOL``, or ``1e3 eps cond(F)`` when that is larger:
+the rounding of ``P`` grows with the conditioning of ``F``.  A coloop is a component of one vector with
+``P_ii = 1``; a zero vector, a loop, is one with ``P_ii = 0``.
 
 A :class:`Frame` takes one thin singular value decomposition of its synthesis
 matrix, ``F = U diag(s) W^H``, and derives the rest from it: the spanning
@@ -23,7 +32,8 @@ of the frame operator ``S = F F^H``, and the canonical dual
 would square the conditioning.  The canonical dual's own decomposition is the
 same factors in reverse order, so it takes no second one.  ``V`` comes from a
 full decomposition, taken only when it is asked for.  ``S``, the canonical
-dual and ``V`` are computed once per frame and cached on it.
+dual, ``V`` and the components are computed once per frame and cached on
+it.
 
 Public vector indices are 1-based (vectors are numbered ``1 .. N``), matching
 the usual convention for erasure index sets; all internal arrays are 0-based.
@@ -50,9 +60,6 @@ DUAL_TOL = 1e-10
 # Cap on the frame operator's condition number cond(S) = (s_1 / s_n)^2 for a
 # canonical dual.
 CONDITION_LIMIT = 1e12
-# Rows of the null vectors V with a smaller norm belong to coloops and are
-# zero but for rounding.
-_COLOOP_TOL = 1e-12
 
 
 def _as_complex_matrix(vectors, dim: int) -> np.ndarray:
@@ -173,9 +180,35 @@ class Frame:
         _, _, vh = np.linalg.svd(self._matrix, full_matrices=True)
         null_vectors = [_canonical_phase(np.conj(vh[k])) for k in range(n, count)]
         v = np.array(null_vectors, dtype=np.complex128).reshape(count - n, count).T
-        v[np.linalg.norm(v, axis=1) < _COLOOP_TOL] = 0.0
+        v[self._coloops] = 0.0
         v.setflags(write=False)
         return v
+
+    @cached_property
+    def _components(self) -> tuple[np.ndarray, ...]:
+        """The connected components of the vector matroid, as arrays of
+        0-based indices, ordered by their first index."""
+        _, s, wh = self._svd
+        # rounding moves the entries of P by a small multiple of eps * cond(F)
+        cut = max(RANK_TOL, 1e3 * np.finfo(float).eps * s[0] / s[-1])
+        linked = np.abs(wh.conj().T @ wh) > cut
+        components, left = [], np.ones(self.count, dtype=bool)
+        while left.any():
+            reach = np.arange(self.count) == np.argmax(left)
+            while not np.array_equal(grown := reach | linked[reach].any(axis=0), reach):
+                reach = grown
+            components.append(np.flatnonzero(reach))
+            left &= ~reach
+        return tuple(components)
+
+    @cached_property
+    def _coloops(self) -> np.ndarray:
+        """Mask of the coloops: the one-vector components whose vector is not
+        zero."""
+        singles = [c[0] for c in self._components if c.size == 1]
+        mask = np.zeros(self.count, dtype=bool)
+        mask[singles] = self._matrix[:, singles].any(axis=0)
+        return mask
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Frame(dim={self.dim}, count={self.count})"

@@ -7,6 +7,16 @@ the one-erasure spectral and norm measures; a pair attains them exactly when
 ``<f_i, g_i> = 1/q_i`` for all ``i`` (spectral) with the extra condition
 ``||f_i|| ||g_i|| = 1/q_i`` (norm).
 
+The canonical dual is one-erasure optimal, under either measure, exactly
+when some connected component of the frame's vector matroid (see
+:mod:`framelab.frames`) lies inside the set ``A`` of indices attaining its
+worst value, by linear-programming duality on the m = 1 problem; the
+component found is the witness.  ``A`` is a union of components exactly when
+the spans of the attaining and remaining vectors intersect trivially, and
+the remaining vectors are then independent exactly when each is a coloop.
+No verdict rests on a search; the Parseval equivalence report records the
+gaps of the two searches next to its exact verdicts.
+
 The two-erasure optimal value over one-erasure optimal pairs depends only on
 the weights, through the budget ``n - sum_i 1/q_i^2`` that the trace identity
 forces onto the off-diagonal cross-Gram products.
@@ -38,7 +48,7 @@ from .errors import (
     NotOneErasureOptimal,
     NotParseval,
 )
-from .frames import RANK_TOL, DualPair, Frame, canonical_dual
+from .frames import DualPair, Frame, canonical_dual
 from .weights import ProbabilityProfile
 
 DEFAULT_TOL = 1e-9
@@ -82,14 +92,18 @@ class PartitionReport:
     """Index partition by the per-index canonical values.
 
     ``attaining`` holds the (1-based) indices whose value reaches the
-    maximum ``threshold``; ``subspace_dims`` is ``(dim span(attaining),
-    dim span(remaining), dim of their intersection)``.
+    maximum ``threshold``.  ``witness`` is the smallest component of the
+    frame's vector matroid inside ``attaining``, or empty when none is.
+    ``crossing_components`` counts the components that meet both sides; it
+    is 0 exactly when the spans of the attaining and remaining vectors
+    intersect trivially.
     """
 
     threshold: float
     attaining: tuple[int, ...]
     remaining: tuple[int, ...]
-    subspace_dims: tuple[int, int, int]
+    witness: tuple[int, ...]
+    crossing_components: int
 
 
 @dataclass(frozen=True)
@@ -125,15 +139,6 @@ def _pair_hypotheses(
         Hypothesis(description=f"pair ({a + 1},{b + 1}): {claim}", holds=w <= tol, witness=w)
         for a, b, w in zip(i.tolist(), j.tolist(), witnesses.tolist())
     )
-
-
-def _rank(matrix: np.ndarray) -> int:
-    if matrix.size == 0:
-        return 0
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))
 
 
 def is_one_uniform(
@@ -260,38 +265,39 @@ def _canonical_one_certificate(
     kind: str, frame: Frame, profile: ProbabilityProfile, tol: float
 ) -> tuple[OptimalityCertificate, PartitionReport]:
     """Partition the indices by the canonical dual's m = 1 ``kind`` values and
-    test that the spans of the attaining and remaining vectors intersect
-    trivially; the norm certificate adds the uniqueness sub-check."""
+    look for a component of the frame's vector matroid inside the attaining
+    set; the norm certificate adds the uniqueness sub-check."""
     measure = spectral_measure if kind == "spectral" else norm_measure
     values = measure(canonical_dual(frame), profile, 1).per_set_values
     threshold, attaining = _ties(values, tol)
-    att_ix, rem_ix = np.flatnonzero(attaining), np.flatnonzero(~attaining)
-    d1 = _rank(frame.matrix[:, att_ix])
-    d2 = _rank(frame.matrix[:, rem_ix])
-    intersection = d1 + d2 - frame.dim
+    components = frame._components
+    inside = [c for c in components if attaining[c].all()]
+    touching = sum(bool(attaining[c].any()) for c in components)
     partition = PartitionReport(
         threshold=threshold,
-        attaining=tuple(int(i) + 1 for i in att_ix),
-        remaining=tuple(int(i) + 1 for i in rem_ix),
-        subspace_dims=(d1, d2, intersection),
+        attaining=tuple(int(i) + 1 for i in np.flatnonzero(attaining)),
+        remaining=tuple(int(i) + 1 for i in np.flatnonzero(~attaining)),
+        witness=tuple(int(i) + 1 for i in min(inside, key=len, default=())),
+        crossing_components=touching - len(inside),
     )
-    trivial = intersection == 0
     details = {"per_index_values": values.tolist(), "threshold": threshold}
     condition_id = CONDITION_CANONICAL_SPECTRAL_ONE
     if kind == "norm":
-        independent = d2 == rem_ix.size
-        details["remaining_linearly_independent"] = independent
-        details["canonical_unique"] = trivial and independent
+        # the attaining set is a union of components and every other vector
+        # is a coloop: the remaining vectors are independent
+        details["canonical_unique"] = partition.crossing_components == 0 and bool(
+            np.all(frame._coloops | attaining)
+        )
         condition_id = CONDITION_CANONICAL_NORM_ONE
     hypothesis = Hypothesis(
-        description="spans of attaining and remaining vectors intersect trivially",
-        holds=trivial,
-        witness=float(intersection),
+        description="a component of the frame's vector matroid lies inside the attaining set",
+        holds=bool(inside),
+        witness=float(len(inside)),
     )
     certificate = OptimalityCertificate(
         condition_id=condition_id,
         hypotheses=(hypothesis,),
-        conclusion=trivial,
+        conclusion=bool(inside),
         details=details,
     )
     return certificate, partition
@@ -300,11 +306,11 @@ def _canonical_one_certificate(
 def canonical_spectral_one_certificate(
     frame: Frame, profile: ProbabilityProfile, tol: float = DEFAULT_TOL
 ) -> tuple[OptimalityCertificate, PartitionReport]:
-    """Sufficient condition for the canonical dual to be one-erasure
-    spectrally optimal for this frame.
+    """Is the canonical dual one-erasure spectrally optimal for this frame?
 
-    Partitions indices by ``q_i |<S^-1 f_i, f_i>|``; the condition holds when
-    the spans of the attaining and remaining vectors intersect trivially.
+    Partitions indices by ``q_i |<S^-1 f_i, f_i>|``; the canonical dual is
+    optimal exactly when some component of the frame's vector matroid lies
+    inside the attaining set.
     """
     return _canonical_one_certificate("spectral", frame, profile, tol)
 
@@ -312,12 +318,14 @@ def canonical_spectral_one_certificate(
 def canonical_norm_one_certificate(
     frame: Frame, profile: ProbabilityProfile, tol: float = DEFAULT_TOL
 ) -> tuple[OptimalityCertificate, PartitionReport]:
-    """Sufficient condition for the canonical dual to be one-erasure optimal
-    under the operator norm, with a uniqueness sub-check.
+    """Is the canonical dual one-erasure optimal under the operator norm?
+    With a uniqueness sub-check.
 
-    Partitions indices by ``q_i ||f_i|| ||S^-1 f_i||``.  When the condition
-    holds and the remaining vectors are linearly independent, the canonical
-    dual is the unique one-erasure optimal dual.
+    Partitions indices by ``q_i ||f_i|| ||S^-1 f_i||``; the canonical dual is
+    optimal exactly when some component of the frame's vector matroid lies
+    inside the attaining set.  When the spans of the attaining and remaining
+    vectors intersect trivially and the remaining vectors are linearly
+    independent, the canonical dual is the unique one-erasure optimal dual.
     """
     return _canonical_one_certificate("norm", frame, profile, tol)
 
@@ -328,16 +336,20 @@ def canonical_spectral_two_certificate(
     """Sufficient condition for the canonical dual to be two-erasure
     spectrally optimal for this frame.
 
-    Requires the trivial-intersection partition condition, at least two
+    Requires the spans of the attaining and remaining vectors to intersect
+    trivially (the attaining set is a union of components), at least two
     attaining indices, and all pairwise products
     ``<S^-1 f_i, f_j><S^-1 f_j, f_i>`` equal to the weighted share of the
     cross budget.  A negative budget makes the required constant imaginary
     and is reported as a failed hypothesis.
     """
-    spectral_cert, partition = canonical_spectral_one_certificate(frame, profile, tol)
-    intersection = partition.subspace_dims[2]
+    _, partition = canonical_spectral_one_certificate(frame, profile, tol)
     hypotheses = [
-        spectral_cert.hypotheses[0],
+        Hypothesis(
+            description="spans of attaining and remaining vectors intersect trivially",
+            holds=partition.crossing_components == 0,
+            witness=float(partition.crossing_components),
+        ),
         Hypothesis(
             description="at least two indices attain the threshold",
             holds=len(partition.attaining) >= 2,
@@ -519,28 +531,23 @@ def is_probabilistic_uniform_parseval(
 
 
 def parseval_equivalence_report(
-    frame: Frame,
-    profile: ProbabilityProfile,
-    tol: float = DEFAULT_TOL,
-    gap_tol: float = 1e-5,
+    frame: Frame, profile: ProbabilityProfile, tol: float = DEFAULT_TOL
 ) -> OptimalityCertificate:
-    """For a Parseval frame, canonical-dual optimality under the spectral
-    and norm measures must agree; this runs both searches and compares.
+    """For a Parseval frame, canonical-dual one-erasure optimality under the
+    spectral and norm measures must agree: both per-index values are
+    ``q_i ||f_i||^2``, so the two exact tests look at one attaining set.
 
-    Raises :class:`NotParseval` for non-Parseval input.  A search that does
-    not converge makes the verdict inconclusive (conclusion ``None``).
+    Raises :class:`NotParseval` for non-Parseval input.  ``witness`` is the
+    spectral certificate's component inside the attaining set; the gaps are
+    those of the two searches, which bear the verdicts out numerically.
     """
     from .search import certify_canonical_optimal
 
     residual = frame.parseval_residual
     if residual > tol:
         raise NotParseval(f"frame operator deviates from identity by {residual:.3e}")
-    spectral = certify_canonical_optimal(frame, profile, "spectral", gap_tol)
-    norm = certify_canonical_optimal(frame, profile, "norm", gap_tol)
-    if spectral.optimal is None or norm.optimal is None:
-        conclusion = None
-    else:
-        conclusion = bool(spectral.optimal == norm.optimal)
+    spectral, partition = canonical_spectral_one_certificate(frame, profile, tol)
+    norm, _ = canonical_norm_one_certificate(frame, profile, tol)
     return OptimalityCertificate(
         condition_id=CONDITION_PARSEVAL_EQUIVALENCE,
         hypotheses=(
@@ -550,11 +557,12 @@ def parseval_equivalence_report(
                 witness=residual,
             ),
         ),
-        conclusion=conclusion,
+        conclusion=spectral.conclusion == norm.conclusion,
         details={
-            "canonical_spectral_optimal": spectral.optimal,
-            "canonical_norm_optimal": norm.optimal,
-            "spectral_gap": spectral.gap,
-            "norm_gap": norm.gap,
+            "canonical_spectral_optimal": spectral.conclusion,
+            "canonical_norm_optimal": norm.conclusion,
+            "spectral_gap": certify_canonical_optimal(frame, profile, "spectral").gap,
+            "norm_gap": certify_canonical_optimal(frame, profile, "norm").gap,
+            "witness": partition.witness,
         },
     )

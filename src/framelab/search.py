@@ -57,7 +57,11 @@ for the norm, ``G0 diag(y) V`` for the spectral measure.
 
 The reported values are the m = 1 measures of :mod:`framelab.erasures`.  The
 canonical dual is the starting point, so ``best_value`` never exceeds
-``canonical_value``.
+``canonical_value``.  Whether the canonical dual itself is optimal is
+decided exactly, without a search, by the certificates of
+:mod:`framelab.optimality`; :func:`certify_canonical_optimal` gives the
+search's own verdict, which the Parseval equivalence report records next to
+the exact one.
 """
 
 from __future__ import annotations

@@ -49,7 +49,8 @@ def weights_from_probabilities(probabilities, dim: int) -> ProbabilityProfile:
         If the sequence does not sum to one, has entries outside [0, 1],
         or is shorter than ``dim``.
     DegenerateWeight
-        If some ``p_i == 1`` (its weight would be infinite).
+        If some ``p_i == 1`` or ``sum_j p_j - p_i == 0`` (its weight would be
+        infinite).
     """
     p = np.asarray(probabilities, dtype=np.float64).reshape(-1)
     if dim < 1:
@@ -61,13 +62,16 @@ def weights_from_probabilities(probabilities, dim: int) -> ProbabilityProfile:
     total = float(p.sum())
     if abs(total - 1.0) > PROBABILITY_SUM_TOL:
         raise InvalidProbability(f"probabilities sum to {total:.17g}, expected 1")
-    if np.any(p >= 1.0):
-        raise DegenerateWeight("an erasure probability of exactly 1 has infinite weight")
+    # a remainder sum_j p_j - p_i other than 0 is at least 2**-53, as the sum
+    # is within PROBABILITY_SUM_TOL of 1, so its weight is finite
+    remainders = total - p
+    if np.any(p >= 1.0) or np.any(remainders <= 0.0):
+        raise DegenerateWeight("an erasure probability of 1 (to rounding) has infinite weight")
 
     count = p.size
-    q = (total / (total - p)) * (count - 1) / dim
+    q = (total / remainders) * (count - 1) / dim
     partition = float(np.sum(1.0 / q))
-    if abs(partition - dim) > WEIGHT_IDENTITY_TOL:
+    if not abs(partition - dim) <= WEIGHT_IDENTITY_TOL:  # raises for NaN too
         raise InvalidProbability(
             f"weight identity violated: sum of reciprocal weights {partition:.17g} != {dim}"
         )

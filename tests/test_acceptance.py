@@ -70,8 +70,10 @@ def test_criterion_1_first_example_golden():
         assert abs(fl.norm_measure(better, profile, 1).value - 2 * math.sqrt(26) / 9) <= 1e-9
         spectral_cert, spectral_partition = fl.canonical_spectral_one_certificate(frame, profile)
         norm_cert, norm_partition = fl.canonical_norm_one_certificate(frame, profile)
-        assert spectral_partition.subspace_dims[2] > 0 and not spectral_cert.conclusion
-        assert norm_partition.subspace_dims[2] > 0 and not norm_cert.conclusion
+        # one component, not inside the attaining set {3}: the spans intersect
+        assert spectral_partition.crossing_components == 1 and not spectral_cert.conclusion
+        assert norm_partition.crossing_components == 1 and not norm_cert.conclusion
+        assert spectral_partition.witness == norm_partition.witness == ()
 
 
 def test_criterion_2_second_example_golden():
@@ -89,8 +91,8 @@ def test_criterion_2_second_example_golden():
         spectral_cert, spectral_partition = fl.canonical_spectral_one_certificate(frame, profile)
         norm_cert, norm_partition = fl.canonical_norm_one_certificate(frame, profile)
         assert spectral_cert.conclusion and norm_cert.conclusion
-        assert spectral_partition.subspace_dims[1] == 0  # remaining span is {0}
-        assert norm_partition.subspace_dims[1] == 0
+        assert spectral_partition.remaining == norm_partition.remaining == ()
+        assert spectral_partition.witness == norm_partition.witness == (1, 2, 3, 4)
         assert fl.minimize_spectral_one(frame, profile).gap <= 1e-6
         assert fl.minimize_norm_one(frame, profile).gap <= 1e-6
 
@@ -199,10 +201,13 @@ def test_criterion_7_parseval_equivalence():
             count = int(rng.integers(n + 1, 9))
             frame = random_parseval_frame(rng, n, count)
             profile = random_profile(rng, n, count)
-            spectral = fl.certify_canonical_optimal(frame, profile, "spectral", 1e-5)
-            norm = fl.certify_canonical_optimal(frame, profile, "norm", 1e-5)
-            assert spectral.optimal is not None and norm.optimal is not None
-            assert spectral.optimal == norm.optimal
+            cert = fl.parseval_equivalence_report(frame, profile)
+            assert cert.conclusion is True
+            # both verdicts are those of converged searches
+            for kind in ("spectral", "norm"):
+                outcome = fl.certify_canonical_optimal(frame, profile, kind, 1e-8)
+                assert outcome.optimal is cert.details[f"canonical_{kind}_optimal"]
+                assert cert.details[f"{kind}_gap"] == outcome.gap
 
 
 def test_criterion_8_simulation_soundness():

@@ -74,8 +74,11 @@ def test_analyze_report(capsys, plane_path):
     assert spectral_one["argmax_sets"] == [[3]]
     by_id = {c["condition_id"]: c for c in doc["certificates"]}
     assert by_id["one_uniform_pair"]["conclusion"] is False
-    assert by_id["canonical_spectral_one"]["partition"]["subspace_dims"] == [1, 2, 1]
-    assert by_id["canonical_norm_one"]["partition"]["subspace_dims"] == [1, 2, 1]
+    # the plane frame is one component, and only vector 3 attains the maximum
+    for condition_id in ("canonical_spectral_one", "canonical_norm_one"):
+        assert by_id[condition_id]["conclusion"] is False
+        assert by_id[condition_id]["partition"]["witness"] == []
+        assert by_id[condition_id]["partition"]["crossing_components"] == 1
     assert "skipped" in by_id["two_erasure_prediction"]
     assert "skipped" in by_id["parseval_equivalence"]
 
@@ -127,6 +130,22 @@ def test_analyze_tight_certificates(capsys, tight_path):
     assert by_id["canonical_spectral_one"]["conclusion"] is True
     assert by_id["canonical_norm_one"]["details"]["canonical_unique"] is True
     assert by_id["spectral_two_optimal_pair"]["conclusion"] is False
+
+
+def test_probability_within_rounding_of_one_exits_two(capsys, tmp_path):
+    doc = {
+        "dim": 1,
+        "count": 3,
+        "field": "real",
+        "vectors": [[[1, 0]], [[1, 0]], [[2, 0]]],
+        "probabilities": [1 - 1e-13, 0.0, 0.0],
+    }
+    path = tmp_path / "certain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["analyze", path], ["search", path], ["simulate", path, "--trials", "10"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == "" and "infinite weight" in err
 
 
 def test_analyze_rejects_bad_m(capsys, plane_path):

@@ -156,6 +156,29 @@ def test_null_vectors_span_the_null_space_orthonormally():
             assert np.all(np.linalg.norm(np.delete(v, coloops, axis=0), axis=1) > 1e-6), seed
 
 
+def test_components_survive_conditioning_near_the_limit():
+    # F and U diag(sigma) W^H share W, so they share the row-space projector
+    # P, the matroid and the spectral per-index values q_i P_ii; at
+    # cond(S) = 10^11.8 the rounding of P across components exceeds RANK_TOL
+    # for some frames (seed 35, real), so the cut grows with cond(F)
+    for seed in range(40):
+        for field in ("real", "complex"):
+            matrix, probabilities = coloop_case(seed, field)
+            frame = fl.Frame(matrix)
+            u, _, wh = np.linalg.svd(matrix, full_matrices=False)
+            scaled = fl.Frame((u * np.geomspace(1.0, 10**-5.9, frame.dim)) @ wh)
+            assert scaled.upper_bound / scaled.lower_bound == pytest.approx(10**11.8)
+            assert [c.tolist() for c in scaled._components] == [
+                c.tolist() for c in frame._components
+            ], (seed, field)
+            assert np.array_equal(scaled._coloops, frame._coloops), (seed, field)
+            profile = fl.weights_from_probabilities(probabilities, frame.dim)
+            cert, partition = fl.canonical_spectral_one_certificate(frame, profile)
+            scaled_cert, scaled_partition = fl.canonical_spectral_one_certificate(scaled, profile)
+            assert scaled_cert.conclusion == cert.conclusion, (seed, field)
+            assert scaled_partition.witness == partition.witness, (seed, field)
+
+
 def test_frame_and_canonical_dual_take_one_svd(monkeypatch):
     calls = []
     svd = np.linalg.svd

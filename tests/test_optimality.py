@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import framelab as fl
 from conftest import (
+    coloop_case,
     mercedes_vectors,
     plane_better_dual,
     random_dual_pair,
@@ -142,14 +143,17 @@ def test_spectral_two_orthonormal_square_zero_budget():
 
 
 def test_canonical_spectral_one_certificates(plane_frame, plane_profile, tight_frame, tight_profile):
+    # each frame is one component of its vector matroid
     cert, partition = fl.canonical_spectral_one_certificate(plane_frame, plane_profile)
     assert not cert.conclusion
     assert partition.attaining == (3,)
-    assert partition.subspace_dims == (1, 2, 1)
+    assert partition.witness == ()
+    assert partition.crossing_components == 1  # the spans intersect
     cert, partition = fl.canonical_spectral_one_certificate(tight_frame, tight_profile)
     assert cert.conclusion
     assert partition.attaining == (1, 2, 3, 4)
-    assert partition.subspace_dims == (2, 0, 0)
+    assert partition.witness == (1, 2, 3, 4)
+    assert partition.crossing_components == 0
 
 
 def test_canonical_spectral_one_orthonormal():
@@ -166,7 +170,22 @@ def test_canonical_norm_one_certificates(plane_frame, plane_profile, tight_frame
     assert cert.details["canonical_unique"]
     cert, partition = fl.canonical_norm_one_certificate(plane_frame, plane_profile)
     assert not cert.conclusion
-    assert partition.subspace_dims[2] >= 1
+    assert partition.crossing_components == 1
+    assert not cert.details["canonical_unique"]
+
+
+def test_canonical_norm_one_uniqueness_needs_coloops_outside_the_attaining_set():
+    cases = [
+        ([(1, 0), (0, 1)], [0.4, 0.6], True),  # a basis: 1 and 2 are coloops
+        ([(1, 0), (0, 1), (0, 1)], [0.8, 0.1, 0.1], False),  # {2, 3} is dependent
+        ([(1, 0), (0, 1), (0, 0)], [0.6, 0.3, 0.1], False),  # 3 is a loop
+    ]
+    for vectors, probabilities, unique in cases:
+        frame = fl.build_frame(2, vectors)
+        profile = fl.weights_from_probabilities(probabilities, 2)
+        cert, partition = fl.canonical_norm_one_certificate(frame, profile)
+        assert cert.conclusion and partition.crossing_components == 0
+        assert partition.remaining and cert.details["canonical_unique"] is unique
 
 
 def test_canonical_norm_one_uniform_parseval(scaled_tight_pair):
@@ -184,7 +203,7 @@ def test_canonical_spectral_two_certificate(mercedes_frame, mercedes_profile, pl
     assert cert.details["canonical_two_erasure_value"] == pytest.approx(1.5, abs=1e-12)
     cert = fl.canonical_spectral_two_certificate(plane_frame, plane_profile)
     assert not cert.conclusion
-    assert not cert.hypotheses[0].holds  # intersection is nontrivial
+    assert not cert.hypotheses[0].holds  # the spans intersect
     cert = fl.canonical_spectral_two_certificate(tight_frame, tight_profile)
     assert not cert.conclusion
     assert cert.hypotheses[0].holds and cert.hypotheses[1].holds
@@ -312,6 +331,7 @@ def test_parseval_equivalence_on_examples(scaled_tight_pair):
     assert cert.conclusion is True
     assert cert.details["canonical_spectral_optimal"] is True
     assert cert.details["canonical_norm_optimal"] is True
+    assert cert.details["witness"] == (1, 2, 3, 4)
 
 
 def test_parseval_equivalence_orthonormal():
@@ -319,6 +339,8 @@ def test_parseval_equivalence_orthonormal():
     cert = fl.parseval_equivalence_report(frame, fl.weights_from_probabilities([0.4, 0.6], 2))
     assert cert.conclusion is True
     assert cert.details["canonical_spectral_optimal"] is True
+    # both vectors are coloops; the likelier erasure attains the maximum
+    assert cert.details["witness"] == (2,)
 
 
 def test_parseval_equivalence_rejects_non_parseval(plane_frame, plane_profile):
@@ -333,6 +355,169 @@ def test_parseval_equivalence_random_frames():
         profile = random_profile(rng, 2, 4)
         cert = fl.parseval_equivalence_report(frame, profile)
         assert cert.conclusion is True
+        for kind in ("spectral", "norm"):
+            # the exact verdict is the converged search's, whose gap is recorded
+            outcome = fl.certify_canonical_optimal(frame, profile, kind, 1e-8)
+            assert outcome.optimal is cert.details[f"canonical_{kind}_optimal"]
+            assert cert.details[f"{kind}_gap"] == outcome.gap
+
+
+def test_parseval_equivalence_verdicts_do_not_rest_on_the_searches(monkeypatch, scaled_tight_pair):
+    def far_off(frame, profile, measure_kind, tol=1e-6):
+        return fl.CertificationOutcome(optimal=None, gap=1.0, result=None)
+
+    monkeypatch.setattr(fl.search, "certify_canonical_optimal", far_off)
+    frame, profile = scaled_tight_pair
+    cert = fl.parseval_equivalence_report(frame, profile)
+    assert cert.conclusion is True and cert.details["canonical_norm_optimal"] is True
+    assert cert.details["spectral_gap"] == cert.details["norm_gap"] == 1.0
+
+
+# The canonical one-erasure certificates are exact: their verdict is the one
+# of a converged search, where the canonical dual is optimal when no dual
+# beats it by more than 1e-8.
+
+KINDS = ("spectral", "norm")
+COUNTEREXAMPLE = ([(1, 0), (0, 1), (0, 0.5), (0, 0.5)], [0.34, 0.56, 0.05, 0.05])
+
+
+def canonical_one_certificate(frame, profile, kind):
+    if kind == "spectral":
+        return fl.canonical_spectral_one_certificate(frame, profile)
+    return fl.canonical_norm_one_certificate(frame, profile)
+
+
+def searched_optimal(frame, profile, kind):
+    """Is the canonical dual within 1e-8 of a converged search's optimum?"""
+    result = fl.search._run_search(kind, frame, profile)
+    assert result.converged
+    return result.gap <= 1e-8
+
+
+def assert_exact(frame, profile, kind):
+    cert, partition = canonical_one_certificate(frame, profile, kind)
+    assert cert.conclusion is searched_optimal(frame, profile, kind)
+    witness = [i - 1 for i in partition.witness]
+    # the witness is a component inside the attaining set: a union of
+    # components of the vector matroid splits the frame's rank
+    assert set(partition.witness) <= set(partition.attaining)
+    assert bool(witness) is cert.conclusion
+    if witness:
+        rank = np.linalg.matrix_rank
+        rest = np.delete(frame.matrix, witness, axis=1)
+        assert rank(frame.matrix[:, witness]) + rank(rest) == frame.dim
+    return cert.conclusion
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_exact_certificate_matches_the_search_on_coloop_frames(kind, field):
+    # coloops have the largest values q_i P_ii (P_ii = 1), so most verdicts
+    # hold; the first 24 seeds give both in every case
+    verdicts = []
+    for seed in range(24):
+        matrix, probabilities = coloop_case(seed, field)
+        frame = fl.Frame(matrix)
+        verdicts.append(assert_exact(frame, fl.weights_from_probabilities(probabilities, frame.dim), kind))
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_exact_certificate_matches_the_search_on_random_and_parseval_frames(kind):
+    rng = np.random.default_rng(97)
+    for _ in range(4):
+        n = int(rng.integers(2, 4))
+        count = int(rng.integers(n + 1, 2 * n + 2))
+        for frame in (random_frame(rng, n, count), random_parseval_frame(rng, n, count)):
+            assert not assert_exact(frame, random_profile(rng, n, count), kind)
+    # equal-norm Parseval frames with equally likely erasures: every index
+    # attains the maximum
+    for n, count in ((2, 3), (2, 5), (3, 7)):
+        assert assert_exact(fl.Frame(dft_rows(n, count)), fl.uniform_profile(count, n), kind)
+    # the same 2 x 3 frame next to a random 1 x 3 block: the first component
+    # attains the maximum, or a vector of the second does alone
+    verdicts = []
+    for _ in range(8):
+        matrix = np.zeros((3, 6), dtype=complex)
+        matrix[:2, :3] = dft_rows(2, 3)
+        matrix[2, 3:] = rng.standard_normal(3)
+        rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        frame = fl.Frame((rotation @ matrix)[:, rng.permutation(6)])
+        verdicts.append(assert_exact(frame, fl.uniform_profile(6, 3), kind))
+    assert any(verdicts) and not all(verdicts)
+
+
+def dft_rows(n, count):
+    """The first ``n`` rows of the unitary ``count``-point DFT: an
+    equal-norm Parseval frame that is one component."""
+    return np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(count)) / count) / np.sqrt(count)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_exact_certificate_decides_the_counterexample(kind):
+    # vector 1 is a coloop, {2, 3, 4} a component; {1, 2} attains the
+    # maximum, so the spans of attaining and remaining vectors share e2
+    vectors, probabilities = COUNTEREXAMPLE
+    frame = fl.build_frame(2, vectors)
+    profile = fl.weights_from_probabilities(probabilities, 2)
+    cert, partition = canonical_one_certificate(frame, profile, kind)
+    assert cert.conclusion is True
+    assert partition.attaining == (1, 2)
+    assert partition.witness == (1,)
+    assert partition.crossing_components == 1
+    assert assert_exact(frame, profile, kind)
+    assert not fl.canonical_spectral_two_certificate(frame, profile).hypotheses[0].holds
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_witness_is_the_smallest_component_inside_the_attaining_set(kind):
+    # components {1} and {2, 3}; every value is 1, so both lie inside
+    frame = fl.build_frame(2, [(1, 0), (0, 1), (0, 1)])
+    profile = fl.weights_from_probabilities([0.0, 0.5, 0.5], 2)
+    cert, partition = canonical_one_certificate(frame, profile, kind)
+    assert partition.attaining == (1, 2, 3)
+    assert partition.witness == (1,)
+    assert cert.hypotheses[0].witness == 2.0  # components inside
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_exact_certificate_with_a_zero_vector(kind):
+    # a zero vector is a loop: never attaining, never a coloop, and its row
+    # of the null vectors is not zero
+    cases = [
+        ([(1, 0), (0, 1), (1, 1), (0, 0)], [0.25, 0.25, 0.5, 0.0], False),
+        ([(1, 0), (0, 1), (1, 1), (1, -1), (0, 0)], [0.5, 0.5, 0.0, 0.0, 0.0], True),
+    ]
+    for vectors, probabilities, optimal in cases:
+        frame = fl.build_frame(2, vectors)
+        profile = fl.weights_from_probabilities(probabilities, 2)
+        assert assert_exact(frame, profile, kind) is optimal
+        _, partition = canonical_one_certificate(frame, profile, kind)
+        assert len(vectors) in partition.remaining
+        assert not frame._coloops[-1]
+        assert np.linalg.norm(fl.dual_perturbation_basis(frame)[-1]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_exact_certificate_at_the_tie_cut(kind):
+    # moving mass eps from p_1 to p_3 in the counterexample lowers the coloop's
+    # value below the maximum by about eps / 0.66 of it; the tie tolerance is
+    # 1e-9 of the maximum
+    vectors, probabilities = COUNTEREXAMPLE
+    frame = fl.build_frame(2, vectors)
+    for eps, attains in ((0.33e-9, True), (1.32e-9, False)):
+        p = np.array(probabilities) + [-eps, 0.0, eps, 0.0]
+        profile = fl.weights_from_probabilities(p, 2)
+        cert, partition = canonical_one_certificate(frame, profile, kind)
+        values = cert.details["per_index_values"]
+        assert (values[1] - values[0]) / values[1] == pytest.approx(eps / 0.66, rel=1e-3)
+        assert cert.conclusion is attains
+        assert partition.witness == ((1,) if attains else ())
+        assert partition.attaining == ((1, 2) if attains else (2,))
+        # the optimum is the coloop's value, which no dual changes
+        result = fl.search._run_search(kind, frame, profile)
+        assert result.converged
+        assert result.best_value == pytest.approx(values[0], rel=1e-10)
 
 
 # Oracle: the per-pair Python loops the pairwise certificates used to run,

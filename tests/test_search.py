@@ -215,7 +215,10 @@ def test_spectral_value_matches_the_linear_program(vectors, probabilities):
     profile = fl.weights_from_probabilities(probabilities, frame.dim)
     result = fl.minimize_spectral_one(frame, profile)
     assert result.converged
-    assert abs(result.best_value - spectral_linear_program(vectors, probabilities)) <= 1e-9
+    optimum = spectral_linear_program(vectors, probabilities)
+    assert abs(result.best_value - optimum) <= 1e-9
+    cert, _ = fl.canonical_spectral_one_certificate(frame, profile)
+    assert cert.conclusion is (result.canonical_value - optimum <= 1e-8)
 
 
 def real_frame(rng, n, count):
@@ -418,7 +421,7 @@ def test_spectral_search_on_a_frame_with_coloops_exits_zero(tmp_path, capsys):
 def test_search_keeps_the_canonical_dual_when_its_fit_does_not_span(monkeypatch):
     # with the coloop rows of V left at their rounding, the spectral fit of
     # this frame calls for coefficients whose dual does not span
-    monkeypatch.setattr(fl.frames, "_COLOOP_TOL", 0.0)
+    monkeypatch.setattr(fl.frames.Frame, "_coloops", property(lambda self: np.zeros(self.count, bool)))
     matrix, probabilities = coloop_case(4, "real")
     frame = fl.Frame(matrix)
     result = fl.minimize_spectral_one(frame, fl.weights_from_probabilities(probabilities, frame.dim))

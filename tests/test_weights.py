@@ -34,6 +34,16 @@ def test_certain_erasure_rejected():
         fl.weights_from_probabilities([1.0, 0.0], 2)
 
 
+@pytest.mark.parametrize(
+    "probs, dim", [([1 - 1e-13, 0.0, 0.0], 1), ([0.9999999999999999], 1), ([1 - 1e-13, 0.0], 2)]
+)
+def test_probability_within_rounding_of_one_rejected(probs, dim):
+    # its remainder sum_j p_j - p_i is 0: the weight would be infinite, or
+    # NaN for a single vector, where no weight identity check caught it
+    with pytest.raises(fl.DegenerateWeight):
+        fl.weights_from_probabilities(probs, dim)
+
+
 def test_too_few_probabilities_rejected():
     with pytest.raises(fl.InvalidProbability):
         fl.weights_from_probabilities([0.5, 0.5], 3)
