@@ -13,7 +13,8 @@ numpy's BLAS runs on one thread (see :func:`thread_cap`), so stdout does not
 depend on the machine's core count or on the BLAS thread variables either.
 
 Exit codes: 0 success, 1 expected-value mismatch in ``examples``, 2 input
-error, 3 numeric failure.
+error (an unwritable ``--out`` and an erasure count whose sets exceed the
+enumeration cap included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import numpy as np  # noqa: E402  (after the thread cap)
 from . import __version__  # noqa: E402
 from .erasures import norm_measure, simulate_erasure_channel, spectral_measure  # noqa: E402
 from .errors import (  # noqa: E402
+    CombinatorialLimit,
     DegenerateWeight,
     DimensionMismatch,
     FrameLabError,
@@ -52,6 +54,7 @@ from .errors import (  # noqa: E402
     InsufficientSupport,
     InvalidProbability,
     NotOneErasureOptimal,
+    NotParseval,
     NotSpanning,
     ParseError,
     ShapeMismatch,
@@ -111,6 +114,7 @@ _INPUT_ERRORS = (
     NotSpanning,
     ShapeMismatch,
     InsufficientSupport,
+    CombinatorialLimit,
     ValueError,
 )
 
@@ -178,9 +182,9 @@ def _analyze_certificates(frame: Frame, profile: ProbabilityProfile) -> list:
             entry["hypotheses"] = exc.hypotheses
             entries.append(entry)
     entries.append(_certificate_entry(is_probabilistic_uniform_parseval(frame, profile)))
-    if frame.is_parseval(1e-9):
+    try:
         entries.append(_certificate_entry(parseval_equivalence_report(frame, profile)))
-    else:
+    except NotParseval:
         entries.append(_skipped_entry("parseval_equivalence", "frame is not Parseval"))
     return entries
 
@@ -263,10 +267,10 @@ def cmd_simulate(args) -> int:
     content, profile, input_section = _load_inputs(args)
     frame = content.frame
     pair = canonical_dual(frame)
+    # the worst case comes first, so an m over the enumeration cap fails
+    # before any trial is drawn
+    worst_case = norm_measure(pair, profile, args.m).value if 1 <= args.m <= frame.count else 0.0
     stats = simulate_erasure_channel(pair, profile, args.m, args.trials, args.seed)
-    worst_case = (
-        norm_measure(pair, profile, args.m).value if args.m >= 1 else 0.0
-    )
     document = {
         "tool": {"name": "framelab", "version": __version__},
         "report": "simulate",

@@ -11,12 +11,13 @@ Closed forms: for ``m == 1`` the spectral value at index ``i`` is
 the weighted cross-Gram entries (:func:`two_erasure_eigenvalues`), whose
 discriminant holds the weighted cross product ``q_i q_j a_ij a_ji``
 (``_cross_products``).  The dual search and the certificates reuse these
-evaluations and the one tie rule of ``_ties``.  For
-general ``m`` the nonzero spectrum of ``E_L`` equals that of the small
-``m x m`` block ``[q_i <g_j, f_i>]_{i,j in L}``, and ``||E_L||^2`` is the
-largest eigenvalue of ``D G_L^H G_L D F_L^H F_L`` with ``D = diag(q_L)``,
-whose factors are cut from the Gram matrices ``G^H G`` and ``F^H F``; both
-keep the eigenproblem at size ``m`` instead of ``n``.
+evaluations and the one tie rule of ``_ties``: values within ``TIE_TOL`` of
+the maximum attain it.  For general ``m`` the nonzero spectrum of ``E_L``
+equals that of the small ``m x m`` block ``[q_i <g_j, f_i>]_{i,j in L}``,
+and ``||E_L||^2`` is the largest eigenvalue of ``D G_L^H G_L D F_L^H F_L``
+with ``D = diag(q_L)``, whose factors are cut from the Gram matrices
+``G^H G`` and ``F^H F``; both keep the eigenproblem at size ``m`` instead of
+``n``.
 
 For ``m == 3`` both values are read off the characteristic cubic of the
 block, whose coefficients are sums of products of gathered entries: the
@@ -31,17 +32,19 @@ through stacked eigenvalue solves of the blocks.
 
 The measures enumerate the erasure sets in lexicographic order, in chunks of
 ``CHUNK_SETS`` sets evaluated by array expressions, and keep one value per
-set in that order.  The cubic's complex products, quotients and moduli are
-spelled out in real parts (``_cmul``, ``_cdiv``, ``_cabs``), so a value does
-not depend on the chunk it is evaluated in.
+set in that order; a measure over more than ``DEFAULT_MAX_SETS`` sets
+raises :class:`~framelab.errors.CombinatorialLimit` before it evaluates any.
+The cubic's complex products, quotients and moduli are spelled out in real
+parts (``_cmul``, ``_cdiv``, ``_cabs``), so a value does not depend on the
+chunk it is evaluated in.
 
 ``simulate_erasure_channel`` draws erasure sets proportional to the
 probabilities without replacement by exponential keys (Efraimidis and
-Spirakis, Inf. Process. Lett. 97(5), 2006), in chunks of trials.  Its
-uniforms come from SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) read as
-a counter-based stream: output ``k`` (from 0) is ``mix(seed + (k + 1)
-gamma)``, so any stretch of it is computed directly, in ``uint64`` array
-arithmetic, without ``numpy.random``.
+Spirakis, Inf. Process. Lett. 97(5), 2006), in chunks of trials, and bins
+the errors into ``HISTOGRAM_BINS`` bins.  Its uniforms come from SplitMix64
+(Steele, Lea and Flood, OOPSLA 2014) read as a counter-based stream: output
+``k`` (from 0) is ``mix(seed + (k + 1) gamma)``, so any stretch of it is
+computed directly, in ``uint64`` array arithmetic, without ``numpy.random``.
 
 Erasure-set indices are 1-based throughout, matching the vector numbering.
 """
@@ -68,7 +71,7 @@ from .weights import ProbabilityProfile
 # Values within this fraction of max(1, |maximum|) of the maximum are all
 # reported as attaining it.
 TIE_TOL = 1e-9
-# Default cap on the number of erasure sets enumerated per measure call.
+# Cap on the number of erasure sets enumerated per measure call.
 DEFAULT_MAX_SETS = 1_000_000
 # Erasure sets evaluated together; at m = 3 a chunk's temporaries are
 # vectors of one number per set (64 kB when complex), and only the sets the
@@ -90,6 +93,8 @@ _OMEGA = (
 RNG_ID = "splitmix64"
 # Trials simulated together; keeps each chunk's arrays near a megabyte.
 CHUNK_TRIALS = 1024
+# Bins of a simulation's error histogram.
+HISTOGRAM_BINS = 20
 # SplitMix64's increment (the golden ratio times 2^64) and its two
 # multipliers; the stream's seeds are 0 .. 2^64 - 1.
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -185,7 +190,7 @@ def error_operator(
     if lam.size == 0:
         return np.zeros((n, n), dtype=np.complex128)
     ix = lam.offsets()
-    g = pair.dual.matrix[:, ix]
+    g = pair.dual[:, ix]
     f = pair.frame.matrix[:, ix]
     q = profile.weights[ix]
     return g @ (q[:, None] * f.conj().T)
@@ -246,11 +251,11 @@ def _cdiv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ties(values: np.ndarray, tol: float = TIE_TOL) -> tuple[float, np.ndarray]:
+def _ties(values: np.ndarray) -> tuple[float, np.ndarray]:
     """The maximum of ``values`` and the mask of the values within
-    ``tol * max(1, |maximum|)`` of it, which all count as attaining it."""
+    ``TIE_TOL * max(1, |maximum|)`` of it, which all count as attaining it."""
     best = float(np.max(values))
-    return best, values >= best - tol * max(1.0, abs(best))
+    return best, values >= best - TIE_TOL * max(1.0, abs(best))
 
 
 def _cross_products(alpha: np.ndarray, q: np.ndarray, i=None, j=None) -> np.ndarray:
@@ -460,16 +465,14 @@ def _norm_cubic(weighted: np.ndarray, gram_f: np.ndarray, ix: np.ndarray):
     return c1, c2, c3, a1, a2, w_det_mag * h_det_mag
 
 
-def _check_measure_args(
-    pair: DualPair, profile: ProbabilityProfile, m: int, max_sets: int
-) -> None:
+def _check_measure_args(pair: DualPair, profile: ProbabilityProfile, m: int) -> None:
     _check_compatible(pair, profile)
     if not 1 <= m <= pair.count:
         raise ValueError(f"erasure count m={m} must be in 1..{pair.count}")
     total = math.comb(pair.count, m)
-    if total > max_sets:
+    if total > DEFAULT_MAX_SETS:
         raise CombinatorialLimit(
-            f"{total} erasure sets of size {m} exceed the cap of {max_sets}"
+            f"{total} erasure sets of size {m} exceed the cap of {DEFAULT_MAX_SETS}"
         )
 
 
@@ -535,12 +538,7 @@ def _build_report(kind: str, m: int, count: int, values: np.ndarray) -> ErasureM
     )
 
 
-def spectral_measure(
-    pair: DualPair,
-    profile: ProbabilityProfile,
-    m: int,
-    max_sets: int = DEFAULT_MAX_SETS,
-) -> ErasureMeasureReport:
+def spectral_measure(pair: DualPair, profile: ProbabilityProfile, m: int) -> ErasureMeasureReport:
     """Worst-case spectral radius of the error operator over size-m erasures.
 
     Uses the per-index closed form for ``m == 1``, the quadratic roots for
@@ -549,7 +547,7 @@ def spectral_measure(
     cubic does not certify); enumeration is lexicographic, so reports are
     reproducible.
     """
-    _check_measure_args(pair, profile, m, max_sets)
+    _check_measure_args(pair, profile, m)
     alpha, q = pair.cross_gram, profile.weights
     if m == 1:
         values = np.abs(np.diagonal(alpha)) * q
@@ -566,12 +564,7 @@ def spectral_measure(
     return _build_report("spectral", m, pair.count, values)
 
 
-def norm_measure(
-    pair: DualPair,
-    profile: ProbabilityProfile,
-    m: int,
-    max_sets: int = DEFAULT_MAX_SETS,
-) -> ErasureMeasureReport:
+def norm_measure(pair: DualPair, profile: ProbabilityProfile, m: int) -> ErasureMeasureReport:
     """Worst-case operator norm of the error operator over size-m erasures.
 
     For ``m == 1`` the closed form ``q_i ||f_i|| ||g_i||`` is used and the
@@ -582,8 +575,8 @@ def norm_measure(
     certified characteristic cubic for ``m == 3`` (see the module
     docstring).
     """
-    _check_measure_args(pair, profile, m, max_sets)
-    f, g, q = pair.frame.matrix, pair.dual.matrix, profile.weights
+    _check_measure_args(pair, profile, m)
+    f, g, q = pair.frame.matrix, pair.dual, profile.weights
     if m == 1:
         values = q * np.linalg.norm(f, axis=0) * np.linalg.norm(g, axis=0)
         check = int(np.argmax(values)) + 1
@@ -704,7 +697,6 @@ def simulate_erasure_channel(
     m: int,
     trials: int,
     seed: int,
-    bins: int = 20,
 ) -> SimulationStats:
     """Monte Carlo estimate of erasure error magnitudes.
 
@@ -737,7 +729,7 @@ def simulate_erasure_channel(
     n, p = pair.dim, profile.probabilities
     width = 2 * n + _key_count(p, m)
     f_conj = pair.frame.matrix.conj()
-    g_rows = pair.dual.matrix.T
+    g_rows = pair.dual.T
     errors = np.zeros(trials)
     # with nothing erased every error is 0, so no trial is drawn
     for start in range(0, trials if m else 0, CHUNK_TRIALS):
@@ -750,7 +742,9 @@ def simulate_erasure_channel(
             np.einsum("tk,tkn->tn", coeffs, g_rows[ix]), axis=1
         )
     top = float(errors.max())
-    counts, edges = np.histogram(errors, bins=bins, range=(0.0, top if top > 0 else 1.0))
+    counts, edges = np.histogram(
+        errors, bins=HISTOGRAM_BINS, range=(0.0, top if top > 0 else 1.0)
+    )
     return SimulationStats(
         m=m,
         trials=trials,

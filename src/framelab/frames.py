@@ -21,19 +21,23 @@ same decomposition: ``P = W W^H`` is the orthogonal projector onto the row
 space of ``F``, and it is block-diagonal exactly along the components, so
 they are the connected components of the graph with an edge wherever
 ``|P_ij|`` exceeds ``RANK_TOL``, or ``1e3 eps cond(F)`` when that is larger:
-the rounding of ``P`` grows with the conditioning of ``F``.  A coloop is a component of one vector with
-``P_ii = 1``; a zero vector, a loop, is one with ``P_ii = 0``.
+the rounding of ``P`` grows with the conditioning of ``F``.  A coloop is a
+component of one vector with ``P_ii = 1``; a zero vector, a loop, is one with
+``P_ii = 0``.
 
 A :class:`Frame` takes one thin singular value decomposition of its synthesis
 matrix, ``F = U diag(s) W^H``, and derives the rest from it: the spanning
 check and the frame bounds from ``s``, the condition number ``(s_1 / s_n)^2``
 of the frame operator ``S = F F^H``, and the canonical dual
 ``S^-1 F = U diag(1 / s) W^H``, which is never solved for through ``S``: that
-would square the conditioning.  The canonical dual's own decomposition is the
-same factors in reverse order, so it takes no second one.  ``V`` comes from a
-full decomposition, taken only when it is asked for.  ``S``, the canonical
-dual, ``V`` and the components are computed once per frame and cached on
-it.
+would square the conditioning.  ``V`` comes from a full decomposition, taken
+only when it is asked for.  ``S``, the canonical dual, ``V`` and the
+components are computed once per frame and cached on it.
+
+A :class:`DualPair` holds its dual as the read-only ``n x N`` array ``G``,
+not as a second frame: a dual is read only through its matrix, and a ``G``
+with ``G F^H = I`` spans.  Every dual identity is checked to the one
+residual tolerance ``DUAL_TOL``.
 
 Public vector indices are 1-based (vectors are numbered ``1 .. N``), matching
 the usual convention for erasure index sets; all internal arrays are 0-based.
@@ -108,15 +112,6 @@ class Frame:
         # F = U diag(s) W^H: U is n x n, W^H is n x N with orthonormal rows
         self._svd = (u, singular_values, wh)
 
-    @classmethod
-    def _of_factors(cls, matrix: np.ndarray, svd) -> Frame:
-        """The frame with synthesis matrix ``matrix``, whose thin SVD ``svd``
-        is already known and so not taken again."""
-        frame = cls.__new__(cls)
-        matrix.setflags(write=False)
-        frame._matrix, frame._svd = matrix, svd
-        return frame
-
     @property
     def dim(self) -> int:
         return self._matrix.shape[0]
@@ -140,20 +135,10 @@ class Frame:
         """Optimal upper frame bound: largest eigenvalue of the frame operator."""
         return float(self._svd[1][0] ** 2)
 
-    def vector(self, i: int) -> np.ndarray:
-        """Return vector ``i`` (1-based)."""
-        if not 1 <= i <= self.count:
-            raise IndexError(f"vector index {i} out of range 1..{self.count}")
-        return self._matrix[:, i - 1]
-
     @property
     def parseval_residual(self) -> float:
         """Largest entry of ``|S - I|``; zero exactly for a Parseval frame."""
         return float(np.max(np.abs(self._operator - np.eye(self.dim))))
-
-    def is_parseval(self, tol: float = 1e-9) -> bool:
-        """True when the frame operator equals the identity within ``tol``."""
-        return self.parseval_residual <= tol
 
     @cached_property
     def _operator(self) -> np.ndarray:
@@ -170,9 +155,7 @@ class Frame:
             raise IllConditioned(
                 f"frame operator condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
             )
-        # U diag(1/s) W^H with the singular values in descending order
-        dual = Frame._of_factors((u / s) @ wh, (u[:, ::-1], 1.0 / s[::-1], wh[::-1]))
-        return DualPair(self, dual)
+        return DualPair(self, (u / s) @ wh)
 
     @cached_property
     def _null_vectors(self) -> np.ndarray:
@@ -225,35 +208,40 @@ def frame_operator(frame: Frame) -> np.ndarray:
     return frame._operator
 
 
-def verify_dual(frame: Frame, dual: Frame, tol: float = DUAL_TOL) -> bool:
-    """Check the reconstruction identity ``sum_i <f, f_i> g_i = f``.
+def verify_dual(frame: Frame, dual) -> bool:
+    """Check the reconstruction identity ``sum_i <f, f_i> g_i = f`` for the
+    ``n x N`` array ``dual`` of candidate dual vectors.
 
     Evaluated as the matrix identity ``G F^H = I`` with the largest entrywise
-    residual compared against ``tol``.
+    residual compared against ``DUAL_TOL``.
     """
-    if (frame.dim, frame.count) != (dual.dim, dual.count):
+    g = np.asarray(dual)
+    if g.shape != frame.matrix.shape:
         raise ShapeMismatch(
-            f"frame is {frame.dim}x{frame.count}, candidate dual is {dual.dim}x{dual.count}"
+            f"frame is {frame.dim}x{frame.count}, candidate dual has shape {g.shape}"
         )
-    residual = dual.matrix @ frame.matrix.conj().T - np.eye(frame.dim)
-    return float(np.max(np.abs(residual))) <= tol
+    residual = g @ frame.matrix.conj().T - np.eye(frame.dim)
+    return float(np.max(np.abs(residual))) <= DUAL_TOL
 
 
 class DualPair:
     """A frame together with a verified dual and the cached cross-Gram matrix.
 
+    ``dual`` is the read-only ``n x N`` array ``G`` of the dual vectors.
     ``cross_gram[i, j] = <g_i, f_j>`` (0-based storage for 1-based vector
     indices).  Its trace equals the dimension for every dual pair.
     """
 
-    def __init__(self, frame: Frame, dual: Frame, tol: float = DUAL_TOL) -> None:
-        if not verify_dual(frame, dual, tol):
-            raise NotDual(f"candidate dual fails the reconstruction identity at tol={tol:g}")
+    def __init__(self, frame: Frame, dual) -> None:
+        dual = np.array(dual, dtype=np.complex128)
+        if not verify_dual(frame, dual):
+            raise NotDual(f"candidate dual fails the reconstruction identity at tol={DUAL_TOL:g}")
+        dual.setflags(write=False)
         self.frame = frame
         self.dual = dual
-        gram = (frame.matrix.conj().T @ dual.matrix).T
+        gram = (frame.matrix.conj().T @ dual).T
         trace = complex(np.trace(gram))
-        if abs(trace - frame.dim) > 10 * frame.dim * tol:
+        if abs(trace - frame.dim) > 10 * frame.dim * DUAL_TOL:
             raise NotDual(
                 f"cross-Gram trace {trace:.12g} differs from the dimension {frame.dim}"
             )
@@ -309,7 +297,7 @@ def dual_from_coefficients(frame: Frame, coefficients) -> DualPair:
     base = canonical_dual(frame)
     if not c.size:
         return base
-    return DualPair(frame, Frame(base.dual.matrix + c @ v.conj().T))
+    return DualPair(frame, base.dual + c @ v.conj().T)
 
 
 def coefficients_for_perturbation(frame: Frame, perturbation) -> tuple[np.ndarray, float]:

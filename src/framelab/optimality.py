@@ -25,7 +25,10 @@ The closed forms live in :mod:`framelab.erasures`: the canonical partition
 certificates take their per-index values ``q_i |<f_i, g_i>|`` and
 ``q_i ||f_i|| ||g_i||`` from the m = 1 measures, the pairwise certificates
 take the cross products ``q_i q_j a_ij a_ji`` over all pairs ``i < j`` from
-``erasures._cross_products``, and every tie set follows ``erasures._ties``.
+``erasures._cross_products``, and every tie set follows ``erasures._ties``,
+so a canonical certificate's attaining set is cut exactly where the m = 1
+measure's ``argmax_sets`` are.  Every other hypothesis holds when its witness
+is at most ``DEFAULT_TOL``; no certificate takes a tolerance of its own.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .errors import (
 from .frames import DualPair, Frame, canonical_dual
 from .weights import ProbabilityProfile
 
+# A hypothesis holds when its witness is at most this.
 DEFAULT_TOL = 1e-9
 
 CONDITION_ONE_UNIFORM = "one_uniform_pair"
@@ -122,37 +126,35 @@ class OptimalBounds:
     offdiag_weight_sum: float
 
 
-def _index_hypotheses(witnesses: np.ndarray, claim: str, tol: float) -> tuple[Hypothesis, ...]:
+def _index_hypotheses(witnesses: np.ndarray, claim: str) -> tuple[Hypothesis, ...]:
     """One hypothesis per vector ``i``, in index order."""
     return tuple(
-        Hypothesis(description=f"vector {i}: {claim}", holds=w <= tol, witness=w)
+        Hypothesis(description=f"vector {i}: {claim}", holds=w <= DEFAULT_TOL, witness=w)
         for i, w in enumerate(witnesses.tolist(), start=1)
     )
 
 
-def _pair_hypotheses(
-    count: int, witnesses: np.ndarray, claim: str, tol: float
-) -> tuple[Hypothesis, ...]:
+def _pair_hypotheses(count: int, witnesses: np.ndarray, claim: str) -> tuple[Hypothesis, ...]:
     """One hypothesis per pair ``i < j``, in the order of ``_cross_products``."""
     i, j = np.triu_indices(count, 1)
     return tuple(
-        Hypothesis(description=f"pair ({a + 1},{b + 1}): {claim}", holds=w <= tol, witness=w)
+        Hypothesis(
+            description=f"pair ({a + 1},{b + 1}): {claim}", holds=w <= DEFAULT_TOL, witness=w
+        )
         for a, b, w in zip(i.tolist(), j.tolist(), witnesses.tolist())
     )
 
 
-def is_one_uniform(
-    pair: DualPair, profile: ProbabilityProfile, tol: float = DEFAULT_TOL
-) -> OptimalityCertificate:
+def is_one_uniform(pair: DualPair, profile: ProbabilityProfile) -> OptimalityCertificate:
     """Does ``<f_i, g_i> = 1/q_i`` hold for every index?
 
     The products are complex; both the deviation of the real part from the
-    target and the imaginary part must stay within ``tol``.
+    target and the imaginary part must stay within ``DEFAULT_TOL``.
     """
     q = profile.weights
     products = q * np.conj(np.diagonal(pair.cross_gram))
     witnesses = np.maximum(np.abs(products.real - 1.0), np.abs(products.imag)) / q
-    hypotheses = _index_hypotheses(witnesses, "<f,g> equals the reciprocal weight", tol)
+    hypotheses = _index_hypotheses(witnesses, "<f,g> equals the reciprocal weight")
     return OptimalityCertificate(
         condition_id=CONDITION_ONE_UNIFORM,
         hypotheses=hypotheses,
@@ -164,15 +166,13 @@ def is_one_uniform(
     )
 
 
-def is_two_uniform(
-    pair: DualPair, profile: ProbabilityProfile, tol: float = DEFAULT_TOL
-) -> OptimalityCertificate:
+def is_two_uniform(pair: DualPair, profile: ProbabilityProfile) -> OptimalityCertificate:
     """Does ``<f_i, g_j><f_j, g_i> = 1/(q_i q_j)`` hold for every ``i != j``?"""
     q = profile.weights
     i, j = np.triu_indices(pair.count, 1)
     products = _cross_products(pair.cross_gram, np.ones(pair.count))
     witnesses = _cabs(products - 1.0 / (q[i] * q[j]))
-    hypotheses = _pair_hypotheses(pair.count, witnesses, "cross products match", tol)
+    hypotheses = _pair_hypotheses(pair.count, witnesses, "cross products match")
     return OptimalityCertificate(
         condition_id=CONDITION_TWO_UNIFORM,
         hypotheses=hypotheses,
@@ -182,14 +182,14 @@ def is_two_uniform(
 
 
 def one_erasure_spectral_optimal_pair(
-    pair: DualPair, profile: ProbabilityProfile, tol: float = DEFAULT_TOL
+    pair: DualPair, profile: ProbabilityProfile
 ) -> OptimalityCertificate:
     """Membership in the set of pairs attaining the one-erasure spectral optimum.
 
     The test is the one-uniformity condition; the certificate records the
     pair's worst one-erasure spectral value next to the optimal value 1.
     """
-    base = is_one_uniform(pair, profile, tol)
+    base = is_one_uniform(pair, profile)
     value = spectral_measure(pair, profile, 1).value
     return OptimalityCertificate(
         condition_id=CONDITION_SPECTRAL_ONE_PAIR,
@@ -227,7 +227,7 @@ def optimal_values(profile: ProbabilityProfile) -> OptimalBounds:
 
 
 def two_erasure_spectral_optimal_pair(
-    pair: DualPair, profile: ProbabilityProfile, tol: float = DEFAULT_TOL
+    pair: DualPair, profile: ProbabilityProfile
 ) -> OptimalityCertificate:
     """Membership in the set attaining the two-erasure spectral optimum.
 
@@ -236,7 +236,7 @@ def two_erasure_spectral_optimal_pair(
     weighted off-diagonal cross product equals the shared constant
     ``cross_budget / offdiag_weight_sum``.
     """
-    first = one_erasure_spectral_optimal_pair(pair, profile, tol)
+    first = one_erasure_spectral_optimal_pair(pair, profile)
     if not first.conclusion:
         raise NotOneErasureOptimal(
             "pair does not attain the one-erasure spectral optimum "
@@ -246,7 +246,7 @@ def two_erasure_spectral_optimal_pair(
     target = bounds.cross_budget / bounds.offdiag_weight_sum
     witnesses = _cabs(_cross_products(pair.cross_gram, profile.weights) - target)
     hypotheses = _pair_hypotheses(
-        pair.count, witnesses, "weighted cross product equals the shared constant", tol
+        pair.count, witnesses, "weighted cross product equals the shared constant"
     )
     value = spectral_measure(pair, profile, 2).value
     return OptimalityCertificate(
@@ -262,14 +262,15 @@ def two_erasure_spectral_optimal_pair(
 
 
 def _canonical_one_certificate(
-    kind: str, frame: Frame, profile: ProbabilityProfile, tol: float
+    kind: str, frame: Frame, profile: ProbabilityProfile
 ) -> tuple[OptimalityCertificate, PartitionReport]:
     """Partition the indices by the canonical dual's m = 1 ``kind`` values and
     look for a component of the frame's vector matroid inside the attaining
-    set; the norm certificate adds the uniqueness sub-check."""
+    set, which is cut where the measure's ``argmax_sets`` are; the norm
+    certificate adds the uniqueness sub-check."""
     measure = spectral_measure if kind == "spectral" else norm_measure
     values = measure(canonical_dual(frame), profile, 1).per_set_values
-    threshold, attaining = _ties(values, tol)
+    threshold, attaining = _ties(values)
     components = frame._components
     inside = [c for c in components if attaining[c].all()]
     touching = sum(bool(attaining[c].any()) for c in components)
@@ -304,7 +305,7 @@ def _canonical_one_certificate(
 
 
 def canonical_spectral_one_certificate(
-    frame: Frame, profile: ProbabilityProfile, tol: float = DEFAULT_TOL
+    frame: Frame, profile: ProbabilityProfile
 ) -> tuple[OptimalityCertificate, PartitionReport]:
     """Is the canonical dual one-erasure spectrally optimal for this frame?
 
@@ -312,11 +313,11 @@ def canonical_spectral_one_certificate(
     optimal exactly when some component of the frame's vector matroid lies
     inside the attaining set.
     """
-    return _canonical_one_certificate("spectral", frame, profile, tol)
+    return _canonical_one_certificate("spectral", frame, profile)
 
 
 def canonical_norm_one_certificate(
-    frame: Frame, profile: ProbabilityProfile, tol: float = DEFAULT_TOL
+    frame: Frame, profile: ProbabilityProfile
 ) -> tuple[OptimalityCertificate, PartitionReport]:
     """Is the canonical dual one-erasure optimal under the operator norm?
     With a uniqueness sub-check.
@@ -327,11 +328,11 @@ def canonical_norm_one_certificate(
     vectors intersect trivially and the remaining vectors are linearly
     independent, the canonical dual is the unique one-erasure optimal dual.
     """
-    return _canonical_one_certificate("norm", frame, profile, tol)
+    return _canonical_one_certificate("norm", frame, profile)
 
 
 def canonical_spectral_two_certificate(
-    frame: Frame, profile: ProbabilityProfile, tol: float = DEFAULT_TOL
+    frame: Frame, profile: ProbabilityProfile
 ) -> OptimalityCertificate:
     """Sufficient condition for the canonical dual to be two-erasure
     spectrally optimal for this frame.
@@ -343,7 +344,7 @@ def canonical_spectral_two_certificate(
     cross budget.  A negative budget makes the required constant imaginary
     and is reported as a failed hypothesis.
     """
-    _, partition = canonical_spectral_one_certificate(frame, profile, tol)
+    _, partition = canonical_spectral_one_certificate(frame, profile)
     hypotheses = [
         Hypothesis(
             description="spans of attaining and remaining vectors intersect trivially",
@@ -378,7 +379,7 @@ def canonical_spectral_two_certificate(
         hypotheses.append(
             Hypothesis(
                 description="all pairwise inverse-operator products equal the weighted cross target",
-                holds=worst <= tol,
+                holds=worst <= DEFAULT_TOL,
                 witness=float(worst),
             )
         )
@@ -392,7 +393,7 @@ def canonical_spectral_two_certificate(
 
 
 def two_erasure_spectral_prediction(
-    pair: DualPair, profile: ProbabilityProfile, tol: float = DEFAULT_TOL
+    pair: DualPair, profile: ProbabilityProfile
 ) -> OptimalityCertificate:
     """Predict the worst two-erasure spectral value from one-erasure data.
 
@@ -416,7 +417,7 @@ def two_erasure_spectral_prediction(
     )
     hyp_diag = Hypothesis(
         description="cross-Gram diagonal is real and nonnegative",
-        holds=diag_violation <= tol,
+        holds=diag_violation <= DEFAULT_TOL,
         witness=diag_violation,
     )
     products = _cross_products(alpha, q)
@@ -424,7 +425,9 @@ def two_erasure_spectral_prediction(
         raise HypothesisFailed("prediction needs at least two vectors", [hyp_diag])
     mean = complex(np.mean(products))
     deviation = float(np.max(_cabs(products - mean)))
-    constant_ok = deviation <= tol and abs(mean.imag) <= tol and mean.real > tol
+    constant_ok = (
+        deviation <= DEFAULT_TOL and abs(mean.imag) <= DEFAULT_TOL and mean.real > DEFAULT_TOL
+    )
     hyp_cross = Hypothesis(
         description="weighted cross products share one positive constant",
         holds=constant_ok,
@@ -437,7 +440,7 @@ def two_erasure_spectral_prediction(
         )
     c = mean.real
     weighted = q * diag.real
-    r1, tied = _ties(weighted, tol)
+    r1, tied = _ties(weighted)
     tie_set = tuple(int(i) + 1 for i in np.flatnonzero(tied))
     details: dict = {
         "one_erasure_value": r1,
@@ -470,7 +473,7 @@ def two_erasure_spectral_prediction(
 
 
 def one_erasure_norm_optimal_pair(
-    pair: DualPair, profile: ProbabilityProfile, tol: float = DEFAULT_TOL
+    pair: DualPair, profile: ProbabilityProfile
 ) -> OptimalityCertificate:
     """Membership in the set attaining the one-erasure norm optimum.
 
@@ -480,12 +483,12 @@ def one_erasure_norm_optimal_pair(
     """
     diag = np.conj(np.diagonal(pair.cross_gram))
     f_norms = np.linalg.norm(pair.frame.matrix, axis=0)
-    g_norms = np.linalg.norm(pair.dual.matrix, axis=0)
+    g_norms = np.linalg.norm(pair.dual, axis=0)
     inv_q = 1.0 / profile.weights
     inner_dev = np.maximum(np.abs(diag.real - inv_q), np.abs(diag.imag))
     witnesses = np.maximum(inner_dev, np.abs(f_norms * g_norms - inv_q))
     hypotheses = _index_hypotheses(
-        witnesses, "inner product and norm product equal the reciprocal weight", tol
+        witnesses, "inner product and norm product equal the reciprocal weight"
     )
     conclusion = all(h.holds for h in hypotheses)
     details = {
@@ -493,7 +496,7 @@ def one_erasure_norm_optimal_pair(
         "optimal_value": 1.0,
     }
     if conclusion:
-        implied = is_one_uniform(pair, profile, tol)
+        implied = is_one_uniform(pair, profile)
         details["one_uniform_implied"] = bool(implied.conclusion)
     return OptimalityCertificate(
         condition_id=CONDITION_NORM_ONE_PAIR,
@@ -504,7 +507,7 @@ def one_erasure_norm_optimal_pair(
 
 
 def is_probabilistic_uniform_parseval(
-    frame: Frame, profile: ProbabilityProfile, tol: float = DEFAULT_TOL
+    frame: Frame, profile: ProbabilityProfile
 ) -> OptimalityCertificate:
     """Is the frame Parseval with ``||f_i||^2 = 1/q_i`` for all ``i``?"""
     parseval_residual = frame.parseval_residual
@@ -513,12 +516,12 @@ def is_probabilistic_uniform_parseval(
     hypotheses = (
         Hypothesis(
             description="frame operator equals the identity",
-            holds=parseval_residual <= tol,
+            holds=parseval_residual <= DEFAULT_TOL,
             witness=parseval_residual,
         ),
         Hypothesis(
             description="squared vector norms equal the reciprocal weights",
-            holds=norm_residual <= tol,
+            holds=norm_residual <= DEFAULT_TOL,
             witness=norm_residual,
         ),
     )
@@ -531,23 +534,24 @@ def is_probabilistic_uniform_parseval(
 
 
 def parseval_equivalence_report(
-    frame: Frame, profile: ProbabilityProfile, tol: float = DEFAULT_TOL
+    frame: Frame, profile: ProbabilityProfile
 ) -> OptimalityCertificate:
     """For a Parseval frame, canonical-dual one-erasure optimality under the
     spectral and norm measures must agree: both per-index values are
     ``q_i ||f_i||^2``, so the two exact tests look at one attaining set.
 
-    Raises :class:`NotParseval` for non-Parseval input.  ``witness`` is the
+    Raises :class:`NotParseval` when ``frame.parseval_residual`` exceeds
+    ``DEFAULT_TOL``, the one Parseval test.  ``witness`` is the
     spectral certificate's component inside the attaining set; the gaps are
     those of the two searches, which bear the verdicts out numerically.
     """
     from .search import certify_canonical_optimal
 
     residual = frame.parseval_residual
-    if residual > tol:
+    if residual > DEFAULT_TOL:
         raise NotParseval(f"frame operator deviates from identity by {residual:.3e}")
-    spectral, partition = canonical_spectral_one_certificate(frame, profile, tol)
-    norm, _ = canonical_norm_one_certificate(frame, profile, tol)
+    spectral, partition = canonical_spectral_one_certificate(frame, profile)
+    norm, _ = canonical_norm_one_certificate(frame, profile)
     return OptimalityCertificate(
         condition_id=CONDITION_PARSEVAL_EQUIVALENCE,
         hypotheses=(

@@ -75,10 +75,15 @@ def emit_report(document: dict) -> str:
 
 def write_report(document: dict, path: str | None) -> None:
     """Write the report to the file ``path``, or to stdout when ``path`` is
-    empty.  A document that fails a check raises before the file is opened."""
+    empty.  A document that fails a check raises before the file is opened;
+    a file that cannot be opened raises ``ValueError`` naming ``path``."""
     pieces = _report_pieces(document)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write the report to {path}: {exc.strerror}") from exc
+        with fh:
             fh.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
@@ -207,7 +212,7 @@ def measure_report_to_dict(report: ErasureMeasureReport) -> dict:
 
 def dual_pair_to_dict(pair: DualPair) -> dict:
     return {
-        "dual_vectors": vectors_as_rows(pair.dual.matrix),
+        "dual_vectors": vectors_as_rows(pair.dual),
         "cross_gram_diagonal": [complex_pair(v) for v in np.diagonal(pair.cross_gram)],
         "cross_gram_trace": complex_pair(np.trace(pair.cross_gram)),
     }
@@ -222,5 +227,5 @@ def search_result_to_dict(result: SearchResult) -> dict:
         "iterations": result.iterations,
         "converged": result.converged,
         "note": result.note,
-        "best_dual": vectors_as_rows(result.best_dual.dual.matrix),
+        "best_dual": vectors_as_rows(result.best_dual.dual),
     }

@@ -60,8 +60,10 @@ canonical dual is the starting point, so ``best_value`` never exceeds
 ``canonical_value``.  Whether the canonical dual itself is optimal is
 decided exactly, without a search, by the certificates of
 :mod:`framelab.optimality`; :func:`certify_canonical_optimal` gives the
-search's own verdict, which the Parseval equivalence report records next to
-the exact one.
+search's own verdict, whether the canonical value is within ``CERTIFY_TOL``
+of the searched optimum, which the Parseval equivalence report records next
+to the exact one.  A fitted dual that fails the reconstruction identity is
+not used: the canonical dual is reported, with a note.
 """
 
 from __future__ import annotations
@@ -71,11 +73,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .erasures import norm_measure, spectral_measure
-from .errors import NotDual, NotSpanning
+from .errors import NotDual
 from .frames import DualPair, Frame, canonical_dual, dual_from_coefficients, dual_perturbation_basis
 from .weights import ProbabilityProfile
 
 MEASURE_KINDS = ("spectral", "norm")
+# certify_canonical_optimal calls the canonical dual optimal when its value is
+# within this of the searched optimum.
+CERTIFY_TOL = 1e-6
 
 # The search stops once (upper - lower) <= _GAP_TOL * upper.
 _GAP_TOL = 1e-10
@@ -274,7 +279,7 @@ def _run_search(kind: str, frame: Frame, profile: ProbabilityProfile) -> SearchR
 
     # V's coloop rows are zero: a fit that read their rounding as directions
     # would call for coefficients of order 1e16
-    f, g0, q = frame.matrix, canonical.dual.matrix, profile.weights
+    f, g0, q = frame.matrix, canonical.dual, profile.weights
     v = dual_perturbation_basis(frame)
     if kind == "spectral":
         # With F = U diag(sigma) W^H: <f_i, g_i>^* = f_i^H g0_i + (a x)_i,
@@ -293,10 +298,9 @@ def _run_search(kind: str, frame: Frame, profile: ProbabilityProfile) -> SearchR
         coeffs = _spectral_coefficients(f, g0, v, r, b + l @ z) if kind == "spectral" else z.T
         try:
             pair = dual_from_coefficients(frame, coeffs)
-        except (NotDual, NotSpanning) as exc:
+        except NotDual as exc:
             # near-parallel frame vectors can call for coefficients so large
-            # that the fitted dual reconstructs only to their rounding, or
-            # fails to span
+            # that the fitted dual reconstructs only to their rounding
             note = f"{exc}; the canonical dual is reported instead"
         else:
             value = _one_erasure_value(kind, pair, profile)
@@ -327,12 +331,9 @@ def minimize_norm_one(frame: Frame, profile: ProbabilityProfile) -> SearchResult
 
 
 def certify_canonical_optimal(
-    frame: Frame,
-    profile: ProbabilityProfile,
-    measure_kind: str,
-    tol: float = 1e-6,
+    frame: Frame, profile: ProbabilityProfile, measure_kind: str
 ) -> CertificationOutcome:
-    """Is the canonical dual within ``tol`` of the searched optimum?
+    """Is the canonical dual within ``CERTIFY_TOL`` of the searched optimum?
 
     Returns an inconclusive outcome (``optimal=None``) when the search does
     not converge, so inconclusiveness is kept distinct from False.
@@ -340,4 +341,6 @@ def certify_canonical_optimal(
     result = _run_search(measure_kind, frame, profile)
     if not result.converged:
         return CertificationOutcome(optimal=None, gap=result.gap, result=result)
-    return CertificationOutcome(optimal=bool(result.gap <= tol), gap=result.gap, result=result)
+    return CertificationOutcome(
+        optimal=bool(result.gap <= CERTIFY_TOL), gap=result.gap, result=result
+    )

@@ -35,10 +35,6 @@ class ProbabilityProfile:
     def count(self) -> int:
         return self.probabilities.size
 
-    def weight(self, i: int) -> float:
-        """Weight number of vector ``i`` (1-based)."""
-        return float(self.weights[i - 1])
-
 
 def weights_from_probabilities(probabilities, dim: int) -> ProbabilityProfile:
     """Build a profile from a probability sequence for an n-dimensional space.

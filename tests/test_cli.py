@@ -160,6 +160,35 @@ def test_analyze_missing_file(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "examples"])
+def test_unwritable_out_is_an_input_error(capsys, plane_path, tmp_path, command):
+    out_path = tmp_path / "missing" / "report.json"
+    argv = ["analyze", plane_path] if command == "analyze" else ["examples"]
+    code, out, err = run(capsys, [*argv, "--out", out_path])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write the report to {out_path}: ")
+    assert not out_path.parent.exists()
+
+
+def test_erasure_count_over_the_cap_is_an_input_error(capsys, tmp_path, monkeypatch):
+    # C(60, 5) = 5,461,512 and C(60, 10) = 75,394,027,566 sets exceed the cap;
+    # simulate takes its worst case before it draws a trial
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(random_frame_document(66, 8, 60, "real")), encoding="utf-8")
+
+    def no_draws(*args):
+        raise AssertionError("simulate drew uniforms before the cap check")
+
+    monkeypatch.setattr(fl.erasures, "_uniforms", no_draws)
+    for argv in (["analyze", path, "--m", "5"], ["simulate", path, "--m", "10", "--trials", "20000"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and "exceed the cap of 1000000" in err
+
+
 def test_analyze_requires_probabilities(capsys, tmp_path):
     doc = json.loads(PLANE_DOC)
     del doc["probabilities"]

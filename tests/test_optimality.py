@@ -41,14 +41,14 @@ def test_is_two_uniform(mercedes_frame, mercedes_profile):
     ).conclusion
     basis = fl.build_frame(2, np.eye(2))
     assert not fl.is_two_uniform(
-        fl.DualPair(basis, basis), fl.uniform_profile(2, 2)
+        fl.DualPair(basis, basis.matrix), fl.uniform_profile(2, 2)
     ).conclusion
 
 
 def test_is_two_uniform_scalar_member():
     # scalar frame (1,1) with dual (1/2,1/2): cross products equal 1/(q_i q_j)
     frame = fl.build_frame(1, [(1,), (1,)])
-    dual = fl.Frame([[0.5, 0.5]])
+    dual = [[0.5, 0.5]]
     profile = fl.uniform_profile(2, 1)
     cert = fl.is_two_uniform(fl.DualPair(frame, dual), profile)
     assert cert.conclusion
@@ -136,7 +136,7 @@ def test_spectral_two_requires_one_erasure_optimality(plane_frame, plane_profile
 def test_spectral_two_orthonormal_square_zero_budget():
     basis = fl.build_frame(2, np.eye(2))
     profile = fl.uniform_profile(2, 2)
-    cert = fl.two_erasure_spectral_optimal_pair(fl.DualPair(basis, basis), profile)
+    cert = fl.two_erasure_spectral_optimal_pair(fl.DualPair(basis, basis.matrix), profile)
     # alpha off-diagonal is 0 and the budget is 0, so membership holds
     assert fl.optimal_values(profile).cross_budget == pytest.approx(0.0, abs=1e-14)
     assert cert.conclusion
@@ -235,7 +235,7 @@ def test_two_erasure_prediction_tie_branch(mercedes_frame, mercedes_profile):
 def test_two_erasure_prediction_single_max_branch():
     # scalar frame, distinct weighted diagonal, one off-diagonal pair
     frame = fl.build_frame(1, [(1,), (1,)])
-    dual = fl.Frame([[0.7, 0.3]])
+    dual = [[0.7, 0.3]]
     profile = fl.weights_from_probabilities([0.25, 0.75], 1)
     pair = fl.DualPair(frame, dual)
     cert = fl.two_erasure_spectral_prediction(pair, profile)
@@ -357,13 +357,14 @@ def test_parseval_equivalence_random_frames():
         assert cert.conclusion is True
         for kind in ("spectral", "norm"):
             # the exact verdict is the converged search's, whose gap is recorded
-            outcome = fl.certify_canonical_optimal(frame, profile, kind, 1e-8)
-            assert outcome.optimal is cert.details[f"canonical_{kind}_optimal"]
+            outcome = fl.certify_canonical_optimal(frame, profile, kind)
+            assert outcome.optimal is not None
+            assert (outcome.gap <= 1e-8) is cert.details[f"canonical_{kind}_optimal"]
             assert cert.details[f"{kind}_gap"] == outcome.gap
 
 
 def test_parseval_equivalence_verdicts_do_not_rest_on_the_searches(monkeypatch, scaled_tight_pair):
-    def far_off(frame, profile, measure_kind, tol=1e-6):
+    def far_off(frame, profile, measure_kind):
         return fl.CertificationOutcome(optimal=None, gap=1.0, result=None)
 
     monkeypatch.setattr(fl.search, "certify_canonical_optimal", far_off)
@@ -514,6 +515,10 @@ def test_exact_certificate_at_the_tie_cut(kind):
         assert cert.conclusion is attains
         assert partition.witness == ((1,) if attains else ())
         assert partition.attaining == ((1, 2) if attains else (2,))
+        # one tie rule: the attaining set is the m = 1 measure's argmax sets
+        measure = fl.spectral_measure if kind == "spectral" else fl.norm_measure
+        argmax = measure(fl.canonical_dual(frame), profile, 1).argmax_sets
+        assert partition.attaining == tuple(s.indices[0] for s in argmax)
         # the optimum is the coloop's value, which no dual changes
         result = fl.search._run_search(kind, frame, profile)
         assert result.converged
@@ -577,7 +582,7 @@ def oracle_prediction_cross(pair, profile, tol):
 def oracle_canonical_two_worst(frame, profile):
     bounds = fl.optimal_values(profile)
     target = bounds.cross_budget / bounds.offdiag_weight_sum
-    gram = frame.matrix.conj().T @ fl.canonical_dual(frame).dual.matrix
+    gram = frame.matrix.conj().T @ fl.canonical_dual(frame).dual
     q = profile.weights
     worst = 0.0
     for i in range(frame.count):
@@ -594,7 +599,7 @@ def one_uniform_dual(frame, profile):
     """A dual with ``<g_i, f_i> = 1/q_i`` for every i: the least-squares
     solution of these N linear equations in ``C``."""
     f, v = frame.matrix, fl.dual_perturbation_basis(frame)
-    g0 = fl.canonical_dual(frame).dual.matrix
+    g0 = fl.canonical_dual(frame).dual
     a = np.einsum("ri,ik->irk", f.conj(), v.conj()).reshape(frame.count, -1)
     b = 1.0 / profile.weights - np.einsum("ri,ri->i", f.conj(), g0)
     c = np.linalg.lstsq(a, b, rcond=None)[0].reshape(frame.dim, -1)
@@ -657,7 +662,7 @@ def oracle_one_uniform(pair, profile, tol):
     products = profile.weights * np.conj(np.diagonal(pair.cross_gram))
     hypotheses = []
     for i, value in enumerate(products, start=1):
-        witness = float(max(abs(value.real - 1.0), abs(value.imag)) / profile.weight(i))
+        witness = float(max(abs(value.real - 1.0), abs(value.imag)) / profile.weights[i - 1])
         hypotheses.append((f"vector {i}: <f,g> equals the reciprocal weight", witness <= tol, witness))
     return hypotheses
 
@@ -665,7 +670,7 @@ def oracle_one_uniform(pair, profile, tol):
 def oracle_norm_one_pair(pair, profile, tol):
     diag = np.conj(np.diagonal(pair.cross_gram))
     f_norms = np.linalg.norm(pair.frame.matrix, axis=0)
-    g_norms = np.linalg.norm(pair.dual.matrix, axis=0)
+    g_norms = np.linalg.norm(pair.dual, axis=0)
     inv_q = 1.0 / profile.weights
     hypotheses = []
     for i in range(pair.count):
@@ -699,7 +704,7 @@ def test_two_erasure_prediction_ties_are_relative():
     # p = (0.45, 0.45, 0.1) the choice s_1 = s_2 = s below makes the weighted
     # cross products constant; s_2 is then lowered so the second weighted
     # diagonal value lies between the old absolute cut and the relative one.
-    tol = 1e-6
+    tol = fl.optimality.DEFAULT_TOL
     f = np.array(mercedes_vectors()).T
     profile = fl.weights_from_probabilities([0.45, 0.45, 0.1], 2)
     a, b = profile.weights[0], profile.weights[2]
@@ -708,7 +713,7 @@ def test_two_erasure_prediction_ties_are_relative():
     gap = 1.15 * tol
     assert tol < gap < tol * r1
     c = np.linalg.solve(f[:, :2].T, np.sqrt(3) * np.array([s, s - gap / a]))
-    dual = fl.Frame(2 / 3 * f + np.outer(c, np.ones(3)) / np.sqrt(3))
-    cert = fl.two_erasure_spectral_prediction(fl.DualPair(fl.Frame(f), dual), profile, tol)
+    dual = 2 / 3 * f + np.outer(c, np.ones(3)) / np.sqrt(3)
+    cert = fl.two_erasure_spectral_prediction(fl.DualPair(fl.Frame(f), dual), profile)
     assert cert.details["one_erasure_value"] == pytest.approx(r1, abs=1e-12)
     assert cert.details["tie_set"] == [1, 2]
