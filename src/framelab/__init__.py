@@ -24,6 +24,7 @@ _MODULE_EXPORTS = {
         "FrameLabError",
         "HypothesisFailed",
         "IllConditioned",
+        "InputError",
         "InsufficientSupport",
         "InvalidProbability",
         "NotDual",

@@ -13,8 +13,9 @@ numpy's BLAS runs on one thread (see :func:`thread_cap`), so stdout does not
 depend on the machine's core count or on the BLAS thread variables either.
 
 Exit codes: 0 success, 1 expected-value mismatch in ``examples``, 2 input
-error (an unwritable ``--out`` and an erasure count whose sets exceed the
-enumeration cap included), 3 numeric failure.
+error (any ``ValueError``: every :class:`~framelab.errors.InputError` and a
+report that cannot be written among them), 3 numeric failure (any other
+``FrameLabError``, and a LAPACK failure).
 """
 
 from __future__ import annotations
@@ -45,20 +46,7 @@ import numpy as np  # noqa: E402  (after the thread cap)
 
 from . import __version__  # noqa: E402
 from .erasures import norm_measure, simulate_erasure_channel, spectral_measure  # noqa: E402
-from .errors import (  # noqa: E402
-    CombinatorialLimit,
-    DegenerateWeight,
-    DimensionMismatch,
-    FrameLabError,
-    HypothesisFailed,
-    InsufficientSupport,
-    InvalidProbability,
-    NotOneErasureOptimal,
-    NotParseval,
-    NotSpanning,
-    ParseError,
-    ShapeMismatch,
-)
+from .errors import FrameLabError, HypothesisFailed, NotOneErasureOptimal, NotParseval  # noqa: E402
 from .fileio import (  # noqa: E402
     FrameFileContent,
     load_frame_file,
@@ -106,18 +94,6 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-_INPUT_ERRORS = (
-    ParseError,
-    InvalidProbability,
-    DegenerateWeight,
-    DimensionMismatch,
-    NotSpanning,
-    ShapeMismatch,
-    InsufficientSupport,
-    CombinatorialLimit,
-    ValueError,
-)
-
 # ``search`` options of the earlier restarted solver, with their old defaults:
 # still parsed and echoed under ``options``, but they change nothing.
 _IGNORED_SEARCH_OPTIONS = {"restarts": 20, "seed": 0, "method": "smoothed"}
@@ -164,23 +140,21 @@ def _analyze_certificates(frame: Frame, profile: ProbabilityProfile) -> list:
         _certificate_entry(one_erasure_spectral_optimal_pair(pair, profile)),
         _certificate_entry(one_erasure_norm_optimal_pair(pair, profile)),
     ]
-    if frame.count >= 2:
-        try:
-            entries.append(_certificate_entry(two_erasure_spectral_optimal_pair(pair, profile)))
-        except NotOneErasureOptimal as exc:
-            entries.append(_skipped_entry("spectral_two_optimal_pair", str(exc)))
+    try:
+        entries.append(_certificate_entry(two_erasure_spectral_optimal_pair(pair, profile)))
+    except NotOneErasureOptimal as exc:
+        entries.append(_skipped_entry("spectral_two_optimal_pair", str(exc)))
     cert, partition = canonical_spectral_one_certificate(frame, profile)
     entries.append(_certificate_entry(cert, partition))
     cert, partition = canonical_norm_one_certificate(frame, profile)
     entries.append(_certificate_entry(cert, partition))
-    if frame.count >= 2:
-        entries.append(_certificate_entry(canonical_spectral_two_certificate(frame, profile)))
-        try:
-            entries.append(_certificate_entry(two_erasure_spectral_prediction(pair, profile)))
-        except HypothesisFailed as exc:
-            entry = _skipped_entry("two_erasure_prediction", str(exc))
-            entry["hypotheses"] = exc.hypotheses
-            entries.append(entry)
+    entries.append(_certificate_entry(canonical_spectral_two_certificate(frame, profile)))
+    try:
+        entries.append(_certificate_entry(two_erasure_spectral_prediction(pair, profile)))
+    except HypothesisFailed as exc:
+        entry = _skipped_entry("two_erasure_prediction", str(exc))
+        entry["hypotheses"] = exc.hypotheses
+        entries.append(entry)
     entries.append(_certificate_entry(is_probabilistic_uniform_parseval(frame, profile)))
     try:
         entries.append(_certificate_entry(parseval_equivalence_report(frame, profile)))
@@ -239,14 +213,12 @@ def cmd_search(args) -> int:
         minimize = minimize_spectral_one if kind == "spectral" else minimize_norm_one
         result = minimize(frame, profile)
         entry = {"kind": kind, **search_result_to_dict(result)}
-        best_measures = {
+        entry["best_dual_measures"] = {
             "spectral_one": spectral_measure(result.best_dual, profile, 1).value,
             "norm_one": norm_measure(result.best_dual, profile, 1).value,
+            "spectral_two": spectral_measure(result.best_dual, profile, 2).value,
+            "norm_two": norm_measure(result.best_dual, profile, 2).value,
         }
-        if frame.count >= 2:
-            best_measures["spectral_two"] = spectral_measure(result.best_dual, profile, 2).value
-            best_measures["norm_two"] = norm_measure(result.best_dual, profile, 2).value
-        entry["best_dual_measures"] = best_measures
         searches.append(entry)
     document = {
         "tool": {"name": "framelab", "version": __version__},
@@ -488,7 +460,8 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _INPUT_ERRORS as exc:
+    # every InputError is a ValueError
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FrameLabError as exc:

@@ -1,7 +1,11 @@
 """Exception hierarchy for framelab.
 
-Input/validation problems raise subclasses of :class:`FrameLabError`; plain
-``ValueError`` is reserved for argument misuse not covered by a named error.
+Every framelab error is a :class:`FrameLabError`.  Errors in the input (a
+frame or probability file, or an argument) derive from :class:`InputError`,
+which is also a ``ValueError``; argument misuse that no named class covers
+raises a plain ``ValueError``.  The other classes report a numeric failure or
+a certificate whose hypotheses do not hold.  The command line exits 2 on any
+``ValueError`` and 3 on any other ``FrameLabError``.
 """
 
 
@@ -9,11 +13,15 @@ class FrameLabError(Exception):
     """Base class for all framelab errors."""
 
 
-class DimensionMismatch(FrameLabError):
+class InputError(FrameLabError, ValueError):
+    """The input, a file or an argument, is invalid."""
+
+
+class DimensionMismatch(InputError):
     """Vector lengths do not match the declared dimension."""
 
 
-class NotSpanning(FrameLabError):
+class NotSpanning(InputError):
     """The vectors do not span the ambient space."""
 
 
@@ -25,15 +33,15 @@ class IllConditioned(FrameLabError):
     """The frame operator is numerically singular."""
 
 
-class ShapeMismatch(FrameLabError):
+class ShapeMismatch(InputError):
     """Operands describe different vector counts or dimensions."""
 
 
-class InvalidProbability(FrameLabError):
+class InvalidProbability(InputError):
     """A probability sequence violates its constraints."""
 
 
-class DegenerateWeight(FrameLabError):
+class DegenerateWeight(InputError):
     """Some erasure probability equals one, so its weight is infinite."""
 
 
@@ -41,7 +49,7 @@ class DegenerateDenominator(FrameLabError):
     """The optimal-value formulas need at least two vectors."""
 
 
-class CombinatorialLimit(FrameLabError):
+class CombinatorialLimit(InputError):
     """Too many erasure sets to enumerate under the configured cap."""
 
 
@@ -53,7 +61,7 @@ class SvdFailure(FrameLabError):
     """The singular value solver did not converge."""
 
 
-class InsufficientSupport(FrameLabError):
+class InsufficientSupport(InputError):
     """No valid erasure sampling is possible for the requested size."""
 
 
@@ -76,5 +84,5 @@ class HypothesisFailed(FrameLabError):
         self.hypotheses = list(hypotheses) if hypotheses is not None else []
 
 
-class ParseError(FrameLabError):
+class ParseError(InputError):
     """An input file could not be parsed."""

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import sys
 from collections.abc import Iterator
 from dataclasses import is_dataclass
@@ -76,17 +77,32 @@ def emit_report(document: dict) -> str:
 def write_report(document: dict, path: str | None) -> None:
     """Write the report to the file ``path``, or to stdout when ``path`` is
     empty.  A document that fails a check raises before the file is opened;
-    a file that cannot be opened raises ``ValueError`` naming ``path``."""
+    a report that cannot be opened or written raises ``ValueError`` naming
+    ``path`` or stdout, and a failed stdout is pointed at the null device."""
     pieces = _report_pieces(document)
-    if path:
-        try:
-            fh = open(path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"cannot write the report to {path}: {exc.strerror}") from exc
-        with fh:
-            fh.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
+    try:
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
+        else:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not path:
+            _discard_stdout()
+        raise ValueError(f"cannot write the report to {path or 'stdout'}: {exc.strerror}") from exc
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor, if it has one, at the null device, so
+    that the interpreter's flush of stdout at exit does not fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # io.UnsupportedOperation: an in-memory stream
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _report_pieces(document: dict) -> Iterator[str]:

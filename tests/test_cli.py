@@ -172,6 +172,51 @@ def test_unwritable_out_is_an_input_error(capsys, plane_path, tmp_path, command)
     assert not out_path.parent.exists()
 
 
+needs_full_device = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+def assert_write_error(code, err, target):
+    """Exit 2 with one ``error:`` line; a second failed flush of stdout at
+    interpreter exit would add an ``Exception ignored`` report."""
+    assert code == 2
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: cannot write the report to {target}: ")
+    assert "Exception ignored" not in err
+
+
+@needs_full_device
+def test_out_on_a_full_device_is_an_input_error(capsys, plane_path):
+    code, out, err = run(capsys, ["analyze", plane_path, "--out", "/dev/full"])
+    assert out == ""
+    assert_write_error(code, err, "/dev/full")
+
+
+@needs_full_device
+def test_stdout_on_a_full_device_is_an_input_error(plane_path):
+    # a buffered stdout keeps this 1.6 kB report after its flush fails, and
+    # the interpreter's flush at exit would fail on it again (exit 120)
+    argv = ["simulate", str(plane_path), "--trials", "100"]
+    command, env = framelab_command(argv, PYTHONUNBUFFERED="")
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(command, env=env, stdout=full, stderr=subprocess.PIPE, timeout=120)
+    assert_write_error(proc.returncode, proc.stderr.decode(), "stdout")
+
+
+@needs_full_device
+def test_stdout_closed_by_its_reader_is_an_input_error(tmp_path):
+    # the 837 kB report is far larger than a pipe's buffer, so writes fail
+    # once the reader has closed its end
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(random_frame_document(66, 8, 60, "real")), encoding="utf-8")
+    command, env = framelab_command(["analyze", str(path), "--m", "2"], PYTHONUNBUFFERED="")
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert_write_error(code, err, "stdout")
+
+
 def test_erasure_count_over_the_cap_is_an_input_error(capsys, tmp_path, monkeypatch):
     # C(60, 5) = 5,461,512 and C(60, 10) = 75,394,027,566 sets exceed the cap;
     # simulate takes its worst case before it draws a trial
@@ -278,6 +323,50 @@ def test_lapack_failure_is_a_numeric_failure(capsys, plane_path, monkeypatch):
     assert "numeric failure" in err
 
 
+INPUT_ERRORS = (
+    "InputError",
+    "ParseError",
+    "InvalidProbability",
+    "DegenerateWeight",
+    "DimensionMismatch",
+    "NotSpanning",
+    "ShapeMismatch",
+    "InsufficientSupport",
+    "CombinatorialLimit",
+)
+NUMERIC_ERRORS = (
+    "NotDual",
+    "IllConditioned",
+    "DegenerateDenominator",
+    "EigenFailure",
+    "SvdFailure",
+    "NotOneErasureOptimal",
+    "NotParseval",
+    "HypothesisFailed",
+)
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+def test_exit_code_of_every_error_class(capsys, monkeypatch):
+    errors = {cls.__name__: cls for cls in subclasses(fl.FrameLabError) if cls.__module__ == "framelab.errors"}
+    errors.update(ValueError=ValueError, LinAlgError=np.linalg.LinAlgError)
+    codes = {}
+    for name, error in errors.items():
+
+        def fail(args, error=error):
+            raise error("failed")
+
+        monkeypatch.setattr(cli, "cmd_examples", fail)
+        codes[name], _, _ = run(capsys, ["examples"])
+    expected = {**dict.fromkeys(INPUT_ERRORS, 2), **dict.fromkeys(NUMERIC_ERRORS, 3)}
+    assert codes == {**expected, "ValueError": 2, "LinAlgError": 3}
+
+
 def test_search_report(capsys, plane_path):
     code, out, _ = run(
         capsys, ["search", plane_path, "--measure", "spectral", "--restarts", "3", "--seed", "1"]
@@ -350,15 +439,20 @@ def test_simulate_seed_range(capsys, plane_path):
         assert f"seed {seed} " in err
 
 
-def framelab_process(code_or_argv, **env_overrides):
-    """Run framelab from this checkout in a fresh interpreter."""
+def framelab_command(code_or_argv, **env_overrides):
+    """The command and environment that run framelab from this checkout in a
+    fresh interpreter."""
     src = str(Path(fl.__file__).resolve().parents[1])
     env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     args = ["-c", code_or_argv] if isinstance(code_or_argv, str) else ["-m", "framelab.cli", *code_or_argv]
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, timeout=120, check=True
-    )
+    return [sys.executable, *args], env
+
+
+def framelab_process(code_or_argv, **env_overrides):
+    """Run framelab from this checkout in a fresh interpreter."""
+    command, env = framelab_command(code_or_argv, **env_overrides)
+    return subprocess.run(command, env=env, capture_output=True, timeout=120, check=True)
 
 
 def random_frame_document(seed, dim, count, field, zero_mass=0):

@@ -44,6 +44,17 @@ def test_probability_within_rounding_of_one_rejected(probs, dim):
         fl.weights_from_probabilities(probs, dim)
 
 
+@pytest.mark.parametrize(
+    "probs, error",
+    [([1.0], fl.DegenerateWeight), ([1 - 1e-13], fl.DegenerateWeight), ([0.5], fl.InvalidProbability)],
+)
+def test_single_probability_rejected(probs, error):
+    # so every valid profile has at least two vectors, and every m = 2
+    # measure and certificate applies to it
+    with pytest.raises(error):
+        fl.weights_from_probabilities(probs, 1)
+
+
 def test_too_few_probabilities_rejected():
     with pytest.raises(fl.InvalidProbability):
         fl.weights_from_probabilities([0.5, 0.5], 3)
