@@ -40,7 +40,6 @@ _MODULE_EXPORTS = {
         "Frame",
         "build_frame",
         "canonical_dual",
-        "coefficients_for_perturbation",
         "dual_from_coefficients",
         "dual_perturbation_basis",
         "frame_operator",
@@ -62,7 +61,6 @@ _MODULE_EXPORTS = {
         "operator_norm",
         "simulate_erasure_channel",
         "spectral_measure",
-        "spectral_radius",
         "two_erasure_eigenvalues",
     ),
     "optimality": (

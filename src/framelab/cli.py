@@ -53,13 +53,7 @@ from .fileio import (  # noqa: E402
     load_probability_file,
     resolve_profile,
 )
-from .frames import (  # noqa: E402
-    Frame,
-    build_frame,
-    canonical_dual,
-    coefficients_for_perturbation,
-    dual_from_coefficients,
-)
+from .frames import DualPair, Frame, build_frame, canonical_dual  # noqa: E402
 from .optimality import (  # noqa: E402
     canonical_norm_one_certificate,
     canonical_spectral_one_certificate,
@@ -278,8 +272,7 @@ def _example_b():
 def _example_a_better_dual(frame: Frame):
     """The dual shifting the first two dual vectors by (1/6, 1/6)."""
     pert = np.array([[1 / 6, 1 / 6, -1 / 6], [1 / 6, 1 / 6, -1 / 6]], dtype=complex)
-    coeffs, _ = coefficients_for_perturbation(frame, pert)
-    return dual_from_coefficients(frame, coeffs)
+    return DualPair(frame, canonical_dual(frame).dual + pert)
 
 
 def _matches(expected, actual, tol: float) -> bool:

@@ -196,16 +196,6 @@ def error_operator(
     return g @ (q[:, None] * f.conj().T)
 
 
-def spectral_radius(matrix) -> float:
-    """Largest eigenvalue modulus of a square matrix."""
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
-    if m.size == 0:
-        return 0.0
-    return float(_largest_eigenvalue_moduli(m[None])[0])
-
-
 def operator_norm(matrix) -> float:
     """Largest singular value of a (not necessarily square) matrix."""
     m = np.asarray(matrix, dtype=np.complex128)

@@ -299,16 +299,3 @@ def dual_from_coefficients(frame: Frame, coefficients) -> DualPair:
         return base
     return DualPair(frame, base.dual + c @ v.conj().T)
 
-
-def coefficients_for_perturbation(frame: Frame, perturbation) -> tuple[np.ndarray, float]:
-    """Project a frame-shaped perturbation ``P`` onto the dual perturbations.
-
-    Returns ``C = P V`` and the residual ``max |P - C V^H|``; a residual near
-    zero certifies the perturbation lies in the dual-perturbation space.
-    """
-    p = np.asarray(perturbation, dtype=np.complex128)
-    if p.shape != frame.matrix.shape:
-        raise ShapeMismatch(f"perturbation shape {p.shape} does not match {frame.matrix.shape}")
-    v = dual_perturbation_basis(frame)
-    c = p @ v
-    return c, float(np.max(np.abs(p - c @ v.conj().T)))

@@ -4,7 +4,7 @@ Reports are JSON documents with the layout of the standard encoder's
 ``json.dumps(indent=2)``: keys in insertion order and two-space indentation.
 Floats take the shortest spelling that parses back to the same double
 (Python's ``repr``), so identical inputs produce byte-identical reports and
-``parse_report(emit_report(r)) == r``.  Non-finite floats are rejected.
+``json.loads(emit_report(r)) == r``.  Non-finite floats are rejected.
 
 The per-set tables of the erasure measures (one row per erasure set, up to
 tens of thousands of rows) are written from a ``%``-format row template
@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .erasures import ErasureMeasureReport
-from .errors import ParseError
 from .frames import DualPair, Frame
 from .weights import ProbabilityProfile, WeightPropertiesReport
 
@@ -166,14 +165,6 @@ def _set_table(report: ErasureMeasureReport, indent: int) -> Iterator[str]:
         )
         yield ("" if start == 0 else ",\n") + ",\n".join(map(row.__mod__, rows))
     yield f"\n{pad}]"
-
-
-def parse_report(text: str) -> dict:
-    """Parse a report emitted by :func:`emit_report`."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"report is not valid JSON: {exc}") from exc
 
 
 def complex_pair(value: complex) -> list:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -56,9 +58,29 @@ def plane_better_dual(frame: fl.Frame) -> fl.DualPair:
     """The dual of the plane frame whose perturbation adds (1/6, 1/6) to the
     first two vectors (and subtracts it from the third)."""
     pert = np.array([[1 / 6, 1 / 6, -1 / 6], [1 / 6, 1 / 6, -1 / 6]], dtype=complex)
-    coeffs, residual = fl.coefficients_for_perturbation(frame, pert)
-    assert residual < 1e-12
+    v = fl.dual_perturbation_basis(frame)
+    coeffs = pert @ v
+    assert np.max(np.abs(pert - coeffs @ v.conj().T)) < 1e-12
     return fl.dual_from_coefficients(frame, coeffs)
+
+
+def spectral_radius(matrix) -> float:
+    """Largest eigenvalue modulus of a square matrix (0 for an empty one)."""
+    m = np.asarray(matrix, dtype=np.complex128)
+    return float(np.abs(np.linalg.eigvals(m)).max()) if m.size else 0.0
+
+
+def enumerated_values(pair, profile, m, kind):
+    """Brute-force oracle: the spectral radius (``kind == "spectral"``) or the
+    operator norm of the full error operator of every ``m``-set, in the order
+    of ``itertools.combinations``."""
+    evaluate = spectral_radius if kind == "spectral" else fl.operator_norm
+    return np.array(
+        [
+            evaluate(fl.error_operator(pair, profile, fl.ErasureSet.of(combo, pair.count)))
+            for combo in itertools.combinations(range(1, pair.count + 1), m)
+        ]
+    )
 
 
 def random_frame(rng: np.random.Generator, dim: int, count: int) -> fl.Frame:

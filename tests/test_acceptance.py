@@ -5,7 +5,6 @@ One test per acceptance criterion; every criterion prints a single
 and enforces both its numeric tolerances and its runtime budget.
 """
 
-import itertools
 import math
 import time
 from contextlib import contextmanager
@@ -16,6 +15,7 @@ from numpy.testing import assert_allclose
 
 import framelab as fl
 from conftest import (
+    enumerated_values,
     mercedes_vectors,
     plane_better_dual,
     random_dual_pair,
@@ -43,14 +43,6 @@ def criterion(number: int, description: str, budget_seconds: float):
         f"criterion {number} ({description}): PASS [{elapsed:.2f}s of {budget_seconds:.0f}s budget]"
     )
     assert elapsed < budget_seconds, f"criterion {number} exceeded its runtime budget"
-
-
-def enumerated_measure(pair, profile, m, kind):
-    evaluate = fl.spectral_radius if kind == "spectral" else fl.operator_norm
-    return max(
-        evaluate(fl.error_operator(pair, profile, fl.ErasureSet.of(combo, pair.count)))
-        for combo in itertools.combinations(range(1, pair.count + 1), m)
-    )
 
 
 def test_criterion_1_first_example_golden():
@@ -155,16 +147,16 @@ def test_criterion_5_closed_forms_match_enumeration():
                     continue
                 assert abs(
                     fl.spectral_measure(pair, profile, m).value
-                    - enumerated_measure(pair, profile, m, "spectral")
+                    - enumerated_values(pair, profile, m, "spectral").max()
                 ) <= 1e-9
                 assert abs(
                     fl.norm_measure(pair, profile, m).value
-                    - enumerated_measure(pair, profile, m, "norm")
+                    - enumerated_values(pair, profile, m, "norm").max()
                 ) <= 1e-9
             if count >= 3:
                 assert abs(
                     fl.spectral_measure(pair, profile, 3).value
-                    - enumerated_measure(pair, profile, 3, "spectral")
+                    - enumerated_values(pair, profile, 3, "spectral").max()
                 ) <= 1e-9
 
 
@@ -182,7 +174,7 @@ def test_criterion_6_mercedes_certification():
         enumerated = fl.spectral_measure(pair, profile, 2).value
         assert abs(enumerated - 1.5) <= 1e-9
         # exhaustive 2x2 block eigenvalue oracle
-        assert abs(enumerated_measure(pair, profile, 2, "spectral") - 1.5) <= 1e-9
+        assert abs(enumerated_values(pair, profile, 2, "spectral").max() - 1.5) <= 1e-9
         prediction = fl.two_erasure_spectral_prediction(pair, profile)
         assert len(prediction.details["tie_set"]) == 3
         assert abs(prediction.details["cross_constant"] - 0.25) <= 1e-9

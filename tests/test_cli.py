@@ -1,11 +1,14 @@
 import dataclasses
 import hashlib
+import importlib
+import inspect
 import itertools
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ from numpy.testing import assert_allclose
 
 import framelab as fl
 import framelab.cli as cli
-from framelab.reporting import emit_report, parse_report, write_report
+from framelab.reporting import emit_report, write_report
 from conftest import conditioned_matrix
 
 PLANE_DOC = """
@@ -66,7 +69,7 @@ def run(capsys, argv):
 def test_analyze_report(capsys, plane_path):
     code, out, _ = run(capsys, ["analyze", plane_path])
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     assert doc["report"] == "analyze"
     assert doc["input"]["dim"] == 2 and doc["input"]["count"] == 3
     spectral_one = next(m for m in doc["measures"] if m["kind"] == "spectral" and m["m"] == 1)
@@ -95,7 +98,7 @@ def test_analyze_out_file(capsys, plane_path, tmp_path):
     code, out, _ = run(capsys, [*argv, "--out", out_path])
     assert code == 0
     assert out == ""
-    doc = parse_report(out_path.read_text(encoding="utf-8"))
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
     assert doc["report"] == "analyze"
     assert [m["m"] for m in doc["measures"]] == [1, 1, 2, 2, 3, 3]
     _, stdout, _ = run(capsys, argv)
@@ -124,7 +127,7 @@ def test_non_finite_table_value_writes_nothing(capsys, plane_path, tmp_path, mon
 def test_analyze_tight_certificates(capsys, tight_path):
     code, out, _ = run(capsys, ["analyze", tight_path, "--m", "1"])
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     by_id = {c["condition_id"]: c for c in doc["certificates"]}
     assert by_id["one_uniform_pair"]["conclusion"] is True
     assert by_id["canonical_spectral_one"]["conclusion"] is True
@@ -250,7 +253,7 @@ def test_separate_probabilities_win_with_warning(capsys, plane_path, tmp_path):
     code, out, err = run(capsys, ["analyze", plane_path, "--probs", probs])
     assert code == 0
     assert "separate file wins" in err
-    doc = parse_report(out)
+    doc = json.loads(out)
     assert doc["input"]["probability_source"] == "separate_file"
     assert_allclose(doc["weights"]["weights"], [2.0, 4 / 3, 4 / 3], atol=1e-12)
 
@@ -292,7 +295,7 @@ def test_ill_conditioned_frame_runs(capsys, tmp_path, argv):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, [argv[0], path, *argv[1:]])
     assert code == 0, err
-    assert parse_report(out)
+    assert json.loads(out)
 
 
 @pytest.mark.parametrize("command", ["analyze", "search", "simulate"])
@@ -372,7 +375,7 @@ def test_search_report(capsys, plane_path):
         capsys, ["search", plane_path, "--measure", "spectral", "--restarts", "3", "--seed", "1"]
     )
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     (entry,) = doc["searches"]
     assert entry["kind"] == "spectral"
     assert entry["canonical_value"] == pytest.approx(4 / 3, abs=1e-9)
@@ -394,7 +397,7 @@ def test_search_unique_dual_notice(capsys, tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, _ = run(capsys, ["search", path])
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     for entry in doc["searches"]:
         assert "unique" in entry["note"]
         assert entry["gap"] == 0.0
@@ -405,7 +408,7 @@ def test_simulate_report(capsys, plane_path):
         capsys, ["simulate", plane_path, "--m", "1", "--trials", "2000", "--seed", "7"]
     )
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     assert doc["simulation"]["trials"] == 2000
     assert doc["worst_case"]["within_bound"] is True
     assert doc["simulation"]["max_error"] <= doc["worst_case"]["norm_value"] + 1e-9
@@ -431,7 +434,7 @@ def test_simulate_negative_m_usage_error(capsys, plane_path):
 def test_simulate_seed_range(capsys, plane_path):
     code, out, err = run(capsys, ["simulate", plane_path, "--trials", "10", "--seed", str(2**64 - 1)])
     assert code == 0, err
-    assert parse_report(out)["simulation"]["rng"] == "splitmix64"
+    assert json.loads(out)["simulation"]["rng"] == "splitmix64"
     for seed in ("-1", "18446744073709551616"):
         code, out, err = run(capsys, ["simulate", plane_path, "--trials", "10", "--seed", seed])
         assert code == 2
@@ -492,7 +495,7 @@ def test_simulate_stdout_independent_of_blas_threads(tmp_path):
             framelab_process(argv, OPENBLAS_NUM_THREADS=threads).stdout for threads in ("1", "2")
         ]
         assert outputs[0] == outputs[1], argv[0]
-        reports[argv[0]] = parse_report(outputs[0].decode())
+        reports[argv[0]] = json.loads(outputs[0].decode())
     assert reports["simulate"]["simulation"]["trials"] == 20000
     assert [len(m["per_set_values"]) for m in reports["analyze"]["measures"]] == [40, 40, 780, 780, 9880, 9880]
     assert [entry["converged"] for entry in reports["search"]["searches"]] == [True, True]
@@ -501,6 +504,43 @@ def test_simulate_stdout_independent_of_blas_threads(tmp_path):
 def test_import_framelab_loads_no_module():
     probe = "import framelab, sys\nprint(*sorted(m for m in sys.modules if m.startswith(('framelab', 'numpy'))))\n"
     assert framelab_process(probe).stdout.split() == [b"framelab"]
+
+
+def test_export_table_lists_every_public_name():
+    """``framelab.<name>`` is the object its module defines, for every public
+    function and class of the library modules, and ``dir`` lists it."""
+    assert set(fl._MODULE_EXPORTS) == {"errors", "frames", "weights", "erasures", "optimality", "search"}
+    for module_name, names in fl._MODULE_EXPORTS.items():
+        module = importlib.import_module(f"framelab.{module_name}")
+        public = {
+            name
+            for name, value in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == module.__name__
+        }
+        assert set(names) == public, module_name
+        for name in names:
+            assert getattr(fl, name) is getattr(module, name)
+        assert set(names) <= set(dir(fl))
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("#", 1)[1].split() for line in block.splitlines() if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert len(printed) == len(expected) == 4
+    for want_line, got_line in zip(expected, printed):
+        assert len(got_line) == len(want_line)
+        for want, got in zip(want_line, got_line):
+            try:
+                value = Fraction(want)
+            except ValueError:
+                assert got == want
+            else:
+                assert float(got) == pytest.approx(float(value), rel=1e-12)
 
 
 def test_analyze_and_search_load_no_openssl(tmp_path):
@@ -523,7 +563,7 @@ def test_analyze_and_search_load_no_openssl(tmp_path):
     assert framelab_process(probe).stdout.split() == [b"0", b"0", b"0", b"False", b"False"]
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     for path in reports:
-        assert parse_report(path.read_text(encoding="utf-8"))["input"]["frame_digest"] == digest
+        assert json.loads(path.read_text(encoding="utf-8"))["input"]["frame_digest"] == digest
 
 
 def test_report_write_peak_memory(monkeypatch, tmp_path):
@@ -573,7 +613,7 @@ def test_search_and_parseval_analyze_run_without_scipy(tmp_path, tight_path):
         f"print(framelab.cli.main({search!r}), framelab.cli.main({analyze!r}))\n"
     )
     assert framelab_process(code).stdout.decode().split() == ["0", "0"]
-    analyze = parse_report((tmp_path / "a.json").read_text(encoding="utf-8"))
+    analyze = json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))
     (equivalence,) = [c for c in analyze["certificates"] if c["condition_id"] == "parseval_equivalence"]
     assert equivalence["conclusion"] is True
 
@@ -583,7 +623,7 @@ def test_search_result_ignores_restarts_and_seed(capsys, plane_path):
     for extra in (["--seed", "0", "--restarts", "20"], ["--seed", "7", "--restarts", "0"]):
         code, out, err = run(capsys, ["search", plane_path, "--measure", "both", *extra])
         assert code == 0
-        sections.append(emit_report(parse_report(out)["searches"]))
+        sections.append(emit_report(json.loads(out)["searches"]))
         notes.append(err)
     assert sections[0] == sections[1]
     assert all("no longer change the result" in err for err in notes)
@@ -606,7 +646,7 @@ def test_analyze_report_reemits_byte_identically(capsys, plane_path, tmp_path):
             path.write_text(json.dumps(random_frame_document(*frame)), encoding="utf-8")
         code, out, _ = run(capsys, ["analyze", path, *extra])
         assert code == 0
-        doc = parse_report(out)
+        doc = json.loads(out)
         reemitted = emit_report(doc)
         # compared by hand: pytest's diff of two megabyte strings takes minutes
         if reemitted != out:
@@ -631,7 +671,7 @@ def test_analyze_orthonormal_basis(capsys, tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, _ = run(capsys, ["analyze", path])
     assert code == 0
-    report = parse_report(out)
+    report = json.loads(out)
     # uniform square profile: q_i = 1 and the per-index table is all ones
     spectral_one = next(
         m for m in report["measures"] if m["kind"] == "spectral" and m["m"] == 1
@@ -657,7 +697,7 @@ def test_analyze_mercedes_records_prediction_discrepancy(capsys, tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, _ = run(capsys, ["analyze", path, "--m", "2", "--measure", "spectral"])
     assert code == 0
-    report = parse_report(out)
+    report = json.loads(out)
     by_id = {c["condition_id"]: c for c in report["certificates"]}
     prediction = by_id["two_erasure_prediction"]
     assert prediction["conclusion"] == pytest.approx(1.5, abs=1e-9)
@@ -669,7 +709,7 @@ def test_analyze_mercedes_records_prediction_discrepancy(capsys, tmp_path):
 def test_examples_pass(capsys):
     code, out, err = run(capsys, ["examples"])
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     assert doc["all_pass"] is True
     assert len(doc["checks"]) == 17
     assert err.count("PASS") == len(doc["checks"])
@@ -682,7 +722,7 @@ def test_examples_corrupted_table_fails(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_example_a", lambda: (frame, wrong))
     code, out, err = run(capsys, ["examples"])
     assert code == 1
-    doc = parse_report(out)
+    doc = json.loads(out)
     assert doc["all_pass"] is False
     assert "FAIL" in err
 

@@ -19,34 +19,20 @@ from framelab.erasures import (
 )
 from conftest import (
     coefficient_shape,
+    enumerated_values,
     plane_better_dual,
     random_dual_pair,
     random_frame,
     random_profile,
+    spectral_radius,
 )
-
-
-def enumerated_values(pair, profile, m, kind):
-    """Independent oracle: the measure of the full error operator of every
-    set, in the order of ``itertools.combinations``."""
-    evaluate = fl.spectral_radius if kind == "spectral" else fl.operator_norm
-    return np.array(
-        [
-            evaluate(fl.error_operator(pair, profile, fl.ErasureSet.of(combo, pair.count)))
-            for combo in itertools.combinations(range(1, pair.count + 1), m)
-        ]
-    )
-
-
-def enumerated_measure(pair, profile, m, kind):
-    return enumerated_values(pair, profile, m, kind).max()
 
 
 def test_error_operator_single_index(plane_frame, plane_profile):
     pair = fl.canonical_dual(plane_frame)
     operator = fl.error_operator(pair, plane_profile, fl.ErasureSet.of([3], 3))
     assert_allclose(operator, np.full((2, 2), 2 / 3), atol=1e-12)
-    assert_allclose(fl.spectral_radius(operator), 4 / 3, atol=1e-12)
+    assert_allclose(spectral_radius(operator), 4 / 3, atol=1e-12)
 
 
 def test_error_operator_empty_set(plane_frame, plane_profile):
@@ -58,7 +44,7 @@ def test_error_operator_empty_set(plane_frame, plane_profile):
 def test_error_operator_tight_first_index(tight_frame, tight_profile):
     pair = fl.canonical_dual(tight_frame)
     operator = fl.error_operator(pair, tight_profile, fl.ErasureSet.of([1], 4))
-    assert_allclose(fl.spectral_radius(operator), 1.0, atol=1e-12)
+    assert_allclose(spectral_radius(operator), 1.0, atol=1e-12)
     assert np.linalg.matrix_rank(operator) == 1
 
 
@@ -82,14 +68,14 @@ def test_erasure_indices_are_validated(plane_frame, plane_profile):
 
 
 def test_spectral_radius_basics():
-    assert fl.spectral_radius([[2, 0], [0, 1]]) == pytest.approx(2.0)
-    assert fl.spectral_radius([[0, 1], [0, 0]]) == pytest.approx(0.0, abs=1e-12)
+    assert spectral_radius([[2, 0], [0, 1]]) == pytest.approx(2.0)
+    assert spectral_radius([[0, 1], [0, 0]]) == pytest.approx(0.0, abs=1e-12)
     rng = np.random.default_rng(0)
     g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     q = 1.7
     outer = q * np.outer(g, f.conj())
-    assert fl.spectral_radius(outer) == pytest.approx(q * abs(f.conj() @ g), rel=1e-12)
+    assert spectral_radius(outer) == pytest.approx(q * abs(f.conj() @ g), rel=1e-12)
 
 
 def test_operator_norm_basics():
@@ -125,7 +111,7 @@ def test_spectral_measure_mercedes_two(mercedes_frame, mercedes_profile):
     assert report.value == pytest.approx(1.5, abs=1e-12)
     # brute-force oracle over the full operators and the weight-only formula
     assert report.value == pytest.approx(
-        enumerated_measure(pair, mercedes_profile, 2, "spectral"), abs=1e-12
+        enumerated_values(pair, mercedes_profile, 2, "spectral").max(), abs=1e-12
     )
     assert fl.optimal_values(mercedes_profile).spectral_two == pytest.approx(1.5, abs=1e-12)
 
@@ -376,7 +362,7 @@ def test_per_index_closed_forms_match_operators(plane_frame, plane_profile):
         operator = fl.error_operator(pair, plane_profile, lam)
         spectral = fl.spectral_measure(pair, plane_profile, 1).value_of([i])
         norm = fl.norm_measure(pair, plane_profile, 1).value_of([i])
-        assert spectral == pytest.approx(fl.spectral_radius(operator), abs=1e-10)
+        assert spectral == pytest.approx(spectral_radius(operator), abs=1e-10)
         assert norm == pytest.approx(fl.operator_norm(operator), abs=1e-10)
 
 
