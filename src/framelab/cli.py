@@ -14,7 +14,8 @@ depend on the machine's core count or on the BLAS thread variables either.
 
 Exit codes: 0 success, 1 expected-value mismatch in ``examples``, 2 input
 error (any ``ValueError``: every :class:`~framelab.errors.InputError` and a
-report that cannot be written among them), 3 numeric failure (any other
+report that cannot be written among them; and running out of memory, since
+the input sets every allocation's size), 3 numeric failure (any other
 ``FrameLabError``, and a LAPACK failure).
 """
 
@@ -47,14 +48,12 @@ import numpy as np  # noqa: E402  (after the thread cap)
 from . import __version__  # noqa: E402
 from .erasures import norm_measure, simulate_erasure_channel, spectral_measure  # noqa: E402
 from .errors import FrameLabError, HypothesisFailed, NotOneErasureOptimal, NotParseval  # noqa: E402
-from .fileio import (  # noqa: E402
-    FrameFileContent,
-    load_frame_file,
-    load_probability_file,
-    resolve_profile,
-)
+from .fileio import load_frame_file, load_probability_file, resolve_profile  # noqa: E402
 from .frames import DualPair, Frame, build_frame, canonical_dual  # noqa: E402
 from .optimality import (  # noqa: E402
+    CONDITION_PARSEVAL_EQUIVALENCE,
+    CONDITION_SPECTRAL_TWO_PAIR,
+    CONDITION_TWO_ERASURE_PREDICTION,
     canonical_norm_one_certificate,
     canonical_spectral_one_certificate,
     canonical_spectral_two_certificate,
@@ -88,12 +87,8 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-# ``search`` options of the earlier restarted solver, with their old defaults:
-# still parsed and echoed under ``options``, but they change nothing.
-_IGNORED_SEARCH_OPTIONS = {"restarts": 20, "seed": 0, "method": "smoothed"}
 
-
-def _load_inputs(args) -> tuple[FrameFileContent, ProbabilityProfile, dict]:
+def _load_inputs(args) -> tuple[Frame, ProbabilityProfile, dict]:
     content = load_frame_file(args.frame)
     separate = load_probability_file(args.probs) if args.probs else None
     profile, source, conflict = resolve_profile(content, separate)
@@ -112,7 +107,13 @@ def _load_inputs(args) -> tuple[FrameFileContent, ProbabilityProfile, dict]:
         "dim": content.frame.dim,
         "count": content.frame.count,
     }
-    return content, profile, input_section
+    return content.frame, profile, input_section
+
+
+def _write(args, **sections) -> None:
+    """Write the ``args.command`` report: the tool and report name, then ``sections``."""
+    document = {"tool": {"name": "framelab", "version": __version__}, "report": args.command}
+    write_report({**document, **sections}, args.out)
 
 
 def _certificate_entry(cert, partition=None) -> dict:
@@ -137,7 +138,7 @@ def _analyze_certificates(frame: Frame, profile: ProbabilityProfile) -> list:
     try:
         entries.append(_certificate_entry(two_erasure_spectral_optimal_pair(pair, profile)))
     except NotOneErasureOptimal as exc:
-        entries.append(_skipped_entry("spectral_two_optimal_pair", str(exc)))
+        entries.append(_skipped_entry(CONDITION_SPECTRAL_TWO_PAIR, str(exc)))
     cert, partition = canonical_spectral_one_certificate(frame, profile)
     entries.append(_certificate_entry(cert, partition))
     cert, partition = canonical_norm_one_certificate(frame, profile)
@@ -146,20 +147,19 @@ def _analyze_certificates(frame: Frame, profile: ProbabilityProfile) -> list:
     try:
         entries.append(_certificate_entry(two_erasure_spectral_prediction(pair, profile)))
     except HypothesisFailed as exc:
-        entry = _skipped_entry("two_erasure_prediction", str(exc))
+        entry = _skipped_entry(CONDITION_TWO_ERASURE_PREDICTION, str(exc))
         entry["hypotheses"] = exc.hypotheses
         entries.append(entry)
     entries.append(_certificate_entry(is_probabilistic_uniform_parseval(frame, profile)))
     try:
         entries.append(_certificate_entry(parseval_equivalence_report(frame, profile)))
     except NotParseval:
-        entries.append(_skipped_entry("parseval_equivalence", "frame is not Parseval"))
+        entries.append(_skipped_entry(CONDITION_PARSEVAL_EQUIVALENCE, "frame is not Parseval"))
     return entries
 
 
 def cmd_analyze(args) -> int:
-    content, profile, input_section = _load_inputs(args)
-    frame = content.frame
+    frame, profile, input_section = _load_inputs(args)
     requested = sorted(set(args.m)) if args.m else [1, 2]
     for m in requested:
         if not 1 <= m <= frame.count:
@@ -175,33 +175,26 @@ def cmd_analyze(args) -> int:
                 else norm_measure(pair, profile, m)
             )
             measures.append(measure_report_to_dict(report))
-    document = {
-        "tool": {"name": "framelab", "version": __version__},
-        "report": "analyze",
-        "input": input_section,
-        "frame": frame_to_dict(frame),
-        "weights": {
+    _write(
+        args,
+        input=input_section,
+        frame=frame_to_dict(frame),
+        weights={
             **profile_to_dict(profile),
             "properties": weight_properties_to_dict(weight_properties_report(profile)),
         },
-        "canonical_dual": dual_pair_to_dict(pair),
-        "measures": measures,
-        "certificates": _analyze_certificates(frame, profile),
-    }
-    write_report(document, args.out)
+        canonical_dual=dual_pair_to_dict(pair),
+        measures=measures,
+        certificates=_analyze_certificates(frame, profile),
+    )
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
-    content, profile, input_section = _load_inputs(args)
-    frame = content.frame
+    frame, profile, input_section = _load_inputs(args)
+    if args.restarts is not None:
+        print("note: --restarts is accepted but no longer changes the result", file=sys.stderr)
     kinds = ("spectral", "norm") if args.measure == "both" else (args.measure,)
-    given = {name: getattr(args, name) for name in _IGNORED_SEARCH_OPTIONS}
-    if any(value is not None for value in given.values()):
-        print(
-            "note: --restarts, --seed and --method are accepted but no longer change the result",
-            file=sys.stderr,
-        )
     searches = []
     for kind in kinds:
         minimize = minimize_spectral_one if kind == "spectral" else minimize_norm_one
@@ -214,41 +207,25 @@ def cmd_search(args) -> int:
             "norm_two": norm_measure(result.best_dual, profile, 2).value,
         }
         searches.append(entry)
-    document = {
-        "tool": {"name": "framelab", "version": __version__},
-        "report": "search",
-        "input": input_section,
-        "weights": profile_to_dict(profile),
-        "options": {
-            name: default if given[name] is None else given[name]
-            for name, default in _IGNORED_SEARCH_OPTIONS.items()
-        },
-        "searches": searches,
-    }
-    write_report(document, args.out)
+    _write(args, input=input_section, weights=profile_to_dict(profile), searches=searches)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    content, profile, input_section = _load_inputs(args)
-    frame = content.frame
+    frame, profile, input_section = _load_inputs(args)
     pair = canonical_dual(frame)
     # the worst case comes first, so an m over the enumeration cap fails
     # before any trial is drawn
     worst_case = norm_measure(pair, profile, args.m).value if 1 <= args.m <= frame.count else 0.0
     stats = simulate_erasure_channel(pair, profile, args.m, args.trials, args.seed)
-    document = {
-        "tool": {"name": "framelab", "version": __version__},
-        "report": "simulate",
-        "input": input_section,
-        "weights": profile_to_dict(profile),
-        "simulation": stats,
-        "worst_case": {
-            "norm_value": worst_case,
-            "within_bound": bool(stats.max_error <= worst_case + 1e-9),
-        },
-    }
-    write_report(document, args.out)
+    within_bound = bool(stats.max_error <= worst_case + 1e-9)
+    _write(
+        args,
+        input=input_section,
+        weights=profile_to_dict(profile),
+        simulation=stats,
+        worst_case={"norm_value": worst_case, "within_bound": within_bound},
+    )
     return EXIT_OK
 
 
@@ -380,13 +357,7 @@ def builtin_example_checks() -> list[dict]:
 def cmd_examples(args) -> int:
     checks = builtin_example_checks()
     all_pass = all(c["passed"] for c in checks)
-    document = {
-        "tool": {"name": "framelab", "version": __version__},
-        "report": "examples",
-        "checks": checks,
-        "all_pass": all_pass,
-    }
-    write_report(document, args.out)
+    _write(args, checks=checks, all_pass=all_pass)
     width = max(len(f"{c['example']}.{c['quantity']}") for c in checks)
     for c in checks:
         name = f"{c['example']}.{c['quantity']}"
@@ -403,43 +374,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"framelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="weights, canonical dual, measures, certificates")
-    analyze.add_argument("frame", help="frame file (JSON)")
-    analyze.add_argument("--probs", help="separate probability file (overrides inline)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="write the report here instead of stdout")
+    inputs = argparse.ArgumentParser(add_help=False, parents=[output])
+    inputs.add_argument("frame", help="frame file (JSON)")
+    inputs.add_argument("--probs", help="separate probability file (overrides inline)")
+    measure = argparse.ArgumentParser(add_help=False)
+    measure.add_argument("--measure", choices=("spectral", "norm", "both"), default="both")
+
+    analyze = sub.add_parser(
+        "analyze", parents=[inputs, measure], help="weights, canonical dual, measures, certificates"
+    )
     analyze.add_argument(
         "--m", type=int, action="append", help="erasure count to report (repeatable; default 1 and 2)"
     )
-    analyze.add_argument(
-        "--measure", choices=("spectral", "norm", "both"), default="both"
-    )
-    analyze.add_argument("--out", help="write the report here instead of stdout")
     analyze.set_defaults(handler=cmd_analyze)
 
-    search = sub.add_parser("search", help="minimax search for one-erasure optimal duals")
-    search.add_argument("frame", help="frame file (JSON)")
-    search.add_argument("--probs", help="separate probability file (overrides inline)")
-    search.add_argument(
-        "--measure", choices=("spectral", "norm", "both"), default="both"
+    search = sub.add_parser(
+        "search", parents=[inputs, measure], help="minimax search for one-erasure optimal duals"
     )
+    # an option of the earlier restarted solver; perfbench/workloads.py passes
+    # it to every search job, so it stays accepted, and changes nothing
     search.add_argument("--restarts", type=int, help="accepted but ignored")
-    search.add_argument("--seed", type=int, help="accepted but ignored")
-    search.add_argument(
-        "--method", choices=("smoothed", "subgradient"), help="accepted but ignored"
-    )
-    search.add_argument("--out", help="write the report here instead of stdout")
     search.set_defaults(handler=cmd_search)
 
-    simulate = sub.add_parser("simulate", help="seeded erasure-channel Monte Carlo")
-    simulate.add_argument("frame", help="frame file (JSON)")
-    simulate.add_argument("--probs", help="separate probability file (overrides inline)")
+    simulate = sub.add_parser("simulate", parents=[inputs], help="seeded erasure-channel Monte Carlo")
     simulate.add_argument("--m", type=int, default=1, help="erasures per trial")
     simulate.add_argument("--trials", type=int, default=10000)
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--out", help="write the report here instead of stdout")
     simulate.set_defaults(handler=cmd_simulate)
 
-    examples = sub.add_parser("examples", help="run the built-in worked examples")
-    examples.add_argument("--out", help="write the report here instead of stdout")
+    examples = sub.add_parser("examples", parents=[output], help="run the built-in worked examples")
     examples.set_defaults(handler=cmd_examples)
     return parser
 
@@ -460,6 +425,10 @@ def main(argv=None) -> int:
     except FrameLabError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    # the input sets every allocation's size (simulate --trials 1000000000000)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,6 +15,10 @@ from numpy.testing import assert_allclose
 
 import framelab as fl
 from conftest import (
+    PLANE_PROBS,
+    PLANE_VECTORS,
+    TIGHT_PROBS,
+    TIGHT_VECTORS,
     enumerated_values,
     mercedes_vectors,
     plane_better_dual,
@@ -23,11 +27,6 @@ from conftest import (
     random_parseval_frame,
     random_profile,
 )
-
-PLANE_VECTORS = [(1, 0), (0, 1), (1, 1)]
-PLANE_PROBS = [0.25, 0.25, 0.5]
-TIGHT_VECTORS = [(1, 0), (0, 1), (1, 1), (1, -1)]
-TIGHT_PROBS = [0.5, 0.5, 0.0, 0.0]
 
 
 @contextmanager

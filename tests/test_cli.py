@@ -357,7 +357,7 @@ def subclasses(cls):
 
 def test_exit_code_of_every_error_class(capsys, monkeypatch):
     errors = {cls.__name__: cls for cls in subclasses(fl.FrameLabError) if cls.__module__ == "framelab.errors"}
-    errors.update(ValueError=ValueError, LinAlgError=np.linalg.LinAlgError)
+    errors.update(ValueError=ValueError, LinAlgError=np.linalg.LinAlgError, MemoryError=MemoryError)
     codes = {}
     for name, error in errors.items():
 
@@ -367,12 +367,27 @@ def test_exit_code_of_every_error_class(capsys, monkeypatch):
         monkeypatch.setattr(cli, "cmd_examples", fail)
         codes[name], _, _ = run(capsys, ["examples"])
     expected = {**dict.fromkeys(INPUT_ERRORS, 2), **dict.fromkeys(NUMERIC_ERRORS, 3)}
-    assert codes == {**expected, "ValueError": 2, "LinAlgError": 3}
+    assert codes == {**expected, "ValueError": 2, "LinAlgError": 3, "MemoryError": 2}
+
+
+def test_out_of_memory_is_an_input_error(capsys, monkeypatch, plane_path):
+    # the input sets the size (simulate --trials 1000000000000 asks numpy for
+    # 7.28 TiB); raised here, since a real allocation that large can succeed
+    # under overcommit and then run for days
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+    def fail(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "simulate_erasure_channel", fail)
+    code, out, err = run(capsys, ["simulate", plane_path, "--trials", "1000000000000"])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: out of memory: {message}"]
 
 
 def test_search_report(capsys, plane_path):
     code, out, _ = run(
-        capsys, ["search", plane_path, "--measure", "spectral", "--restarts", "3", "--seed", "1"]
+        capsys, ["search", plane_path, "--measure", "spectral", "--restarts", "3"]
     )
     assert code == 0
     doc = json.loads(out)
@@ -618,17 +633,44 @@ def test_search_and_parseval_analyze_run_without_scipy(tmp_path, tight_path):
     assert equivalence["conclusion"] is True
 
 
-def test_search_result_ignores_restarts_and_seed(capsys, plane_path):
+def test_search_result_ignores_restarts(capsys, plane_path):
+    # the values the benchmark's search jobs pass
     sections, notes = [], []
-    for extra in (["--seed", "0", "--restarts", "20"], ["--seed", "7", "--restarts", "0"]):
+    for extra in (["--restarts", "4"], ["--restarts", "0"]):
         code, out, err = run(capsys, ["search", plane_path, "--measure", "both", *extra])
         assert code == 0
-        sections.append(emit_report(json.loads(out)["searches"]))
+        doc = json.loads(out)
+        assert list(doc) == ["tool", "report", "input", "weights", "searches"]
+        sections.append(emit_report(doc["searches"]))
         notes.append(err)
     assert sections[0] == sections[1]
-    assert all("no longer change the result" in err for err in notes)
+    note = "note: --restarts is accepted but no longer changes the result"
+    assert all(err.splitlines() == [note] for err in notes)
     _, _, err = run(capsys, ["search", plane_path])
     assert err == ""
+
+
+@pytest.mark.parametrize("option", [["--seed", "1"], ["--method", "smoothed"]])
+def test_search_rejects_options_of_the_earlier_solver(capsys, plane_path, option):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["search", str(plane_path), *option])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize("command", ["analyze", "search", "simulate", "examples"])
+def test_every_subcommand_has_help(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    usage = capsys.readouterr().out
+    assert usage.startswith(f"usage: framelab {command} ")
+    assert "--out OUT" in usage
+    reads_a_frame = command != "examples"
+    assert ("--probs PROBS" in usage) is reads_a_frame
+    assert ("frame file (JSON)" in usage) is reads_a_frame
 
 
 def test_analyze_report_reemits_byte_identically(capsys, plane_path, tmp_path):
