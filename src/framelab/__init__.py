@@ -17,10 +17,8 @@ __version__ = "0.1.0"
 _MODULE_EXPORTS = {
     "errors": (
         "CombinatorialLimit",
-        "DegenerateDenominator",
         "DegenerateWeight",
         "DimensionMismatch",
-        "EigenFailure",
         "FrameLabError",
         "HypothesisFailed",
         "IllConditioned",
@@ -42,19 +40,16 @@ _MODULE_EXPORTS = {
         "canonical_dual",
         "dual_from_coefficients",
         "dual_perturbation_basis",
-        "frame_operator",
         "verify_dual",
     ),
     "weights": (
         "ProbabilityProfile",
         "WeightPropertiesReport",
-        "uniform_profile",
         "weight_properties_report",
         "weights_from_probabilities",
     ),
     "erasures": (
         "ErasureMeasureReport",
-        "ErasureSet",
         "SimulationStats",
         "error_operator",
         "norm_measure",

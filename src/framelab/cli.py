@@ -292,7 +292,7 @@ def builtin_example_checks() -> list[dict]:
             "A",
             "per_index_spectral",
             [8 / 9, 8 / 9, 4 / 3],
-            [spectral.value_of([i]) for i in (1, 2, 3)],
+            spectral.per_set_values.tolist(),
         )
     )
     checks.append(_check("A", "spectral_one_canonical", 4 / 3, spectral.value))
@@ -328,7 +328,7 @@ def builtin_example_checks() -> list[dict]:
             "B",
             "per_index_spectral",
             [1.0, 1.0, 1.0, 1.0],
-            [spectral.value_of([i]) for i in (1, 2, 3, 4)],
+            spectral.per_set_values.tolist(),
         )
     )
     norm = norm_measure(pair, profile, 1)
@@ -337,7 +337,7 @@ def builtin_example_checks() -> list[dict]:
             "B",
             "per_index_norm",
             [1.0, 1.0, 1.0, 1.0],
-            [norm.value_of([i]) for i in (1, 2, 3, 4)],
+            norm.per_set_values.tolist(),
         )
     )
     spectral_cert, spectral_partition = canonical_spectral_one_certificate(frame, profile)

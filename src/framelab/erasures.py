@@ -46,7 +46,8 @@ the errors into ``HISTOGRAM_BINS`` bins.  Its uniforms come from SplitMix64
 ``k`` (from 0) is ``mix(seed + (k + 1) gamma)``, so any stretch of it is
 computed directly, in ``uint64`` array arithmetic, without ``numpy.random``.
 
-Erasure-set indices are 1-based throughout, matching the vector numbering.
+Erasure-set indices are 1-based throughout, matching the vector numbering,
+and an erasure set is the sorted tuple of its indices, as reports write it.
 """
 
 from __future__ import annotations
@@ -58,13 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CombinatorialLimit,
-    EigenFailure,
-    InsufficientSupport,
-    ShapeMismatch,
-    SvdFailure,
-)
+from .errors import CombinatorialLimit, InsufficientSupport, ShapeMismatch, SvdFailure
 from .frames import DualPair
 from .weights import ProbabilityProfile
 
@@ -101,54 +96,25 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)))
 
 
-@dataclass(frozen=True, order=True)
-class ErasureSet:
-    """A sorted set of erased coefficient indices (1-based)."""
-
-    indices: tuple[int, ...]
-
-    @classmethod
-    def of(cls, indices, count: int) -> "ErasureSet":
-        idx = tuple(sorted(int(i) for i in indices))
-        if len(set(idx)) != len(idx):
-            raise ValueError(f"erasure indices must be distinct, got {idx}")
-        if idx and not (1 <= idx[0] and idx[-1] <= count):
-            raise ValueError(f"erasure indices {idx} out of range 1..{count}")
-        return cls(idx)
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    def offsets(self) -> np.ndarray:
-        """0-based index array for numpy slicing."""
-        return np.asarray(self.indices, dtype=np.intp) - 1
-
-
 @dataclass(frozen=True, eq=False)
 class ErasureMeasureReport:
     """Worst-case value of one measure with the sets attaining it.
 
     ``per_set_values[k]`` is the value at the ``k``-th size-``m`` subset of
-    ``1..count`` in lexicographic order, the order of :meth:`sets`.
+    ``1..count`` in lexicographic order, the order of :meth:`sets`; each
+    set, in ``argmax_sets`` too, is a sorted tuple of 1-based indices.
     """
 
     kind: str  # "spectral" or "norm"
     m: int
     count: int
     value: float
-    argmax_sets: tuple[ErasureSet, ...]
+    argmax_sets: tuple[tuple[int, ...], ...]
     per_set_values: np.ndarray
 
     def sets(self):
         """Every size-m erasure set, in the order of ``per_set_values``."""
         return _sets(self.count, self.m)
-
-    def value_of(self, indices) -> float:
-        lam = ErasureSet.of(indices, self.count)
-        if lam.size != self.m:
-            raise ValueError(f"expected {self.m} erasure indices, got {lam.indices}")
-        return float(self.per_set_values[_combination_index(lam.indices, self.count)])
 
 
 def _sets(count: int, m: int):
@@ -156,13 +122,15 @@ def _sets(count: int, m: int):
     return itertools.combinations(range(1, count + 1), m)
 
 
-def _combination_index(indices: tuple[int, ...], count: int) -> int:
-    """Position of a sorted 1-based set among the size-m subsets of
-    ``1..count`` in lexicographic order (combinatorial number system)."""
-    m = len(indices)
-    return math.comb(count, m) - 1 - sum(
-        math.comb(count - c, m - k) for k, c in enumerate(indices)
-    )
+def _offsets(indices, count: int) -> np.ndarray:
+    """0-based offsets of the 1-based ``indices``, sorted; ``ValueError``
+    unless they are distinct and in ``1..count``."""
+    idx = sorted(int(i) for i in indices)
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"erasure indices must be distinct, got {tuple(idx)}")
+    if idx and not (1 <= idx[0] and idx[-1] <= count):
+        raise ValueError(f"erasure indices {tuple(idx)} out of range 1..{count}")
+    return np.asarray(idx, dtype=np.intp) - 1
 
 
 def _check_compatible(pair: DualPair, profile: ProbabilityProfile) -> None:
@@ -176,20 +144,15 @@ def _check_compatible(pair: DualPair, profile: ProbabilityProfile) -> None:
         )
 
 
-def error_operator(
-    pair: DualPair, profile: ProbabilityProfile, lam: ErasureSet
-) -> np.ndarray:
-    """Matrix of ``f -> sum_{i in lam} q_i <f, f_i> g_i`` (rank <= |lam|).
+def error_operator(pair: DualPair, profile: ProbabilityProfile, indices) -> np.ndarray:
+    """Matrix of ``f -> sum_{i in L} q_i <f, f_i> g_i`` (rank <= |L|) for the
+    erasure set ``L`` of the 1-based ``indices``.
 
-    ``lam`` must hold distinct indices in ``1..count``; ``ValueError``
+    ``indices`` must be distinct and in ``1..count``; ``ValueError``
     otherwise.
     """
     _check_compatible(pair, profile)
-    lam = ErasureSet.of(lam.indices, pair.count)
-    n = pair.dim
-    if lam.size == 0:
-        return np.zeros((n, n), dtype=np.complex128)
-    ix = lam.offsets()
+    ix = _offsets(indices, pair.count)
     g = pair.dual[:, ix]
     f = pair.frame.matrix[:, ix]
     q = profile.weights[ix]
@@ -203,20 +166,12 @@ def operator_norm(matrix) -> float:
         raise ShapeMismatch(f"expected a matrix, got shape {m.shape}")
     if m.size == 0:
         return 0.0
-    try:
-        singular_values = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SvdFailure(str(exc)) from exc
-    return float(singular_values[0])
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def _largest_eigenvalue_moduli(blocks: np.ndarray) -> np.ndarray:
     """Spectral radius of each matrix in a ``(S, m, m)`` stack."""
-    try:
-        eigenvalues = np.linalg.eigvals(blocks)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise EigenFailure(str(exc)) from exc
-    return np.abs(eigenvalues).max(axis=1)
+    return np.abs(np.linalg.eigvals(blocks)).max(axis=1)
 
 
 # numpy's vectorised complex product and modulus may round differently from
@@ -279,10 +234,8 @@ def two_erasure_eigenvalues(
     evaluates over all pairs at once.
     """
     _check_compatible(pair, profile)
-    ErasureSet.of((i, j), pair.count)
-    hi, lo = _two_erasure_roots(
-        pair.cross_gram, profile.weights, np.array([i - 1]), np.array([j - 1])
-    )
+    ix = _offsets((i, j), pair.count)
+    hi, lo = _two_erasure_roots(pair.cross_gram, profile.weights, ix[:1], ix[1:])
     return complex(hi[0]), complex(lo[0])
 
 
@@ -523,7 +476,7 @@ def _build_report(kind: str, m: int, count: int, values: np.ndarray) -> ErasureM
         m=m,
         count=count,
         value=best,
-        argmax_sets=tuple(ErasureSet(s) for s in ties),
+        argmax_sets=tuple(ties),
         per_set_values=values,
     )
 
@@ -570,7 +523,7 @@ def norm_measure(pair: DualPair, profile: ProbabilityProfile, m: int) -> Erasure
     if m == 1:
         values = q * np.linalg.norm(f, axis=0) * np.linalg.norm(g, axis=0)
         check = int(np.argmax(values)) + 1
-        direct = operator_norm(error_operator(pair, profile, ErasureSet((check,))))
+        direct = operator_norm(error_operator(pair, profile, (check,)))
         if abs(direct - values[check - 1]) > 1e-8 * max(1.0, direct):
             raise SvdFailure(
                 f"closed-form norm {values[check - 1]:.17g} disagrees with "

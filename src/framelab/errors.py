@@ -4,8 +4,9 @@ Every framelab error is a :class:`FrameLabError`.  Errors in the input (a
 frame or probability file, or an argument) derive from :class:`InputError`,
 which is also a ``ValueError``; argument misuse that no named class covers
 raises a plain ``ValueError``.  The other classes report a numeric failure or
-a certificate whose hypotheses do not hold.  The command line exits 2 on any
-``ValueError`` and 3 on any other ``FrameLabError``.
+a certificate whose hypotheses do not hold.  A LAPACK failure is raised as
+numpy's ``LinAlgError``, not re-labelled.  The command line exits 2 on any
+``ValueError`` and 3 on any other ``FrameLabError`` and on ``LinAlgError``.
 """
 
 
@@ -45,20 +46,12 @@ class DegenerateWeight(InputError):
     """Some erasure probability equals one, so its weight is infinite."""
 
 
-class DegenerateDenominator(FrameLabError):
-    """The optimal-value formulas need at least two vectors."""
-
-
 class CombinatorialLimit(InputError):
     """Too many erasure sets to enumerate under the configured cap."""
 
 
-class EigenFailure(FrameLabError):
-    """The eigenvalue solver did not converge."""
-
-
 class SvdFailure(FrameLabError):
-    """The singular value solver did not converge."""
+    """A closed-form operator norm disagrees with the singular value solver."""
 
 
 class InsufficientSupport(InputError):

@@ -1,4 +1,4 @@
-"""Finite frames, frame operators, canonical duals, and the dual-frame space.
+"""Finite frames, canonical duals, and the dual-frame space.
 
 A frame is stored as its synthesis matrix: an ``n x N`` complex array whose
 columns are the frame vectors.  Inner products follow the convention
@@ -31,8 +31,9 @@ check and the frame bounds from ``s``, the condition number ``(s_1 / s_n)^2``
 of the frame operator ``S = F F^H``, and the canonical dual
 ``S^-1 F = U diag(1 / s) W^H``, which is never solved for through ``S``: that
 would square the conditioning.  ``V`` comes from a full decomposition, taken
-only when it is asked for.  ``S``, the canonical dual, ``V`` and the
-components are computed once per frame and cached on it.
+only when it is asked for.  The canonical dual, ``V`` and the components
+are computed once per frame and cached on it.  ``S`` itself is formed once,
+inside the cached ``parseval_residual``, its one reader.
 
 A :class:`DualPair` holds its dual as the read-only ``n x N`` array ``G``,
 not as a second frame: a dual is read only through its matrix, and a ``G``
@@ -135,17 +136,12 @@ class Frame:
         """Optimal upper frame bound: largest eigenvalue of the frame operator."""
         return float(self._svd[1][0] ** 2)
 
-    @property
-    def parseval_residual(self) -> float:
-        """Largest entry of ``|S - I|``; zero exactly for a Parseval frame."""
-        return float(np.max(np.abs(self._operator - np.eye(self.dim))))
-
     @cached_property
-    def _operator(self) -> np.ndarray:
+    def parseval_residual(self) -> float:
+        """Largest entry of ``|S - I|`` for the frame operator ``S = F F^H``;
+        zero exactly for a Parseval frame."""
         f = self._matrix
-        operator = f @ f.conj().T
-        operator.setflags(write=False)
-        return operator
+        return float(np.max(np.abs(f @ f.conj().T - np.eye(self.dim))))
 
     @cached_property
     def _canonical(self) -> DualPair:
@@ -200,12 +196,6 @@ class Frame:
 def build_frame(dim: int, vectors) -> Frame:
     """Validate a list of length-``dim`` vectors and return the Frame."""
     return Frame(_as_complex_matrix(vectors, dim))
-
-
-def frame_operator(frame: Frame) -> np.ndarray:
-    """Frame operator ``S = F F^H = sum_i f_i f_i^H`` (positive definite), a
-    read-only array computed once per frame."""
-    return frame._operator
 
 
 def verify_dual(frame: Frame, dual) -> bool:

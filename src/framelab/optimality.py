@@ -45,12 +45,7 @@ from .erasures import (
     spectral_measure,
     two_erasure_eigenvalues,
 )
-from .errors import (
-    DegenerateDenominator,
-    HypothesisFailed,
-    NotOneErasureOptimal,
-    NotParseval,
-)
+from .errors import HypothesisFailed, NotOneErasureOptimal, NotParseval
 from .frames import DualPair, Frame, canonical_dual
 from .weights import ProbabilityProfile
 
@@ -112,15 +107,14 @@ class PartitionReport:
 
 @dataclass(frozen=True)
 class OptimalBounds:
-    """Optimal values determined by the weight sequence alone.
+    """The two-erasure optimal value, which the weight sequence alone
+    determines (both one-erasure optima are 1).
 
     ``cross_budget`` is ``n - sum_i 1/q_i^2``: the total off-diagonal
     cross-Gram product mass available to a one-erasure optimal pair.  Its
     sign selects the branch of the two-erasure optimal value.
     """
 
-    spectral_one: float
-    norm_one: float
     spectral_two: float
     cross_budget: float
     offdiag_weight_sum: float
@@ -200,14 +194,12 @@ def one_erasure_spectral_optimal_pair(
 
 
 def optimal_values(profile: ProbabilityProfile) -> OptimalBounds:
-    """Optimal one- and two-erasure values over all dual pairs.
+    """The two-erasure spectral optimum over all dual pairs.
 
     Both one-erasure optima equal 1.  The two-erasure optimum follows the
     sign of the cross budget ``n - sum 1/q_i^2``; a negative budget is only
     possible when the vector count equals the dimension.
     """
-    if profile.count < 2:
-        raise DegenerateDenominator("optimal values need at least two vectors")
     inv_q = 1.0 / profile.weights
     n = profile.dim
     square_sum = float(np.sum(inv_q**2))
@@ -218,8 +210,6 @@ def optimal_values(profile: ProbabilityProfile) -> OptimalBounds:
     else:
         spectral_two = np.sqrt((n * n - n) / (n * n - square_sum))
     return OptimalBounds(
-        spectral_one=1.0,
-        norm_one=1.0,
         spectral_two=float(spectral_two),
         cross_budget=float(budget),
         offdiag_weight_sum=offdiag,
@@ -421,8 +411,6 @@ def two_erasure_spectral_prediction(
         witness=diag_violation,
     )
     products = _cross_products(alpha, q)
-    if not products.size:
-        raise HypothesisFailed("prediction needs at least two vectors", [hyp_diag])
     mean = complex(np.mean(products))
     deviation = float(np.max(_cabs(products - mean)))
     constant_ok = (

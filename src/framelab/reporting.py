@@ -4,7 +4,8 @@ Reports are JSON documents with the layout of the standard encoder's
 ``json.dumps(indent=2)``: keys in insertion order and two-space indentation.
 Floats take the shortest spelling that parses back to the same double
 (Python's ``repr``), so identical inputs produce byte-identical reports and
-``json.loads(emit_report(r)) == r``.  Non-finite floats are rejected.
+parsing a written report gives back the document.  Non-finite floats are
+rejected.
 
 The per-set tables of the erasure measures (one row per erasure set, up to
 tens of thousands of rows) are written from a ``%``-format row template
@@ -68,11 +69,6 @@ def _plain(obj):
 _TABLE_PLACEHOLDER = json.dumps("\0")
 
 
-def emit_report(document: dict) -> str:
-    """Serialize a report document to canonical JSON text."""
-    return "".join(_report_pieces(document))
-
-
 def write_report(document: dict, path: str | None) -> None:
     """Write the report to the file ``path``, or to stdout when ``path`` is
     empty.  A document that fails a check raises before the file is opened;
@@ -105,7 +101,7 @@ def _discard_stdout() -> None:
 
 
 def _report_pieces(document: dict) -> Iterator[str]:
-    """The text of :func:`emit_report` as an iterator of pieces.
+    """The text of the report as an iterator of pieces.
 
     The document is encoded, and every table checked, in this call, so an
     error is raised before the first piece exists; the table rows are
@@ -212,7 +208,7 @@ def measure_report_to_dict(report: ErasureMeasureReport) -> dict:
         "kind": report.kind,
         "m": report.m,
         "value": report.value,
-        "argmax_sets": [list(s.indices) for s in report.argmax_sets],
+        "argmax_sets": [list(s) for s in report.argmax_sets],
         "per_set_values": report,
     }
 

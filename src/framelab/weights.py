@@ -77,11 +77,6 @@ def weights_from_probabilities(probabilities, dim: int) -> ProbabilityProfile:
     return ProbabilityProfile(probabilities=p, weights=q, dim=dim)
 
 
-def uniform_profile(count: int, dim: int) -> ProbabilityProfile:
-    """Profile with equal erasure probability on every index."""
-    return weights_from_probabilities(np.full(count, 1.0 / count), dim)
-
-
 @dataclass(frozen=True)
 class WeightPropertiesReport:
     """Checked properties of a weight sequence.

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 
 import numpy as np
 import pytest
 
 import framelab as fl
+from framelab.reporting import write_report
 
 # The two worked examples used across the suite:
 #   plane: three vectors in C^2 with skewed erasure probabilities
@@ -45,7 +48,20 @@ def mercedes_frame() -> fl.Frame:
 
 @pytest.fixture
 def mercedes_profile() -> fl.ProbabilityProfile:
-    return fl.uniform_profile(3, 2)
+    return uniform_profile(3, 2)
+
+
+def uniform_profile(count: int, dim: int) -> fl.ProbabilityProfile:
+    """Profile with equal erasure probability on every index."""
+    return fl.weights_from_probabilities(np.full(count, 1.0 / count), dim)
+
+
+def report_text(document) -> str:
+    """The text :func:`write_report` writes to stdout for ``document``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write_report(document, None)
+    return out.getvalue()
 
 
 def mercedes_vectors():
@@ -77,7 +93,7 @@ def enumerated_values(pair, profile, m, kind):
     evaluate = spectral_radius if kind == "spectral" else fl.operator_norm
     return np.array(
         [
-            evaluate(fl.error_operator(pair, profile, fl.ErasureSet.of(combo, pair.count)))
+            evaluate(fl.error_operator(pair, profile, combo))
             for combo in itertools.combinations(range(1, pair.count + 1), m)
         ]
     )
@@ -105,8 +121,7 @@ def conditioned_matrix(
 
 def random_parseval_frame(rng: np.random.Generator, dim: int, count: int) -> fl.Frame:
     frame = random_frame(rng, dim, count)
-    op = fl.frame_operator(frame)
-    values, vectors = np.linalg.eigh(op)
+    values, vectors = np.linalg.eigh(frame.matrix @ frame.matrix.conj().T)
     inv_sqrt = (vectors / np.sqrt(values)) @ vectors.conj().T
     return fl.Frame(inv_sqrt @ frame.matrix)
 

@@ -26,6 +26,7 @@ from conftest import (
     random_frame,
     random_parseval_frame,
     random_profile,
+    uniform_profile,
 )
 
 
@@ -51,9 +52,7 @@ def test_criterion_1_first_example_golden():
         assert list(profile.weights) == [4 / 3, 4 / 3, 2.0]  # exact
         pair = fl.canonical_dual(frame)
         spectral = fl.spectral_measure(pair, profile, 1)
-        assert_allclose(
-            [spectral.value_of([i]) for i in (1, 2, 3)], [8 / 9, 8 / 9, 4 / 3], atol=1e-9
-        )
+        assert_allclose(spectral.per_set_values, [8 / 9, 8 / 9, 4 / 3], atol=1e-9)
         assert abs(spectral.value - 4 / 3) <= 1e-9
         better = plane_better_dual(frame)
         assert abs(fl.spectral_measure(better, profile, 1).value - 10 / 9) <= 1e-9
@@ -76,9 +75,8 @@ def test_criterion_2_second_example_golden():
         pair = fl.canonical_dual(frame)
         spectral = fl.spectral_measure(pair, profile, 1)
         norm = fl.norm_measure(pair, profile, 1)
-        for i in (1, 2, 3, 4):
-            assert abs(spectral.value_of([i]) - 1.0) <= 1e-9
-            assert abs(norm.value_of([i]) - 1.0) <= 1e-9
+        assert np.all(np.abs(spectral.per_set_values - 1.0) <= 1e-9)
+        assert np.all(np.abs(norm.per_set_values - 1.0) <= 1e-9)
         spectral_cert, spectral_partition = fl.canonical_spectral_one_certificate(frame, profile)
         norm_cert, norm_partition = fl.canonical_norm_one_certificate(frame, profile)
         assert spectral_cert.conclusion and norm_cert.conclusion
@@ -120,7 +118,7 @@ def test_criterion_4_lower_bounds_and_membership():
         tight = fl.build_frame(2, TIGHT_VECTORS)
         corpus.append((fl.canonical_dual(tight), fl.weights_from_probabilities(TIGHT_PROBS, 2)))
         mercedes = fl.build_frame(2, mercedes_vectors())
-        corpus.append((fl.canonical_dual(mercedes), fl.uniform_profile(3, 2)))
+        corpus.append((fl.canonical_dual(mercedes), uniform_profile(3, 2)))
         for pair, profile in corpus:
             spectral_value = fl.spectral_measure(pair, profile, 1).value
             norm_value = fl.norm_measure(pair, profile, 1).value
@@ -162,7 +160,7 @@ def test_criterion_5_closed_forms_match_enumeration():
 def test_criterion_6_mercedes_certification():
     with criterion(6, "Mercedes-Benz two-erasure certification", 1.0):
         frame = fl.build_frame(2, mercedes_vectors())
-        profile = fl.uniform_profile(3, 2)
+        profile = uniform_profile(3, 2)
         assert_allclose(profile.weights, [1.5, 1.5, 1.5], atol=1e-12)
         bounds = fl.optimal_values(profile)
         assert abs(bounds.cross_budget - 2 / 3) <= 1e-9

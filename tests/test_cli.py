@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import importlib
@@ -17,8 +18,8 @@ from numpy.testing import assert_allclose
 
 import framelab as fl
 import framelab.cli as cli
-from framelab.reporting import emit_report, write_report
-from conftest import conditioned_matrix
+from framelab.reporting import write_report
+from conftest import conditioned_matrix, report_text, uniform_profile
 
 PLANE_DOC = """
 {
@@ -326,6 +327,20 @@ def test_lapack_failure_is_a_numeric_failure(capsys, plane_path, monkeypatch):
     assert "numeric failure" in err
 
 
+def test_eigenvalue_failure_is_a_numeric_failure(capsys, tmp_path, monkeypatch):
+    # every m >= 4 set goes through numpy's stacked eigenvalue solver
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(random_frame_document(67, 2, 5, "real")), encoding="utf-8")
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    code, out, err = run(capsys, ["analyze", path, "--m", "4"])
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["numeric failure: Eigenvalues did not converge"]
+
+
 INPUT_ERRORS = (
     "InputError",
     "ParseError",
@@ -340,8 +355,6 @@ INPUT_ERRORS = (
 NUMERIC_ERRORS = (
     "NotDual",
     "IllConditioned",
-    "DegenerateDenominator",
-    "EigenFailure",
     "SvdFailure",
     "NotOneErasureOptimal",
     "NotParseval",
@@ -540,6 +553,37 @@ def test_export_table_lists_every_public_name():
         assert set(names) <= set(dir(fl))
 
 
+def library_references(node, inside=frozenset()):
+    """The names that ``node`` loads, reads as attributes or imports, except
+    inside a ``def`` or ``class`` of the same name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.alias):
+        name = node.name
+    else:
+        name = None
+    if name is not None and name not in inside:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from library_references(child, inside)
+
+
+def test_every_exported_name_is_used_in_the_library():
+    """Each public name is loaded, called or imported somewhere in the
+    library outside its own definition: a name that only the tests reach
+    is dead code."""
+    used = set()
+    for path in Path(fl.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            used.update(library_references(ast.parse(path.read_text(encoding="utf-8"))))
+    exported = {name for names in fl._MODULE_EXPORTS.values() for name in names}
+    assert sorted(exported - used) == []
+
+
 def test_readme_library_example_prints_its_comments(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
@@ -603,7 +647,7 @@ def test_report_write_peak_memory(monkeypatch, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.25e6
-    assert out.read_text(encoding="utf-8") == emit_report(document)
+    assert out.read_text(encoding="utf-8") == report_text(document)
 
 
 def test_search_and_parseval_analyze_run_without_scipy(tmp_path, tight_path):
@@ -641,7 +685,7 @@ def test_search_result_ignores_restarts(capsys, plane_path):
         assert code == 0
         doc = json.loads(out)
         assert list(doc) == ["tool", "report", "input", "weights", "searches"]
-        sections.append(emit_report(doc["searches"]))
+        sections.append(report_text(doc["searches"]))
         notes.append(err)
     assert sections[0] == sections[1]
     note = "note: --restarts is accepted but no longer changes the result"
@@ -689,7 +733,7 @@ def test_analyze_report_reemits_byte_identically(capsys, plane_path, tmp_path):
         code, out, _ = run(capsys, ["analyze", path, *extra])
         assert code == 0
         doc = json.loads(out)
-        reemitted = emit_report(doc)
+        reemitted = report_text(doc)
         # compared by hand: pytest's diff of two megabyte strings takes minutes
         if reemitted != out:
             at = len(os.path.commonprefix([reemitted, out]))
@@ -760,7 +804,7 @@ def test_examples_pass(capsys):
 
 def test_examples_corrupted_table_fails(capsys, monkeypatch):
     frame, _ = cli._example_a()
-    wrong = fl.uniform_profile(3, 2)  # weights 1, not the expected (4/3, 4/3, 2)
+    wrong = uniform_profile(3, 2)  # weights 1, not the expected (4/3, 4/3, 2)
     monkeypatch.setattr(cli, "_example_a", lambda: (frame, wrong))
     code, out, err = run(capsys, ["examples"])
     assert code == 1

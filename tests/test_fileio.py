@@ -12,12 +12,8 @@ from framelab.fileio import (
     resolve_profile,
 )
 from framelab.erasures import ErasureMeasureReport
-from framelab.reporting import (
-    emit_report,
-    frame_to_dict,
-    measure_report_to_dict,
-    vectors_as_rows,
-)
+from framelab.reporting import frame_to_dict, measure_report_to_dict, vectors_as_rows
+from conftest import report_text
 
 PLANE_DOC = """
 {
@@ -159,34 +155,34 @@ def test_report_round_trip_and_determinism():
         "empty_list": [],
         "empty_map": {},
     }
-    text = emit_report(document)
+    text = report_text(document)
     parsed = json.loads(text)
     assert parsed == document
-    assert emit_report(parsed) == text
+    assert report_text(parsed) == text
     # floats take the shortest spelling that parses back to the same double
     assert '"third": 0.3333333333333333,' in text
 
 
 def test_report_rejects_non_finite_and_bad_types():
     with pytest.raises(ValueError):
-        emit_report({"x": float("inf")})
+        report_text({"x": float("inf")})
     with pytest.raises(TypeError):
-        emit_report({"x": object()})
+        report_text({"x": object()})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_report_rejects_non_finite_per_set_value(bad):
     report = ErasureMeasureReport("norm", 1, 3, 1.0, (), np.array([0.5, bad, 1.0]))
     with pytest.raises(ValueError):
-        emit_report({"measures": [measure_report_to_dict(report)]})
+        report_text({"measures": [measure_report_to_dict(report)]})
 
 
 def test_per_set_table_has_the_stdlib_layout_at_any_depth(plane_frame, plane_profile):
     report = fl.norm_measure(fl.canonical_dual(plane_frame), plane_profile, 2)
     for document in ({"table": report}, {"a": [{"b": [report]}, report]}, report):
-        text = emit_report(document)
-        assert emit_report(json.loads(text)) == text
-    assert json.loads(emit_report(report)) == [
+        text = report_text(document)
+        assert report_text(json.loads(text)) == text
+    assert json.loads(report_text(report)) == [
         {"indices": list(s), "value": v}
         for s, v in zip(report.sets(), report.per_set_values.tolist())
     ]
@@ -213,11 +209,11 @@ def test_vectors_as_rows_writes_the_entrywise_pairs():
         signed_zeros,
     ):
         loop = [[[float(z.real), float(z.imag)] for z in column] for column in matrix.T]
-        assert emit_report({"vectors": vectors_as_rows(matrix)}) == emit_report({"vectors": loop})
+        assert report_text({"vectors": vectors_as_rows(matrix)}) == report_text({"vectors": loop})
 
 
 def test_report_floats_parse_back_exactly():
     rng = np.random.default_rng(71)
     values = list(rng.standard_normal(50)) + list(10.0 ** rng.uniform(-300, 300, 20))
     document = {"values": [float(v) for v in values]}
-    assert json.loads(emit_report(document)) == document
+    assert json.loads(report_text(document)) == document

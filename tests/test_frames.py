@@ -32,19 +32,21 @@ def test_build_frame_rejects_rank_deficient():
 
 
 def test_frame_operator_plane(plane_frame):
-    op = fl.frame_operator(plane_frame)
-    assert_allclose(op, [[2, 1], [1, 2]], atol=1e-14)
+    # S = [[2, 1], [1, 2]]: its eigenvalues 1 and 3 are the frame bounds, and
+    # every entry of S - I is 1 in modulus
+    assert_allclose([plane_frame.lower_bound, plane_frame.upper_bound], [1, 3], atol=1e-14)
+    assert plane_frame.parseval_residual == pytest.approx(1.0, abs=1e-14)
 
 
 def test_frame_operator_tight_is_scaled_identity(tight_frame):
-    op = fl.frame_operator(tight_frame)
-    assert_allclose(op, 3 * np.eye(2), atol=1e-14)
+    # S = 3 I
+    assert tight_frame.parseval_residual == pytest.approx(2.0, abs=1e-14)
     assert_allclose([tight_frame.lower_bound, tight_frame.upper_bound], [3, 3], atol=1e-12)
 
 
 def test_frame_operator_orthonormal_identity():
     frame = fl.build_frame(3, np.eye(3))
-    assert_allclose(fl.frame_operator(frame), np.eye(3), atol=1e-14)
+    assert frame.parseval_residual <= 1e-14
 
 
 def test_canonical_dual_plane(plane_frame):
@@ -67,7 +69,7 @@ def test_canonical_dual_orthonormal_is_self():
 def test_canonical_dual_is_computed_once(plane_frame):
     assert fl.canonical_dual(plane_frame) is fl.canonical_dual(plane_frame)
     assert not fl.canonical_dual(plane_frame).dual.flags.writeable
-    assert fl.frame_operator(plane_frame) is fl.frame_operator(plane_frame)
+    assert plane_frame.parseval_residual is plane_frame.parseval_residual
 
 
 def test_canonical_dual_ill_conditioned():

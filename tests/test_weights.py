@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import framelab as fl
+from conftest import uniform_profile
 
 
 def test_plane_weights(plane_profile):
@@ -16,7 +17,7 @@ def test_tight_weights(tight_profile):
 
 
 def test_uniform_weights_are_count_over_dim():
-    profile = fl.uniform_profile(6, 3)
+    profile = uniform_profile(6, 3)
     assert_allclose(profile.weights, np.full(6, 2.0), atol=1e-12)
 
 
@@ -69,7 +70,7 @@ def test_properties_report_plane(plane_profile):
 
 
 def test_properties_report_uniform_min():
-    report = fl.weight_properties_report(fl.uniform_profile(7, 3))
+    report = fl.weight_properties_report(uniform_profile(7, 3))
     assert_allclose(report.min_weight, 7 / 3, atol=1e-12)
     assert report.all_at_least_one
 
