@@ -15,24 +15,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _MODULE_EXPORTS = {
-    "errors": (
-        "CombinatorialLimit",
-        "DegenerateWeight",
-        "DimensionMismatch",
-        "FrameLabError",
-        "HypothesisFailed",
-        "IllConditioned",
-        "InputError",
-        "InsufficientSupport",
-        "InvalidProbability",
-        "NotDual",
-        "NotOneErasureOptimal",
-        "NotParseval",
-        "NotSpanning",
-        "ParseError",
-        "ShapeMismatch",
-        "SvdFailure",
-    ),
+    "errors": ("FrameLabError", "InputError", "NotDual"),
     "frames": (
         "DualPair",
         "Frame",

@@ -47,13 +47,10 @@ import numpy as np  # noqa: E402  (after the thread cap)
 
 from . import __version__  # noqa: E402
 from .erasures import norm_measure, simulate_erasure_channel, spectral_measure  # noqa: E402
-from .errors import FrameLabError, HypothesisFailed, NotOneErasureOptimal, NotParseval  # noqa: E402
+from .errors import FrameLabError  # noqa: E402
 from .fileio import load_frame_file, load_probability_file, resolve_profile  # noqa: E402
 from .frames import DualPair, Frame, build_frame, canonical_dual  # noqa: E402
 from .optimality import (  # noqa: E402
-    CONDITION_PARSEVAL_EQUIVALENCE,
-    CONDITION_SPECTRAL_TWO_PAIR,
-    CONDITION_TWO_ERASURE_PREDICTION,
     canonical_norm_one_certificate,
     canonical_spectral_one_certificate,
     canonical_spectral_two_certificate,
@@ -123,39 +120,21 @@ def _certificate_entry(cert, partition=None) -> dict:
     return entry
 
 
-def _skipped_entry(condition_id: str, reason: str) -> dict:
-    return {"condition_id": condition_id, "skipped": reason}
-
-
 def _analyze_certificates(frame: Frame, profile: ProbabilityProfile) -> list:
     pair = canonical_dual(frame)
-    entries = [
+    return [
         _certificate_entry(is_one_uniform(pair, profile)),
         _certificate_entry(is_two_uniform(pair, profile)),
         _certificate_entry(one_erasure_spectral_optimal_pair(pair, profile)),
         _certificate_entry(one_erasure_norm_optimal_pair(pair, profile)),
+        _certificate_entry(two_erasure_spectral_optimal_pair(pair, profile)),
+        _certificate_entry(*canonical_spectral_one_certificate(frame, profile)),
+        _certificate_entry(*canonical_norm_one_certificate(frame, profile)),
+        _certificate_entry(canonical_spectral_two_certificate(frame, profile)),
+        _certificate_entry(two_erasure_spectral_prediction(pair, profile)),
+        _certificate_entry(is_probabilistic_uniform_parseval(frame, profile)),
+        _certificate_entry(parseval_equivalence_report(frame, profile)),
     ]
-    try:
-        entries.append(_certificate_entry(two_erasure_spectral_optimal_pair(pair, profile)))
-    except NotOneErasureOptimal as exc:
-        entries.append(_skipped_entry(CONDITION_SPECTRAL_TWO_PAIR, str(exc)))
-    cert, partition = canonical_spectral_one_certificate(frame, profile)
-    entries.append(_certificate_entry(cert, partition))
-    cert, partition = canonical_norm_one_certificate(frame, profile)
-    entries.append(_certificate_entry(cert, partition))
-    entries.append(_certificate_entry(canonical_spectral_two_certificate(frame, profile)))
-    try:
-        entries.append(_certificate_entry(two_erasure_spectral_prediction(pair, profile)))
-    except HypothesisFailed as exc:
-        entry = _skipped_entry(CONDITION_TWO_ERASURE_PREDICTION, str(exc))
-        entry["hypotheses"] = exc.hypotheses
-        entries.append(entry)
-    entries.append(_certificate_entry(is_probabilistic_uniform_parseval(frame, profile)))
-    try:
-        entries.append(_certificate_entry(parseval_equivalence_report(frame, profile)))
-    except NotParseval:
-        entries.append(_skipped_entry(CONDITION_PARSEVAL_EQUIVALENCE, "frame is not Parseval"))
-    return entries
 
 
 def cmd_analyze(args) -> int:

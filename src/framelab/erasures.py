@@ -33,7 +33,7 @@ through stacked eigenvalue solves of the blocks.
 The measures enumerate the erasure sets in lexicographic order, in chunks of
 ``CHUNK_SETS`` sets evaluated by array expressions, and keep one value per
 set in that order; a measure over more than ``DEFAULT_MAX_SETS`` sets
-raises :class:`~framelab.errors.CombinatorialLimit` before it evaluates any.
+raises :class:`~framelab.errors.InputError` before it evaluates any.
 The cubic's complex products, quotients and moduli are spelled out in real
 parts (``_cmul``, ``_cdiv``, ``_cabs``), so a value does not depend on the
 chunk it is evaluated in.
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CombinatorialLimit, InsufficientSupport, ShapeMismatch, SvdFailure
+from .errors import FrameLabError, InputError
 from .frames import DualPair
 from .weights import ProbabilityProfile
 
@@ -135,11 +135,11 @@ def _offsets(indices, count: int) -> np.ndarray:
 
 def _check_compatible(pair: DualPair, profile: ProbabilityProfile) -> None:
     if profile.count != pair.count:
-        raise ShapeMismatch(
+        raise InputError(
             f"profile has {profile.count} probabilities for {pair.count} vectors"
         )
     if profile.dim != pair.dim:
-        raise ShapeMismatch(
+        raise InputError(
             f"profile was built for dimension {profile.dim}, frame has dimension {pair.dim}"
         )
 
@@ -163,7 +163,7 @@ def operator_norm(matrix) -> float:
     """Largest singular value of a (not necessarily square) matrix."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got shape {m.shape}")
+        raise InputError(f"expected a matrix, got shape {m.shape}")
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
@@ -414,7 +414,7 @@ def _check_measure_args(pair: DualPair, profile: ProbabilityProfile, m: int) -> 
         raise ValueError(f"erasure count m={m} must be in 1..{pair.count}")
     total = math.comb(pair.count, m)
     if total > DEFAULT_MAX_SETS:
-        raise CombinatorialLimit(
+        raise InputError(
             f"{total} erasure sets of size {m} exceed the cap of {DEFAULT_MAX_SETS}"
         )
 
@@ -525,7 +525,7 @@ def norm_measure(pair: DualPair, profile: ProbabilityProfile, m: int) -> Erasure
         check = int(np.argmax(values)) + 1
         direct = operator_norm(error_operator(pair, profile, (check,)))
         if abs(direct - values[check - 1]) > 1e-8 * max(1.0, direct):
-            raise SvdFailure(
+            raise FrameLabError(
                 f"closed-form norm {values[check - 1]:.17g} disagrees with "
                 f"singular value {direct:.17g} at index {check}"
             )
@@ -666,7 +666,7 @@ def simulate_erasure_channel(
     if m < 0:
         raise ValueError(f"erasure count m={m} must be >= 0")
     if m > pair.count:
-        raise InsufficientSupport(f"cannot erase {m} of {pair.count} coefficients")
+        raise InputError(f"cannot erase {m} of {pair.count} coefficients")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} must be in 0..2^64-1")
     n, p = pair.dim, profile.probabilities

@@ -43,7 +43,7 @@ except ImportError:
     except ImportError:  # an interpreter without the built-in modules
         from hashlib import sha256
 
-from .errors import FrameLabError, ParseError
+from .errors import FrameLabError, InputError
 from .frames import Frame, build_frame
 from .weights import ProbabilityProfile, weights_from_probabilities
 
@@ -72,50 +72,50 @@ def _entry_to_complex(entry, where: str) -> complex:
         or len(entry) != 2
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
     ):
-        raise ParseError(f"{where}: every entry must be an [re, im] pair, got {entry!r}")
+        raise InputError(f"{where}: every entry must be an [re, im] pair, got {entry!r}")
     if not all(map(_finite, entry)):
-        raise ParseError(f"{where}: entries must be finite, got {entry!r}")
+        raise InputError(f"{where}: entries must be finite, got {entry!r}")
     return complex(float(entry[0]), float(entry[1]))
 
 
 def parse_frame_document(text: str, source: str = "<frame>") -> FrameFileContent:
-    """Parse a frame document; raises :class:`ParseError` on any defect."""
+    """Parse a frame document; raises :class:`~framelab.errors.InputError` on any defect."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{source}: not valid JSON ({exc})") from exc
+        raise InputError(f"{source}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise ParseError(f"{source}: expected a JSON object at the top level")
+        raise InputError(f"{source}: expected a JSON object at the top level")
     for key in ("dim", "count", "field", "vectors"):
         if key not in doc:
-            raise ParseError(f"{source}: missing required key {key!r}")
+            raise InputError(f"{source}: missing required key {key!r}")
     dim, count, field = doc["dim"], doc["count"], doc["field"]
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in (dim, count)):
-        raise ParseError(f"{source}: dim and count must be integers")
+        raise InputError(f"{source}: dim and count must be integers")
     if field not in FIELDS:
-        raise ParseError(f"{source}: field must be one of {FIELDS}, got {field!r}")
+        raise InputError(f"{source}: field must be one of {FIELDS}, got {field!r}")
     rows = doc["vectors"]
     if not isinstance(rows, list) or len(rows) != count:
-        raise ParseError(f"{source}: expected {count} vector rows")
+        raise InputError(f"{source}: expected {count} vector rows")
     vectors = []
     for r, row in enumerate(rows, start=1):
         if not isinstance(row, list) or len(row) != dim:
-            raise ParseError(f"{source}: vector {r} must have {dim} entries")
+            raise InputError(f"{source}: vector {r} must have {dim} entries")
         vec = [_entry_to_complex(entry, f"{source}: vector {r}") for entry in row]
         if field == "real" and any(v.imag != 0.0 for v in vec):
-            raise ParseError(f"{source}: vector {r} has a nonzero imaginary part in a real frame")
+            raise InputError(f"{source}: vector {r} has a nonzero imaginary part in a real frame")
         vectors.append(vec)
     probabilities = None
     if "probabilities" in doc and doc["probabilities"] is not None:
         probabilities = _as_probability_tuple(doc["probabilities"], source)
         if len(probabilities) != count:
-            raise ParseError(
+            raise InputError(
                 f"{source}: {len(probabilities)} probabilities for {count} vectors"
             )
     try:
         frame = build_frame(dim, vectors)
     except FrameLabError as exc:
-        raise ParseError(f"{source}: {exc}") from exc
+        raise InputError(f"{source}: {exc}") from exc
     digest = sha256(text.encode("utf-8")).hexdigest()
     return FrameFileContent(
         frame=frame, field=field, probabilities=probabilities, digest=digest
@@ -126,9 +126,9 @@ def _as_probability_tuple(raw, source: str) -> tuple[float, ...]:
     if not isinstance(raw, list) or not all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
     ):
-        raise ParseError(f"{source}: probabilities must be a list of numbers")
+        raise InputError(f"{source}: probabilities must be a list of numbers")
     if not all(map(_finite, raw)):
-        raise ParseError(f"{source}: probabilities must be finite, got {raw!r}")
+        raise InputError(f"{source}: probabilities must be finite, got {raw!r}")
     return tuple(float(x) for x in raw)
 
 
@@ -137,7 +137,7 @@ def load_frame_file(path: str | Path) -> FrameFileContent:
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot read frame file {p}: {exc}") from exc
+        raise InputError(f"cannot read frame file {p}: {exc}") from exc
     return parse_frame_document(text, source=str(p))
 
 
@@ -145,10 +145,10 @@ def parse_probability_document(text: str, source: str = "<probabilities>") -> tu
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{source}: not valid JSON ({exc})") from exc
+        raise InputError(f"{source}: not valid JSON ({exc})") from exc
     if isinstance(doc, dict):
         if "probabilities" not in doc:
-            raise ParseError(f"{source}: missing 'probabilities' key")
+            raise InputError(f"{source}: missing 'probabilities' key")
         doc = doc["probabilities"]
     return _as_probability_tuple(doc, source)
 
@@ -158,7 +158,7 @@ def load_probability_file(path: str | Path) -> tuple[float, ...]:
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot read probability file {p}: {exc}") from exc
+        raise InputError(f"cannot read probability file {p}: {exc}") from exc
     return parse_probability_document(text, source=str(p))
 
 
@@ -178,12 +178,12 @@ def resolve_profile(
     elif content.probabilities is not None:
         raw, source = content.probabilities, "frame_file"
     else:
-        raise ParseError(
+        raise InputError(
             "no probabilities given: add a 'probabilities' entry to the frame "
             "file or pass a separate probability file"
         )
     try:
         profile = weights_from_probabilities(np.asarray(raw), content.frame.dim)
     except FrameLabError as exc:
-        raise ParseError(f"invalid probabilities: {exc}") from exc
+        raise InputError(f"invalid probabilities: {exc}") from exc
     return profile, source, conflict

@@ -50,13 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IllConditioned,
-    NotDual,
-    NotSpanning,
-    ShapeMismatch,
-)
+from .errors import FrameLabError, InputError, NotDual
 
 # Relative tolerance on singular values when deciding rank / spanning.
 RANK_TOL = 1e-10
@@ -70,17 +64,17 @@ CONDITION_LIMIT = 1e12
 def _as_complex_matrix(vectors, dim: int) -> np.ndarray:
     """Stack vectors of length ``dim`` as columns of a complex matrix."""
     if dim < 1:
-        raise DimensionMismatch(f"dimension must be positive, got {dim}")
+        raise InputError(f"dimension must be positive, got {dim}")
     cols = []
     for k, v in enumerate(vectors):
         arr = np.asarray(v, dtype=np.complex128).reshape(-1)
         if arr.shape != (dim,):
-            raise DimensionMismatch(
+            raise InputError(
                 f"vector {k + 1} has length {arr.size}, expected {dim}"
             )
         cols.append(arr)
     if not cols:
-        raise DimensionMismatch("a frame needs at least one vector")
+        raise InputError("a frame needs at least one vector")
     return np.column_stack(cols)
 
 
@@ -97,13 +91,13 @@ class Frame:
     def __init__(self, synthesis) -> None:
         matrix = np.asarray(synthesis, dtype=np.complex128)
         if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
-            raise DimensionMismatch(f"expected a 2-d synthesis matrix, got shape {matrix.shape}")
+            raise InputError(f"expected a 2-d synthesis matrix, got shape {matrix.shape}")
         n, count = matrix.shape
         if count < n:
-            raise NotSpanning(f"{count} vectors cannot span a {n}-dimensional space")
+            raise InputError(f"{count} vectors cannot span a {n}-dimensional space")
         u, singular_values, wh = np.linalg.svd(matrix, full_matrices=False)
         if singular_values[-1] <= RANK_TOL * singular_values[0]:
-            raise NotSpanning(
+            raise InputError(
                 "vectors do not span the space "
                 f"(smallest/largest singular value = {singular_values[-1]:.3e}/{singular_values[0]:.3e})"
             )
@@ -148,7 +142,7 @@ class Frame:
         u, s, wh = self._svd
         condition = float((s[0] / s[-1]) ** 2)
         if condition > CONDITION_LIMIT:
-            raise IllConditioned(
+            raise FrameLabError(
                 f"frame operator condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
             )
         return DualPair(self, (u / s) @ wh)
@@ -207,7 +201,7 @@ def verify_dual(frame: Frame, dual) -> bool:
     """
     g = np.asarray(dual)
     if g.shape != frame.matrix.shape:
-        raise ShapeMismatch(
+        raise InputError(
             f"frame is {frame.dim}x{frame.count}, candidate dual has shape {g.shape}"
         )
     residual = g @ frame.matrix.conj().T - np.eye(frame.dim)
@@ -258,10 +252,7 @@ def canonical_dual(frame: Frame) -> DualPair:
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
     """Rotate a unit vector so its largest-modulus entry is real positive."""
-    idx = int(np.argmax(np.abs(v)))
-    pivot = v[idx]
-    if pivot == 0:
-        return v
+    pivot = v[np.argmax(np.abs(v))]
     return v * (np.conj(pivot) / abs(pivot))
 
 
@@ -281,7 +272,7 @@ def dual_from_coefficients(frame: Frame, coefficients) -> DualPair:
     c = np.asarray(coefficients, dtype=np.complex128)
     v = dual_perturbation_basis(frame)
     if c.shape != (frame.dim, v.shape[1]):
-        raise ShapeMismatch(
+        raise InputError(
             f"coefficient shape {c.shape} does not match ({frame.dim}, {v.shape[1]})"
         )
     base = canonical_dual(frame)

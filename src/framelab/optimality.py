@@ -2,7 +2,10 @@
 
 Each operation evaluates the hypotheses of one optimality statement and
 returns an :class:`OptimalityCertificate` with the checked hypotheses, a
-conclusion, and numeric witnesses.  The global lower bounds are 1 for both
+conclusion, and numeric witnesses, in every case: a certificate whose
+prerequisites fail lists them as failed hypotheses, with the conclusion
+``False``, or ``None`` for the two-erasure prediction, whose conclusion is a
+value and not a verdict.  The global lower bounds are 1 for both
 the one-erasure spectral and norm measures; a pair attains them exactly when
 ``<f_i, g_i> = 1/q_i`` for all ``i`` (spectral) with the extra condition
 ``||f_i|| ||g_i|| = 1/q_i`` (norm).
@@ -45,7 +48,6 @@ from .erasures import (
     spectral_measure,
     two_erasure_eigenvalues,
 )
-from .errors import HypothesisFailed, NotOneErasureOptimal, NotParseval
 from .frames import DualPair, Frame, canonical_dual
 from .weights import ProbabilityProfile
 
@@ -221,16 +223,20 @@ def two_erasure_spectral_optimal_pair(
 ) -> OptimalityCertificate:
     """Membership in the set attaining the two-erasure spectral optimum.
 
-    Requires one-erasure optimality first (raises
-    :class:`NotOneErasureOptimal` otherwise), then checks that every
-    weighted off-diagonal cross product equals the shared constant
-    ``cross_budget / offdiag_weight_sum``.
+    Requires one-erasure optimality first: otherwise the one hypothesis is
+    that the pair attains it, failed, with witness ``measure_value - 1``.
+    Then checks that every weighted off-diagonal cross product equals the
+    shared constant ``cross_budget / offdiag_weight_sum``.
     """
     first = one_erasure_spectral_optimal_pair(pair, profile)
     if not first.conclusion:
-        raise NotOneErasureOptimal(
-            "pair does not attain the one-erasure spectral optimum "
-            f"(max residual {first.details['measure_value'] - 1.0:.3e})"
+        hypothesis = Hypothesis(
+            description="pair attains the one-erasure spectral optimum",
+            holds=False,
+            witness=first.details["measure_value"] - 1.0,
+        )
+        return OptimalityCertificate(
+            condition_id=CONDITION_SPECTRAL_TWO_PAIR, hypotheses=(hypothesis,), conclusion=False
         )
     bounds = optimal_values(profile)
     target = bounds.cross_budget / bounds.offdiag_weight_sum
@@ -396,8 +402,8 @@ def two_erasure_spectral_prediction(
     by two in the tie case) is recorded alongside for comparison; the
     enumerated measure confirms the halved form.
 
-    Raises :class:`HypothesisFailed` when a hypothesis is violated; the
-    exception carries the evaluated hypotheses.
+    When a hypothesis is violated the certificate carries the two evaluated
+    hypotheses, no details, and the conclusion ``None``.
     """
     alpha = pair.cross_gram
     q = profile.weights
@@ -423,8 +429,8 @@ def two_erasure_spectral_prediction(
     )
     hypotheses = (hyp_diag, hyp_cross)
     if not (hyp_diag.holds and hyp_cross.holds):
-        raise HypothesisFailed(
-            "two-erasure prediction hypotheses violated", hypotheses
+        return OptimalityCertificate(
+            condition_id=CONDITION_TWO_ERASURE_PREDICTION, hypotheses=hypotheses, conclusion=None
         )
     c = mean.real
     weighted = q * diag.real
@@ -528,27 +534,29 @@ def parseval_equivalence_report(
     spectral and norm measures must agree: both per-index values are
     ``q_i ||f_i||^2``, so the two exact tests look at one attaining set.
 
-    Raises :class:`NotParseval` when ``frame.parseval_residual`` exceeds
-    ``DEFAULT_TOL``, the one Parseval test.  ``witness`` is the
-    spectral certificate's component inside the attaining set; the gaps are
-    those of the two searches, which bear the verdicts out numerically.
+    The one hypothesis is the one Parseval test, ``frame.parseval_residual``
+    at most ``DEFAULT_TOL``; when it fails, the conclusion is ``False`` and
+    nothing else is computed.  ``witness`` is the spectral certificate's
+    component inside the attaining set; the gaps are those of the two
+    searches, which bear the verdicts out numerically.
     """
     from .search import certify_canonical_optimal
 
     residual = frame.parseval_residual
-    if residual > DEFAULT_TOL:
-        raise NotParseval(f"frame operator deviates from identity by {residual:.3e}")
+    hypothesis = Hypothesis(
+        description="frame operator equals the identity",
+        holds=residual <= DEFAULT_TOL,
+        witness=residual,
+    )
+    if not hypothesis.holds:
+        return OptimalityCertificate(
+            condition_id=CONDITION_PARSEVAL_EQUIVALENCE, hypotheses=(hypothesis,), conclusion=False
+        )
     spectral, partition = canonical_spectral_one_certificate(frame, profile)
     norm, _ = canonical_norm_one_certificate(frame, profile)
     return OptimalityCertificate(
         condition_id=CONDITION_PARSEVAL_EQUIVALENCE,
-        hypotheses=(
-            Hypothesis(
-                description="frame operator equals the identity",
-                holds=True,
-                witness=residual,
-            ),
-        ),
+        hypotheses=(hypothesis,),
         conclusion=spectral.conclusion == norm.conclusion,
         details={
             "canonical_spectral_optimal": spectral.conclusion,

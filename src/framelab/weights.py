@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateWeight, InvalidProbability
+from .errors import InputError
 
 PROBABILITY_SUM_TOL = 1e-12
 WEIGHT_IDENTITY_TOL = 1e-10
@@ -41,34 +41,32 @@ def weights_from_probabilities(probabilities, dim: int) -> ProbabilityProfile:
 
     Raises
     ------
-    InvalidProbability
-        If the sequence does not sum to one, has entries outside [0, 1],
-        or is shorter than ``dim``.
-    DegenerateWeight
-        If some ``p_i == 1`` or ``sum_j p_j - p_i == 0`` (its weight would be
-        infinite).
+    InputError
+        If the sequence does not sum to one, has entries outside [0, 1], or
+        is shorter than ``dim``, or if some ``p_i == 1`` or
+        ``sum_j p_j - p_i == 0`` (its weight would be infinite).
     """
     p = np.asarray(probabilities, dtype=np.float64).reshape(-1)
     if dim < 1:
-        raise InvalidProbability(f"dimension must be positive, got {dim}")
+        raise InputError(f"dimension must be positive, got {dim}")
     if p.size < dim:
-        raise InvalidProbability(f"need at least {dim} probabilities, got {p.size}")
+        raise InputError(f"need at least {dim} probabilities, got {p.size}")
     if not np.all((p >= 0.0) & (p <= 1.0)):
-        raise InvalidProbability("probabilities must lie in [0, 1]")
+        raise InputError("probabilities must lie in [0, 1]")
     total = float(p.sum())
     if abs(total - 1.0) > PROBABILITY_SUM_TOL:
-        raise InvalidProbability(f"probabilities sum to {total:.17g}, expected 1")
+        raise InputError(f"probabilities sum to {total:.17g}, expected 1")
     # a remainder sum_j p_j - p_i other than 0 is at least 2**-53, as the sum
     # is within PROBABILITY_SUM_TOL of 1, so its weight is finite
     remainders = total - p
     if np.any(p >= 1.0) or np.any(remainders <= 0.0):
-        raise DegenerateWeight("an erasure probability of 1 (to rounding) has infinite weight")
+        raise InputError("an erasure probability of 1 (to rounding) has infinite weight")
 
     count = p.size
     q = (total / remainders) * (count - 1) / dim
     partition = float(np.sum(1.0 / q))
     if not abs(partition - dim) <= WEIGHT_IDENTITY_TOL:  # raises for NaN too
-        raise InvalidProbability(
+        raise InputError(
             f"weight identity violated: sum of reciprocal weights {partition:.17g} != {dim}"
         )
     p = p.copy()

@@ -104,7 +104,7 @@ def random_frame(rng: np.random.Generator, dim: int, count: int) -> fl.Frame:
         m = rng.standard_normal((dim, count)) + 1j * rng.standard_normal((dim, count))
         try:
             return fl.Frame(m)
-        except fl.NotSpanning:  # pragma: no cover - vanishing probability
+        except fl.InputError:  # pragma: no cover - vanishing probability
             continue
 
 

@@ -10,7 +10,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 import framelab as fl

@@ -83,8 +83,44 @@ def test_analyze_report(capsys, plane_path):
         assert by_id[condition_id]["conclusion"] is False
         assert by_id[condition_id]["partition"]["witness"] == []
         assert by_id[condition_id]["partition"]["crossing_components"] == 1
-    assert "skipped" in by_id["two_erasure_prediction"]
-    assert "skipped" in by_id["parseval_equivalence"]
+    # the plane's canonical pair is not one-uniform (its m = 1 value is 4/3)
+    # and the plane frame is not Parseval (S = [[2, 1], [1, 2]])
+    pair_two = by_id["spectral_two_optimal_pair"]
+    assert pair_two["hypotheses"] == [
+        {
+            "description": "pair attains the one-erasure spectral optimum",
+            "holds": False,
+            "witness": pytest.approx(1 / 3, abs=1e-12),
+        }
+    ]
+    assert pair_two["conclusion"] is False and pair_two["details"] == {}
+    prediction = by_id["two_erasure_prediction"]
+    assert len(prediction["hypotheses"]) == 2
+    assert not all(h["holds"] for h in prediction["hypotheses"])
+    assert prediction["conclusion"] is None and prediction["details"] == {}
+    parseval = by_id["parseval_equivalence"]
+    assert parseval["hypotheses"] == [
+        {"description": "frame operator equals the identity", "holds": False, "witness": 1.0}
+    ]
+    assert parseval["conclusion"] is False and parseval["details"] == {}
+
+
+def test_every_analyze_certificate_has_one_shape(capsys, plane_path, tight_path, tmp_path):
+    # the plane fails the hypotheses of the two-erasure pair certificate, the
+    # prediction and the Parseval report; the tight frame's pair is
+    # one-uniform, and the orthonormal basis is Parseval
+    basis_path = tmp_path / "basis.json"
+    basis = {"dim": 2, "count": 2, "field": "real", "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+    basis_path.write_text(json.dumps({**basis, "probabilities": [0.4, 0.6]}), encoding="utf-8")
+    keys = ["condition_id", "hypotheses", "conclusion", "details"]
+    for path in (plane_path, tight_path, basis_path):
+        code, out, _ = run(capsys, ["analyze", path, "--m", "1"])
+        assert code == 0
+        certificates = json.loads(out)["certificates"]
+        assert len(certificates) == 11
+        for entry in certificates:
+            partition = entry["condition_id"] in ("canonical_spectral_one", "canonical_norm_one")
+            assert list(entry) == keys + ["partition"] * partition, entry["condition_id"]
 
 
 def test_analyze_is_deterministic(capsys, plane_path):
@@ -238,6 +274,44 @@ def test_erasure_count_over_the_cap_is_an_input_error(capsys, tmp_path, monkeypa
         assert err.startswith("error: ") and "exceed the cap of 1000000" in err
 
 
+@pytest.mark.parametrize(
+    "frame_text, probs_text, message",
+    [
+        ("[1, 2]", None, "{frame}: expected a JSON object at the top level"),
+        (
+            '{"dim": 0, "count": 0, "field": "real", "vectors": []}',
+            None,
+            "{frame}: dimension must be positive, got 0",
+        ),
+        (
+            '{"dim": 3, "count": 2, "field": "real", "vectors": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]}',
+            None,
+            "{frame}: 2 vectors cannot span a 3-dimensional space",
+        ),
+        (PLANE_DOC, "[0.5,", "{probs}: not valid JSON (Expecting value: line 1 column 6 (char 5))"),
+        (PLANE_DOC, "", "cannot read probability file {probs}: [Errno 21] Is a directory: '{probs}'"),
+    ],
+    ids=["non-object", "zero-dim", "too-few-vectors", "probs-invalid-json", "probs-unreadable"],
+)
+def test_input_file_defects_exit_two(capsys, tmp_path, frame_text, probs_text, message):
+    frame = tmp_path / "frame.json"
+    frame.write_text(frame_text, encoding="utf-8")
+    argv = ["analyze", frame]
+    if probs_text is not None:
+        # an empty text stands for a path that cannot be read: a directory
+        probs = tmp_path / "probs"
+        if probs_text:
+            probs.write_text(probs_text, encoding="utf-8")
+        else:
+            probs.mkdir()
+        argv += ["--probs", probs]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    expected = message.format(frame=frame, probs=tmp_path / "probs")
+    assert err.splitlines() == [f"error: {expected}"]
+
+
 def test_analyze_requires_probabilities(capsys, tmp_path):
     doc = json.loads(PLANE_DOC)
     del doc["probabilities"]
@@ -341,27 +415,6 @@ def test_eigenvalue_failure_is_a_numeric_failure(capsys, tmp_path, monkeypatch):
     assert err.splitlines() == ["numeric failure: Eigenvalues did not converge"]
 
 
-INPUT_ERRORS = (
-    "InputError",
-    "ParseError",
-    "InvalidProbability",
-    "DegenerateWeight",
-    "DimensionMismatch",
-    "NotSpanning",
-    "ShapeMismatch",
-    "InsufficientSupport",
-    "CombinatorialLimit",
-)
-NUMERIC_ERRORS = (
-    "NotDual",
-    "IllConditioned",
-    "SvdFailure",
-    "NotOneErasureOptimal",
-    "NotParseval",
-    "HypothesisFailed",
-)
-
-
 def subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
@@ -370,6 +423,7 @@ def subclasses(cls):
 
 def test_exit_code_of_every_error_class(capsys, monkeypatch):
     errors = {cls.__name__: cls for cls in subclasses(fl.FrameLabError) if cls.__module__ == "framelab.errors"}
+    errors.update(FrameLabError=fl.FrameLabError)
     errors.update(ValueError=ValueError, LinAlgError=np.linalg.LinAlgError, MemoryError=MemoryError)
     codes = {}
     for name, error in errors.items():
@@ -379,8 +433,14 @@ def test_exit_code_of_every_error_class(capsys, monkeypatch):
 
         monkeypatch.setattr(cli, "cmd_examples", fail)
         codes[name], _, _ = run(capsys, ["examples"])
-    expected = {**dict.fromkeys(INPUT_ERRORS, 2), **dict.fromkeys(NUMERIC_ERRORS, 3)}
-    assert codes == {**expected, "ValueError": 2, "LinAlgError": 3, "MemoryError": 2}
+    assert codes == {
+        "InputError": 2,
+        "NotDual": 3,
+        "FrameLabError": 3,
+        "ValueError": 2,
+        "LinAlgError": 3,
+        "MemoryError": 2,
+    }
 
 
 def test_out_of_memory_is_an_input_error(capsys, monkeypatch, plane_path):

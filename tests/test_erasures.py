@@ -52,8 +52,29 @@ def test_error_operator_tight_first_index(tight_frame, tight_profile):
 
 def test_error_operator_shape_mismatch(plane_frame, tight_profile):
     pair = fl.canonical_dual(plane_frame)
-    with pytest.raises(fl.ShapeMismatch):
+    with pytest.raises(fl.InputError, match="^profile has 4 probabilities for 3 vectors$"):
         fl.error_operator(pair, tight_profile, [1])
+    # the same count for another dimension
+    profile = fl.weights_from_probabilities([0.25, 0.25, 0.5], 1)
+    message = "^profile was built for dimension 1, frame has dimension 2$"
+    for evaluate in (
+        lambda: fl.error_operator(pair, profile, [1]),
+        lambda: fl.spectral_measure(pair, profile, 1),
+        lambda: fl.simulate_erasure_channel(pair, profile, m=1, trials=10, seed=0),
+    ):
+        with pytest.raises(fl.InputError, match=message):
+            evaluate()
+
+
+def test_closed_form_norm_disagreeing_with_the_svd_is_a_numeric_failure(
+    plane_frame, plane_profile, monkeypatch
+):
+    monkeypatch.setattr(erasures, "operator_norm", lambda matrix: 1.0)
+    # the closed form is 4/3 to rounding
+    message = r"^closed-form norm 1\.3333333333333\d+ disagrees with singular value 1 at index 3$"
+    with pytest.raises(fl.FrameLabError, match=message) as excinfo:
+        fl.norm_measure(fl.canonical_dual(plane_frame), plane_profile, 1)
+    assert type(excinfo.value) is fl.FrameLabError
 
 
 def test_erasure_indices_are_validated(plane_frame, plane_profile):
@@ -91,6 +112,12 @@ def test_operator_norm_basics():
     assert fl.operator_norm(outer) == pytest.approx(
         q * np.linalg.norm(f) * np.linalg.norm(g), rel=1e-12
     )
+    assert fl.operator_norm(np.zeros((0, 3))) == 0.0
+    assert fl.operator_norm(np.zeros((2, 0))) == 0.0
+    with pytest.raises(fl.InputError, match=r"^expected a matrix, got shape \(3,\)$"):
+        fl.operator_norm(np.ones(3))
+    with pytest.raises(fl.InputError, match=r"^expected a matrix, got shape \(1, 2, 2\)$"):
+        fl.operator_norm(np.ones((1, 2, 2)))
 
 
 def test_spectral_measure_plane_canonical(plane_frame, plane_profile):
@@ -153,7 +180,9 @@ def test_combinatorial_cap():
     tracemalloc.start()
     try:
         for measure in (fl.spectral_measure, fl.norm_measure):
-            with pytest.raises(fl.CombinatorialLimit):
+            with pytest.raises(
+                fl.InputError, match="^1313400 erasure sets of size 3 exceed the cap of 1000000$"
+            ):
                 measure(pair, profile, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -398,7 +427,7 @@ def test_simulation_argument_errors(plane_frame, plane_profile):
     pair = fl.canonical_dual(plane_frame)
     with pytest.raises(ValueError):
         fl.simulate_erasure_channel(pair, plane_profile, m=1, trials=0, seed=0)
-    with pytest.raises(fl.InsufficientSupport):
+    with pytest.raises(fl.InputError, match="^cannot erase 4 of 3 coefficients$"):
         fl.simulate_erasure_channel(pair, plane_profile, m=4, trials=10, seed=0)
     with pytest.raises(ValueError, match="m=-1"):
         fl.simulate_erasure_channel(pair, plane_profile, m=-1, trials=10, seed=0)

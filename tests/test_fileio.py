@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 import framelab as fl
 from framelab.fileio import (
     load_frame_file,
+    load_probability_file,
     parse_frame_document,
     parse_probability_document,
     resolve_profile,
@@ -53,38 +55,59 @@ def test_parse_complex_frame_document():
     assert_allclose(content.frame.matrix, [[1 + 1j, -1j]])
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda d: d.pop("dim"),
-        lambda d: d.update(field="rational"),
-        lambda d: d.update(vectors=d["vectors"][:2]),
-        lambda d: d["vectors"][0].append([0, 0]),
-        lambda d: d.update(probabilities=[0.5, 0.5]),
-        lambda d: d["vectors"][0].__setitem__(0, [1, 0, 0]),
-        lambda d: d.update(dim="two"),
-        # JSON booleans are not integers, although Python counts True as 1
-        lambda d: d.update(dim=True, vectors=[row[:1] for row in d["vectors"]]),
-        lambda d: d.update(dim=1, count=True, vectors=[[[1, 0]]], probabilities=[1.0]),
-    ],
-)
+DIM_AND_COUNT = "^<frame>: dim and count must be integers$"
+
+# each defect of the plane document, and the message it raises
+DEFECTS = {
+    lambda d: d.pop("dim"): "^<frame>: missing required key 'dim'$",
+    lambda d: d.update(field="rational"): (
+        r"^<frame>: field must be one of \('real', 'complex'\), got 'rational'$"
+    ),
+    lambda d: d.update(vectors=d["vectors"][:2]): "^<frame>: expected 3 vector rows$",
+    lambda d: d["vectors"][0].append([0, 0]): "^<frame>: vector 1 must have 2 entries$",
+    lambda d: d.update(probabilities=[0.5, 0.5]): "^<frame>: 2 probabilities for 3 vectors$",
+    lambda d: d["vectors"][0].__setitem__(0, [1, 0, 0]): (
+        r"^<frame>: vector 1: every entry must be an \[re, im\] pair, got \[1, 0, 0\]$"
+    ),
+    lambda d: d.update(dim="two"): DIM_AND_COUNT,
+    # JSON booleans are not integers, although Python counts True as 1
+    lambda d: d.update(dim=True, vectors=[row[:1] for row in d["vectors"]]): DIM_AND_COUNT,
+    lambda d: d.update(dim=1, count=True, vectors=[[[1, 0]]], probabilities=[1.0]): DIM_AND_COUNT,
+    lambda d: d.update(dim=0, count=0, vectors=[], probabilities=None): (
+        "^<frame>: dimension must be positive, got 0$"
+    ),
+    lambda d: d.update(dim=3, count=2, vectors=[[[1, 0]] * 3] * 2, probabilities=None): (
+        "^<frame>: 2 vectors cannot span a 3-dimensional space$"
+    ),
+}
+
+
+@pytest.mark.parametrize("mutate", list(DEFECTS))
 def test_parse_frame_document_rejects_defects(mutate):
     doc = json.loads(PLANE_DOC)
     mutate(doc)
-    with pytest.raises(fl.ParseError):
+    with pytest.raises(fl.InputError, match=DEFECTS[mutate]):
         parse_frame_document(json.dumps(doc))
 
 
 def test_parse_frame_document_rejects_imaginary_in_real_field():
     doc = json.loads(PLANE_DOC)
     doc["vectors"][0][0] = [1, 0.5]
-    with pytest.raises(fl.ParseError):
+    message = "^<frame>: vector 1 has a nonzero imaginary part in a real frame$"
+    with pytest.raises(fl.InputError, match=message):
         parse_frame_document(json.dumps(doc))
 
 
 def test_parse_frame_document_rejects_invalid_json():
-    with pytest.raises(fl.ParseError):
+    message = r"^<frame>: not valid JSON \(Expecting property name enclosed in double quotes"
+    with pytest.raises(fl.InputError, match=message):
         parse_frame_document("{not json")
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"frame"', "null"])
+def test_parse_frame_document_rejects_a_non_object(text):
+    with pytest.raises(fl.InputError, match="^<frame>: expected a JSON object at the top level$"):
+        parse_frame_document(text)
 
 
 def test_parse_frame_document_rejects_non_spanning():
@@ -92,7 +115,8 @@ def test_parse_frame_document_rejects_non_spanning():
     doc["count"] = 2
     doc["vectors"] = [[[1, 0], [0, 0]], [[2, 0], [0, 0]]]
     doc["probabilities"] = [0.5, 0.5]
-    with pytest.raises(fl.ParseError):
+    message = r"^<frame>: vectors do not span the space \(smallest/largest singular value = "
+    with pytest.raises(fl.InputError, match=message):
         parse_frame_document(json.dumps(doc))
 
 
@@ -101,17 +125,30 @@ def test_load_frame_file(tmp_path):
     path.write_text(PLANE_DOC, encoding="utf-8")
     content = load_frame_file(path)
     assert content.frame.count == 3
-    with pytest.raises(fl.ParseError):
-        load_frame_file(tmp_path / "absent.json")
+    absent = tmp_path / "absent.json"
+    message = f"^cannot read frame file {re.escape(str(absent))}: .*No such file or directory"
+    with pytest.raises(fl.InputError, match=message):
+        load_frame_file(absent)
 
 
 def test_parse_probability_document_forms():
     assert parse_probability_document("[0.5, 0.5]") == (0.5, 0.5)
     assert parse_probability_document('{"probabilities": [1, 0]}') == (1.0, 0.0)
-    with pytest.raises(fl.ParseError):
+    with pytest.raises(fl.InputError, match="^<probabilities>: missing 'probabilities' key$"):
         parse_probability_document('{"weights": [1, 0]}')
-    with pytest.raises(fl.ParseError):
+    message = "^<probabilities>: probabilities must be a list of numbers$"
+    with pytest.raises(fl.InputError, match=message):
         parse_probability_document('["a", "b"]')
+    message = r"^<probabilities>: not valid JSON \(Expecting value: line 1 column 6 \(char 5\)\)$"
+    with pytest.raises(fl.InputError, match=message):
+        parse_probability_document("[0.5,")
+
+
+def test_load_probability_file_rejects_an_unreadable_path(tmp_path):
+    # a directory cannot be read as a file
+    message = f"^cannot read probability file {re.escape(str(tmp_path))}: "
+    with pytest.raises(fl.InputError, match=message):
+        load_probability_file(tmp_path)
 
 
 def test_resolve_profile_sources():
@@ -131,13 +168,18 @@ def test_resolve_profile_requires_probabilities():
     doc = json.loads(PLANE_DOC)
     del doc["probabilities"]
     content = parse_frame_document(json.dumps(doc))
-    with pytest.raises(fl.ParseError):
+    message = (
+        "^no probabilities given: add a 'probabilities' entry to the frame file "
+        "or pass a separate probability file$"
+    )
+    with pytest.raises(fl.InputError, match=message):
         resolve_profile(content, None)
 
 
 def test_resolve_profile_validates_values():
     content = parse_frame_document(PLANE_DOC)
-    with pytest.raises(fl.ParseError):
+    message = r"^invalid probabilities: probabilities sum to 1\.0999999999999999, expected 1$"
+    with pytest.raises(fl.InputError, match=message):
         resolve_profile(content, (0.7, 0.2, 0.2))
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,17 +20,34 @@ def test_orthonormal_basis_bounds():
 
 
 def test_build_frame_rejects_bad_lengths():
-    with pytest.raises(fl.DimensionMismatch):
+    with pytest.raises(fl.InputError, match="^vector 1 has length 3, expected 2$"):
         fl.build_frame(2, [(1, 0, 0), (0, 1, 0)])
-    with pytest.raises(fl.DimensionMismatch):
+    with pytest.raises(fl.InputError, match="^a frame needs at least one vector$"):
         fl.build_frame(2, [])
+    with pytest.raises(fl.InputError, match="^dimension must be positive, got 0$"):
+        fl.build_frame(0, [(1,)])
 
 
 def test_build_frame_rejects_rank_deficient():
-    with pytest.raises(fl.NotSpanning):
+    with pytest.raises(fl.InputError, match=r"^vectors do not span the space \(smallest/largest"):
         fl.build_frame(2, [(1, 0), (2, 0)])
-    with pytest.raises(fl.NotSpanning):
+    with pytest.raises(fl.InputError, match=r"^vectors do not span the space \(smallest/largest"):
         fl.build_frame(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.ones(3), r"^expected a 2-d synthesis matrix, got shape \(3,\)$"),
+        (np.ones((2, 2, 2)), r"^expected a 2-d synthesis matrix, got shape \(2, 2, 2\)$"),
+        (np.ones((0, 3)), r"^expected a 2-d synthesis matrix, got shape \(0, 3\)$"),
+        (np.eye(3)[:, :2], "^2 vectors cannot span a 3-dimensional space$"),
+    ],
+    ids=["1-d", "3-d", "no-rows", "too-few-vectors"],
+)
+def test_frame_rejects_a_bad_synthesis_matrix(matrix, message):
+    with pytest.raises(fl.InputError, match=message):
+        fl.Frame(matrix)
 
 
 def test_frame_operator_plane(plane_frame):
@@ -74,8 +93,10 @@ def test_canonical_dual_is_computed_once(plane_frame):
 
 def test_canonical_dual_ill_conditioned():
     frame = fl.build_frame(2, [(1, 0), (0, 1e-7)])
-    with pytest.raises(fl.IllConditioned):
+    message = r"^frame operator condition number 1\.000e\+14 exceeds 1e\+12$"
+    with pytest.raises(fl.FrameLabError, match=message) as excinfo:
         fl.canonical_dual(frame)
+    assert type(excinfo.value) is fl.FrameLabError
 
 
 @pytest.mark.parametrize("condition", [1e6, 1e8, 1e10, 1e11], ids=["1e6", "1e8", "1e10", "1e11"])
@@ -97,7 +118,7 @@ def test_verify_dual(plane_frame):
     assert not fl.verify_dual(plane_frame, plane_frame.matrix)
     basis_frame = fl.build_frame(2, [(1, 0), (0, 1)])
     assert fl.verify_dual(basis_frame, basis_frame.matrix)
-    with pytest.raises(fl.ShapeMismatch):
+    with pytest.raises(fl.InputError, match=r"^frame is 2x3, candidate dual has shape \(2, 2\)$"):
         fl.verify_dual(plane_frame, basis_frame.matrix)
 
 
@@ -253,7 +274,8 @@ def test_dual_from_coefficients_constant_column_perturbation(plane_frame):
 
 def test_dual_from_coefficients_shape_mismatch(plane_frame):
     for shape in [(2,), (3,), (1, 2), (2, 2), (2, 1, 1)]:
-        with pytest.raises(fl.ShapeMismatch):
+        message = rf"^coefficient shape {re.escape(str(shape))} does not match \(2, 1\)$"
+        with pytest.raises(fl.InputError, match=message):
             fl.dual_from_coefficients(plane_frame, np.zeros(shape))
 
 

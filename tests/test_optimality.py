@@ -119,10 +119,15 @@ def test_spectral_two_membership(mercedes_frame, mercedes_profile, tight_frame, 
 
 
 def test_spectral_two_requires_one_erasure_optimality(plane_frame, plane_profile):
-    with pytest.raises(fl.NotOneErasureOptimal):
-        fl.two_erasure_spectral_optimal_pair(
-            fl.canonical_dual(plane_frame), plane_profile
-        )
+    cert = fl.two_erasure_spectral_optimal_pair(fl.canonical_dual(plane_frame), plane_profile)
+    assert cert.condition_id == "spectral_two_optimal_pair"
+    # the plane's canonical one-erasure spectral value is 4/3
+    (hypothesis,) = cert.hypotheses
+    assert hypothesis.description == "pair attains the one-erasure spectral optimum"
+    assert hypothesis.holds is False
+    assert hypothesis.witness == pytest.approx(1 / 3, abs=1e-12)
+    assert cert.conclusion is False
+    assert cert.details == {}
 
 
 def test_spectral_two_orthonormal_square_zero_budget():
@@ -239,10 +244,17 @@ def test_two_erasure_prediction_single_max_branch():
 
 def test_two_erasure_prediction_rejects_nonconstant_cross(tight_frame, tight_profile):
     pair = fl.canonical_dual(tight_frame)
-    with pytest.raises(fl.HypothesisFailed) as excinfo:
-        fl.two_erasure_spectral_prediction(pair, tight_profile)
-    failed = [h for h in excinfo.value.hypotheses if not h.holds]
-    assert failed and "constant" in failed[0].description
+    cert = fl.two_erasure_spectral_prediction(pair, tight_profile)
+    assert cert.condition_id == "two_erasure_prediction"
+    assert [h.description for h in cert.hypotheses] == [
+        "cross-Gram diagonal is real and nonnegative",
+        "weighted cross products share one positive constant",
+    ]
+    assert [h.holds for h in cert.hypotheses] == [True, False]
+    assert cert.hypotheses[1].witness > fl.optimality.DEFAULT_TOL
+    # the conclusion of a prediction is a value: none is predicted
+    assert cert.conclusion is None
+    assert cert.details == {}
 
 
 def test_norm_one_membership(tight_frame, tight_profile, plane_frame, plane_profile):
@@ -335,9 +347,20 @@ def test_parseval_equivalence_orthonormal():
     assert cert.details["witness"] == (2,)
 
 
-def test_parseval_equivalence_rejects_non_parseval(plane_frame, plane_profile):
-    with pytest.raises(fl.NotParseval):
-        fl.parseval_equivalence_report(plane_frame, plane_profile)
+def test_parseval_equivalence_rejects_non_parseval(plane_frame, plane_profile, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a search ran on a non-Parseval frame")
+
+    monkeypatch.setattr(fl.search, "certify_canonical_optimal", no_search)
+    cert = fl.parseval_equivalence_report(plane_frame, plane_profile)
+    assert cert.condition_id == "parseval_equivalence"
+    # S = [[2, 1], [1, 2]]: the largest entry of |S - I| is 1
+    (hypothesis,) = cert.hypotheses
+    assert hypothesis.description == "frame operator equals the identity"
+    assert hypothesis.holds is False
+    assert hypothesis.witness == pytest.approx(1.0, abs=1e-12)
+    assert cert.conclusion is False
+    assert cert.details == {}
 
 
 def test_parseval_equivalence_random_frames():
@@ -627,10 +650,7 @@ def test_pair_certificates_match_the_loop_oracle(mercedes_frame, mercedes_profil
             assert triples(cert.hypotheses) == hypotheses
             assert cert.details["max_residual"] == worst
 
-            try:
-                prediction = fl.two_erasure_spectral_prediction(pair, profile).hypotheses
-            except fl.HypothesisFailed as exc:
-                prediction = exc.hypotheses
+            prediction = fl.two_erasure_spectral_prediction(pair, profile).hypotheses
             assert triples(prediction)[1] == oracle_prediction_cross(pair, profile, tol)
 
             if fl.is_one_uniform(pair, profile).conclusion:

@@ -162,6 +162,10 @@ def test_certify_canonical_optimal(tight_frame, tight_profile, plane_frame, plan
     assert bad.gap >= 4 / 3 - 10 / 9 - 1e-6
     bad_norm = fl.certify_canonical_optimal(plane_frame, plane_profile, "norm")
     assert bad_norm.optimal is False
+    message = r"^measure kind must be one of \('spectral', 'norm'\), got 'trace'$"
+    with pytest.raises(ValueError, match=message) as excinfo:
+        fl.certify_canonical_optimal(plane_frame, plane_profile, "trace")
+    assert type(excinfo.value) is ValueError
 
 
 @pytest.mark.parametrize("kind", ["spectral", "norm"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,17 +23,27 @@ def test_uniform_weights_are_count_over_dim():
     assert_allclose(profile.weights, np.full(6, 2.0), atol=1e-12)
 
 
+OUTSIDE_UNIT = r"^probabilities must lie in \[0, 1\]$"
+INFINITE_WEIGHT = r"^an erasure probability of 1 \(to rounding\) has infinite weight$"
+
+
+def sum_message(probs) -> str:
+    return rf"^probabilities sum to {re.escape(f'{sum(probs):.17g}')}, expected 1$"
+
+
 @pytest.mark.parametrize(
     "probs",
     [[0.5, 0.4], [0.5, 0.6], [-0.1, 1.1], [1.5, -0.5], [float("nan"), 0.5, 0.5]],
 )
 def test_invalid_probabilities_rejected(probs):
-    with pytest.raises(fl.InvalidProbability):
+    # NaN lies in no interval
+    outside = not all(0.0 <= p <= 1.0 for p in probs)
+    with pytest.raises(fl.InputError, match=OUTSIDE_UNIT if outside else sum_message(probs)):
         fl.weights_from_probabilities(probs, 2)
 
 
 def test_certain_erasure_rejected():
-    with pytest.raises(fl.DegenerateWeight):
+    with pytest.raises(fl.InputError, match=INFINITE_WEIGHT):
         fl.weights_from_probabilities([1.0, 0.0], 2)
 
 
@@ -41,24 +53,30 @@ def test_certain_erasure_rejected():
 def test_probability_within_rounding_of_one_rejected(probs, dim):
     # its remainder sum_j p_j - p_i is 0: the weight would be infinite, or
     # NaN for a single vector, where no weight identity check caught it
-    with pytest.raises(fl.DegenerateWeight):
+    with pytest.raises(fl.InputError, match=INFINITE_WEIGHT):
         fl.weights_from_probabilities(probs, dim)
 
 
 @pytest.mark.parametrize(
-    "probs, error",
-    [([1.0], fl.DegenerateWeight), ([1 - 1e-13], fl.DegenerateWeight), ([0.5], fl.InvalidProbability)],
+    "probs, message",
+    [([1.0], INFINITE_WEIGHT), ([1 - 1e-13], INFINITE_WEIGHT), ([0.5], sum_message([0.5]))],
+    ids=["certain", "within-rounding-of-one", "sum-below-one"],
 )
-def test_single_probability_rejected(probs, error):
+def test_single_probability_rejected(probs, message):
     # so every valid profile has at least two vectors, and every m = 2
     # measure and certificate applies to it
-    with pytest.raises(error):
+    with pytest.raises(fl.InputError, match=message):
         fl.weights_from_probabilities(probs, 1)
 
 
 def test_too_few_probabilities_rejected():
-    with pytest.raises(fl.InvalidProbability):
+    with pytest.raises(fl.InputError, match="^need at least 3 probabilities, got 2$"):
         fl.weights_from_probabilities([0.5, 0.5], 3)
+
+
+def test_nonpositive_dimension_rejected():
+    with pytest.raises(fl.InputError, match="^dimension must be positive, got 0$"):
+        fl.weights_from_probabilities([0.5, 0.5], 0)
 
 
 def test_properties_report_plane(plane_profile):
