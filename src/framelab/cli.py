@@ -67,9 +67,7 @@ from .reporting import (  # noqa: E402
     dual_pair_to_dict,
     frame_to_dict,
     measure_report_to_dict,
-    profile_to_dict,
-    search_result_to_dict,
-    weight_properties_to_dict,
+    vectors_as_rows,
     write_report,
 )
 from .search import minimize_norm_one, minimize_spectral_one  # noqa: E402
@@ -113,27 +111,22 @@ def _write(args, **sections) -> None:
     write_report({**document, **sections}, args.out)
 
 
-def _certificate_entry(cert, partition=None) -> dict:
-    entry = dict(vars(cert))
-    if partition is not None:
-        entry["partition"] = partition
-    return entry
-
-
 def _analyze_certificates(frame: Frame, profile: ProbabilityProfile) -> list:
     pair = canonical_dual(frame)
+    spectral_one, spectral_partition = canonical_spectral_one_certificate(frame, profile)
+    norm_one, norm_partition = canonical_norm_one_certificate(frame, profile)
     return [
-        _certificate_entry(is_one_uniform(pair, profile)),
-        _certificate_entry(is_two_uniform(pair, profile)),
-        _certificate_entry(one_erasure_spectral_optimal_pair(pair, profile)),
-        _certificate_entry(one_erasure_norm_optimal_pair(pair, profile)),
-        _certificate_entry(two_erasure_spectral_optimal_pair(pair, profile)),
-        _certificate_entry(*canonical_spectral_one_certificate(frame, profile)),
-        _certificate_entry(*canonical_norm_one_certificate(frame, profile)),
-        _certificate_entry(canonical_spectral_two_certificate(frame, profile)),
-        _certificate_entry(two_erasure_spectral_prediction(pair, profile)),
-        _certificate_entry(is_probabilistic_uniform_parseval(frame, profile)),
-        _certificate_entry(parseval_equivalence_report(frame, profile)),
+        is_one_uniform(pair, profile),
+        is_two_uniform(pair, profile),
+        one_erasure_spectral_optimal_pair(pair, profile),
+        one_erasure_norm_optimal_pair(pair, profile),
+        two_erasure_spectral_optimal_pair(pair, profile),
+        {**vars(spectral_one), "partition": spectral_partition},
+        {**vars(norm_one), "partition": norm_partition},
+        canonical_spectral_two_certificate(frame, profile),
+        two_erasure_spectral_prediction(pair, profile),
+        is_probabilistic_uniform_parseval(frame, profile),
+        parseval_equivalence_report(frame, profile),
     ]
 
 
@@ -158,10 +151,7 @@ def cmd_analyze(args) -> int:
         args,
         input=input_section,
         frame=frame_to_dict(frame),
-        weights={
-            **profile_to_dict(profile),
-            "properties": weight_properties_to_dict(weight_properties_report(profile)),
-        },
+        weights={**vars(profile), "properties": weight_properties_report(profile)},
         canonical_dual=dual_pair_to_dict(pair),
         measures=measures,
         certificates=_analyze_certificates(frame, profile),
@@ -178,15 +168,20 @@ def cmd_search(args) -> int:
     for kind in kinds:
         minimize = minimize_spectral_one if kind == "spectral" else minimize_norm_one
         result = minimize(frame, profile)
-        entry = {"kind": kind, **search_result_to_dict(result)}
-        entry["best_dual_measures"] = {
-            "spectral_one": spectral_measure(result.best_dual, profile, 1).value,
-            "norm_one": norm_measure(result.best_dual, profile, 1).value,
-            "spectral_two": spectral_measure(result.best_dual, profile, 2).value,
-            "norm_two": norm_measure(result.best_dual, profile, 2).value,
+        # the rows of the dual replace the pair where it stands, after the other fields
+        entry = {
+            "kind": kind,
+            **vars(result),
+            "best_dual": vectors_as_rows(result.best_dual.dual),
+            "best_dual_measures": {
+                "spectral_one": spectral_measure(result.best_dual, profile, 1).value,
+                "norm_one": norm_measure(result.best_dual, profile, 1).value,
+                "spectral_two": spectral_measure(result.best_dual, profile, 2).value,
+                "norm_two": norm_measure(result.best_dual, profile, 2).value,
+            },
         }
         searches.append(entry)
-    _write(args, input=input_section, weights=profile_to_dict(profile), searches=searches)
+    _write(args, input=input_section, weights=profile, searches=searches)
     return EXIT_OK
 
 
@@ -201,7 +196,7 @@ def cmd_simulate(args) -> int:
     _write(
         args,
         input=input_section,
-        weights=profile_to_dict(profile),
+        weights=profile,
         simulation=stats,
         worst_case={"norm_value": worst_case, "within_bound": within_bound},
     )

@@ -73,10 +73,6 @@ class Hypothesis:
     holds: bool
     witness: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "holds", bool(self.holds))
-        object.__setattr__(self, "witness", float(self.witness))
-
 
 @dataclass(frozen=True)
 class OptimalityCertificate:

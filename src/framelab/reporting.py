@@ -5,7 +5,8 @@ Reports are JSON documents with the layout of the standard encoder's
 Floats take the shortest spelling that parses back to the same double
 (Python's ``repr``), so identical inputs produce byte-identical reports and
 parsing a written report gives back the document.  Non-finite floats are
-rejected.
+rejected.  Every complex number is an ``[re, im]`` pair, and every dataclass
+the dict of its fields in declaration order.
 
 The per-set tables of the erasure measures (one row per erasure set, up to
 tens of thousands of rows) are written from a ``%``-format row template
@@ -30,16 +31,11 @@ import os
 import sys
 from collections.abc import Iterator
 from dataclasses import is_dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .erasures import ErasureMeasureReport
 from .frames import DualPair, Frame
-from .weights import ProbabilityProfile, WeightPropertiesReport
-
-if TYPE_CHECKING:
-    from .search import SearchResult
 
 # Per-set table rows per piece of report text.
 TABLE_BLOCK = 1024
@@ -49,13 +45,13 @@ ENCODE_BATCH = 4096
 
 def _plain(obj):
     """Encoder hook for values the stdlib JSON encoder cannot write: numpy
-    arrays and scalars, complex numbers (an ``[re, im]`` pair, or a float when
-    the imaginary part is 0) and dataclasses (the dict of their fields, in
-    declaration order, which is the order of the report's keys)."""
+    arrays and scalars, complex numbers (an ``[re, im]`` pair) and dataclasses
+    (the dict of their fields, in declaration order, which is the order of
+    the report's keys)."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, complex):
-        return complex_pair(obj) if obj.imag != 0.0 else obj.real
+        return [obj.real, obj.imag]
     if isinstance(obj, np.generic):
         return obj.item()
     if is_dataclass(obj):
@@ -163,10 +159,6 @@ def _set_table(report: ErasureMeasureReport, indent: int) -> Iterator[str]:
     yield f"\n{pad}]"
 
 
-def complex_pair(value: complex) -> list:
-    return [float(np.real(value)), float(np.imag(value))]
-
-
 def vectors_as_rows(matrix: np.ndarray) -> list:
     """Columns of a synthesis matrix as rows of [re, im] entry pairs."""
     return np.stack((matrix.real, matrix.imag), -1).transpose(1, 0, 2).tolist()
@@ -179,27 +171,6 @@ def frame_to_dict(frame: Frame) -> dict:
         "lower_bound": frame.lower_bound,
         "upper_bound": frame.upper_bound,
         "vectors": vectors_as_rows(frame.matrix),
-    }
-
-
-def profile_to_dict(profile: ProbabilityProfile) -> dict:
-    return {
-        "dim": profile.dim,
-        "probabilities": [float(p) for p in profile.probabilities],
-        "weights": [float(q) for q in profile.weights],
-    }
-
-
-def weight_properties_to_dict(report: WeightPropertiesReport) -> dict:
-    return {
-        "min_weight": report.min_weight,
-        "all_at_least_one": report.all_at_least_one,
-        "partition_residual": report.partition_residual,
-        "monotone": report.monotone,
-        "table": [
-            {"index": row[0], "probability": row[1], "weight": row[2]}
-            for row in report.table
-        ],
     }
 
 
@@ -216,19 +187,6 @@ def measure_report_to_dict(report: ErasureMeasureReport) -> dict:
 def dual_pair_to_dict(pair: DualPair) -> dict:
     return {
         "dual_vectors": vectors_as_rows(pair.dual),
-        "cross_gram_diagonal": [complex_pair(v) for v in np.diagonal(pair.cross_gram)],
-        "cross_gram_trace": complex_pair(np.trace(pair.cross_gram)),
-    }
-
-
-def search_result_to_dict(result: SearchResult) -> dict:
-    return {
-        "best_value": result.best_value,
-        "canonical_value": result.canonical_value,
-        "gap": result.gap,
-        "lower_bound": result.lower_bound,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "note": result.note,
-        "best_dual": vectors_as_rows(result.best_dual.dual),
+        "cross_gram_diagonal": np.diagonal(pair.cross_gram).tolist(),
+        "cross_gram_trace": complex(np.trace(pair.cross_gram)),
     }

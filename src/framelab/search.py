@@ -105,14 +105,14 @@ class SearchResult:
     is at most ``1e-10 * best_value``, so ``best_value`` is the optimum to
     that precision.  ``iterations`` counts the least-squares solves."""
 
-    best_dual: DualPair
     best_value: float
     canonical_value: float
     gap: float
     lower_bound: float
     iterations: int
     converged: bool
-    note: str = ""
+    note: str
+    best_dual: DualPair
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ for ``N == n``, so it is reported rather than enforced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +27,9 @@ WEIGHT_IDENTITY_TOL = 1e-10
 class ProbabilityProfile:
     """Validated erasure probabilities with their weight numbers."""
 
+    dim: int
     probabilities: np.ndarray
     weights: np.ndarray
-    dim: int
 
     @property
     def count(self) -> int:
@@ -72,7 +72,7 @@ def weights_from_probabilities(probabilities, dim: int) -> ProbabilityProfile:
     p = p.copy()
     p.setflags(write=False)
     q.setflags(write=False)
-    return ProbabilityProfile(probabilities=p, weights=q, dim=dim)
+    return ProbabilityProfile(dim=dim, probabilities=p, weights=q)
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class WeightPropertiesReport:
     all_at_least_one: bool
     partition_residual: float
     monotone: bool
-    table: tuple = field(default=())  # rows (index, probability, weight) sorted by probability
+    table: tuple[dict, ...]  # rows {"index", "probability", "weight"} sorted by probability
 
 
 def weight_properties_report(profile: ProbabilityProfile) -> WeightPropertiesReport:
@@ -95,17 +95,17 @@ def weight_properties_report(profile: ProbabilityProfile) -> WeightPropertiesRep
     p = profile.probabilities
     q = profile.weights
     order = np.argsort(p, kind="stable")
-    monotone = True
-    for a, b in zip(order[:-1], order[1:]):
-        if p[a] < p[b] and not q[a] < q[b]:
-            monotone = False
-        if p[a] == p[b] and q[a] != q[b]:
-            monotone = False
-    table = tuple((int(i) + 1, float(p[i]), float(q[i])) for i in order)
+    ps, qs = p[order], q[order]
+    table = tuple(
+        {"index": i + 1, "probability": pi, "weight": qi}
+        for i, pi, qi in zip(order.tolist(), ps.tolist(), qs.tolist())
+    )
     return WeightPropertiesReport(
         min_weight=float(q.min()),
         all_at_least_one=bool(q.min() >= 1.0),
         partition_residual=float(abs(np.sum(1.0 / q) - profile.dim)),
-        monotone=monotone,
+        # q is an elementwise function of p, so equal probabilities have
+        # equal weights; each rise in p between sorted neighbours must raise q
+        monotone=bool(np.all((qs[1:] > qs[:-1])[ps[1:] > ps[:-1]])),
         table=table,
     )

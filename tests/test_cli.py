@@ -19,7 +19,7 @@ from numpy.testing import assert_allclose
 import framelab as fl
 import framelab.cli as cli
 from framelab.reporting import write_report
-from conftest import conditioned_matrix, report_text, uniform_profile
+from conftest import conditioned_matrix, random_parseval_frame, report_text, uniform_profile
 
 PLANE_DOC = """
 {
@@ -697,7 +697,7 @@ def test_report_write_peak_memory(monkeypatch, tmp_path):
     argv = ["analyze", str(frame), "--m", "1", "--m", "2", "--m", "3", "--measure", "both"]
     assert cli.main(argv) == 0
     (document,) = documents
-    assert len(document["certificates"][1]["hypotheses"]) == 1770
+    assert len(document["certificates"][1].hypotheses) == 1770
     assert [m["per_set_values"].per_set_values.size for m in document["measures"]][-1] == 34220
     out = tmp_path / "report.json"
     tracemalloc.start()
@@ -803,6 +803,82 @@ def test_analyze_report_reemits_byte_identically(capsys, plane_path, tmp_path):
             every_set = itertools.combinations(range(1, doc["input"]["count"] + 1), measure["m"])
             assert [e["indices"] for e in table] == [list(s) for s in every_set]
             assert max(e["value"] for e in table) == measure["value"]
+
+
+def test_report_sections_list_fields_in_declaration_order(capsys, plane_path):
+    # the weights, searches and simulation sections are written from the
+    # library's dataclasses, so a reordered field reorders the report
+    profile_keys = ["dim", "probabilities", "weights"]
+    _, out, _ = run(capsys, ["analyze", plane_path, "--m", "1"])
+    weights = json.loads(out)["weights"]
+    assert list(weights) == [*profile_keys, "properties"]
+    properties = weights["properties"]
+    assert list(properties) == [
+        "min_weight",
+        "all_at_least_one",
+        "partition_residual",
+        "monotone",
+        "table",
+    ]
+    assert [list(row) for row in properties["table"]] == [["index", "probability", "weight"]] * 3
+
+    _, out, _ = run(capsys, ["search", plane_path])
+    doc = json.loads(out)
+    assert list(doc["weights"]) == profile_keys
+    result_keys = [
+        "best_value",
+        "canonical_value",
+        "gap",
+        "lower_bound",
+        "iterations",
+        "converged",
+        "note",
+    ]
+    entry_keys = ["kind", *result_keys, "best_dual", "best_dual_measures"]
+    assert [list(entry) for entry in doc["searches"]] == [entry_keys] * 2
+
+    _, out, _ = run(capsys, ["simulate", plane_path, "--trials", "100"])
+    doc = json.loads(out)
+    assert list(doc["weights"]) == profile_keys
+    assert list(doc["simulation"]) == [
+        "m",
+        "trials",
+        "seed",
+        "rng",
+        "max_error",
+        "mean_error",
+        "histogram_edges",
+        "histogram_counts",
+    ]
+
+
+def test_every_complex_report_value_is_a_pair(capsys, plane_path, tmp_path):
+    # on a real frame too, where every imaginary part is 0
+    frame = random_parseval_frame(np.random.default_rng(5), 3, 6)
+    parseval_path = tmp_path / "parseval.json"
+    parseval = {
+        "dim": 3,
+        "count": 6,
+        "field": "complex",
+        "vectors": [[[z.real, z.imag] for z in column] for column in frame.matrix.T.tolist()],
+        "probabilities": [0.1, 0.2, 0.3, 0.15, 0.15, 0.1],
+    }
+    parseval_path.write_text(json.dumps(parseval), encoding="utf-8")
+
+    def is_pair(value):
+        return isinstance(value, list) and len(value) == 2 and all(type(x) is float for x in value)
+
+    for path in (plane_path, parseval_path):
+        code, out, _ = run(capsys, ["analyze", path, "--m", "1"])
+        assert code == 0
+        doc = json.loads(out)
+        dual = doc["canonical_dual"]
+        assert all(is_pair(entry) for vector in dual["dual_vectors"] for entry in vector)
+        assert all(map(is_pair, dual["cross_gram_diagonal"]))
+        assert is_pair(dual["cross_gram_trace"])
+        (one_uniform,) = (c for c in doc["certificates"] if c["condition_id"] == "one_uniform_pair")
+        assert len(one_uniform["details"]["weighted_diagonal"]) == doc["input"]["count"]
+        assert all(map(is_pair, one_uniform["details"]["weighted_diagonal"])), path
 
 
 def test_analyze_orthonormal_basis(capsys, tmp_path):
