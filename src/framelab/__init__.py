@@ -46,18 +46,13 @@ _MODULE_EXPORTS = {
         "OptimalBounds",
         "OptimalityCertificate",
         "PartitionReport",
+        "analyze_certificates",
         "canonical_norm_one_certificate",
         "canonical_spectral_one_certificate",
-        "canonical_spectral_two_certificate",
         "is_one_uniform",
         "is_probabilistic_uniform_parseval",
         "is_two_uniform",
-        "one_erasure_norm_optimal_pair",
-        "one_erasure_spectral_optimal_pair",
         "optimal_values",
-        "parseval_equivalence_report",
-        "two_erasure_spectral_optimal_pair",
-        "two_erasure_spectral_prediction",
     ),
     "search": (
         "CertificationOutcome",

@@ -51,17 +51,9 @@ from .errors import FrameLabError  # noqa: E402
 from .fileio import load_frame_file, load_probability_file, resolve_profile  # noqa: E402
 from .frames import DualPair, Frame, build_frame, canonical_dual  # noqa: E402
 from .optimality import (  # noqa: E402
+    analyze_certificates,
     canonical_norm_one_certificate,
     canonical_spectral_one_certificate,
-    canonical_spectral_two_certificate,
-    is_one_uniform,
-    is_probabilistic_uniform_parseval,
-    is_two_uniform,
-    one_erasure_norm_optimal_pair,
-    one_erasure_spectral_optimal_pair,
-    parseval_equivalence_report,
-    two_erasure_spectral_optimal_pair,
-    two_erasure_spectral_prediction,
 )
 from .reporting import (  # noqa: E402
     dual_pair_to_dict,
@@ -111,25 +103,6 @@ def _write(args, **sections) -> None:
     write_report({**document, **sections}, args.out)
 
 
-def _analyze_certificates(frame: Frame, profile: ProbabilityProfile) -> list:
-    pair = canonical_dual(frame)
-    spectral_one, spectral_partition = canonical_spectral_one_certificate(frame, profile)
-    norm_one, norm_partition = canonical_norm_one_certificate(frame, profile)
-    return [
-        is_one_uniform(pair, profile),
-        is_two_uniform(pair, profile),
-        one_erasure_spectral_optimal_pair(pair, profile),
-        one_erasure_norm_optimal_pair(pair, profile),
-        two_erasure_spectral_optimal_pair(pair, profile),
-        {**vars(spectral_one), "partition": spectral_partition},
-        {**vars(norm_one), "partition": norm_partition},
-        canonical_spectral_two_certificate(frame, profile),
-        two_erasure_spectral_prediction(pair, profile),
-        is_probabilistic_uniform_parseval(frame, profile),
-        parseval_equivalence_report(frame, profile),
-    ]
-
-
 def cmd_analyze(args) -> int:
     frame, profile, input_section = _load_inputs(args)
     requested = sorted(set(args.m)) if args.m else [1, 2]
@@ -154,7 +127,7 @@ def cmd_analyze(args) -> int:
         weights={**vars(profile), "properties": weight_properties_report(profile)},
         canonical_dual=dual_pair_to_dict(pair),
         measures=measures,
-        certificates=_analyze_certificates(frame, profile),
+        certificates=analyze_certificates(frame, profile),
     )
     return EXIT_OK
 

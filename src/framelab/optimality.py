@@ -32,10 +32,15 @@ take the cross products ``q_i q_j a_ij a_ji`` over all pairs ``i < j`` from
 so a canonical certificate's attaining set is cut exactly where the m = 1
 measure's ``argmax_sets`` are.  Every other hypothesis holds when its witness
 is at most ``DEFAULT_TOL``; no certificate takes a tolerance of its own.
+
+:func:`analyze_certificates` builds an ``analyze`` report's certificates.
+Each public certificate evaluates at most one measure and calls no other;
+the private ones take the values and partitions it computes once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +61,6 @@ DEFAULT_TOL = 1e-9
 
 CONDITION_ONE_UNIFORM = "one_uniform_pair"
 CONDITION_TWO_UNIFORM = "two_uniform_pair"
-CONDITION_SPECTRAL_ONE_PAIR = "spectral_one_optimal_pair"
 CONDITION_SPECTRAL_TWO_PAIR = "spectral_two_optimal_pair"
 CONDITION_NORM_ONE_PAIR = "norm_one_optimal_pair"
 CONDITION_CANONICAL_SPECTRAL_ONE = "canonical_spectral_one"
@@ -173,24 +177,6 @@ def is_two_uniform(pair: DualPair, profile: ProbabilityProfile) -> OptimalityCer
     )
 
 
-def one_erasure_spectral_optimal_pair(
-    pair: DualPair, profile: ProbabilityProfile
-) -> OptimalityCertificate:
-    """Membership in the set of pairs attaining the one-erasure spectral optimum.
-
-    The test is the one-uniformity condition; the certificate records the
-    pair's worst one-erasure spectral value next to the optimal value 1.
-    """
-    base = is_one_uniform(pair, profile)
-    value = spectral_measure(pair, profile, 1).value
-    return OptimalityCertificate(
-        condition_id=CONDITION_SPECTRAL_ONE_PAIR,
-        hypotheses=base.hypotheses,
-        conclusion=base.conclusion,
-        details={"measure_value": value, "optimal_value": 1.0},
-    )
-
-
 def optimal_values(profile: ProbabilityProfile) -> OptimalBounds:
     """The two-erasure spectral optimum over all dual pairs.
 
@@ -214,22 +200,23 @@ def optimal_values(profile: ProbabilityProfile) -> OptimalBounds:
     )
 
 
-def two_erasure_spectral_optimal_pair(
-    pair: DualPair, profile: ProbabilityProfile
+def _spectral_two_pair(
+    pair: DualPair, profile: ProbabilityProfile, one_uniform: bool, spectral_one, spectral_two
 ) -> OptimalityCertificate:
     """Membership in the set attaining the two-erasure spectral optimum.
 
-    Requires one-erasure optimality first: otherwise the one hypothesis is
-    that the pair attains it, failed, with witness ``measure_value - 1``.
-    Then checks that every weighted off-diagonal cross product equals the
-    shared constant ``cross_budget / offdiag_weight_sum``.
+    Requires one-erasure optimality, the pair's one-uniformity, first:
+    otherwise the one hypothesis is that the pair attains it, failed, with
+    witness ``spectral_one - 1`` (its m = 1 spectral value less 1).  Then
+    checks that every weighted off-diagonal cross product equals the shared
+    constant ``cross_budget / offdiag_weight_sum``; ``spectral_two()`` is
+    the pair's m = 2 spectral value.
     """
-    first = one_erasure_spectral_optimal_pair(pair, profile)
-    if not first.conclusion:
+    if not one_uniform:
         hypothesis = Hypothesis(
             description="pair attains the one-erasure spectral optimum",
             holds=False,
-            witness=first.details["measure_value"] - 1.0,
+            witness=spectral_one - 1.0,
         )
         return OptimalityCertificate(
             condition_id=CONDITION_SPECTRAL_TWO_PAIR, hypotheses=(hypothesis,), conclusion=False
@@ -240,13 +227,12 @@ def two_erasure_spectral_optimal_pair(
     hypotheses = _pair_hypotheses(
         pair.count, witnesses, "weighted cross product equals the shared constant"
     )
-    value = spectral_measure(pair, profile, 2).value
     return OptimalityCertificate(
         condition_id=CONDITION_SPECTRAL_TWO_PAIR,
         hypotheses=hypotheses,
         conclusion=all(h.holds for h in hypotheses),
         details={
-            "measure_value": value,
+            "measure_value": spectral_two(),
             "optimal_value": bounds.spectral_two,
             "cross_target": target,
         },
@@ -323,20 +309,19 @@ def canonical_norm_one_certificate(
     return _canonical_one_certificate("norm", frame, profile)
 
 
-def canonical_spectral_two_certificate(
-    frame: Frame, profile: ProbabilityProfile
+def _canonical_spectral_two(
+    frame: Frame, profile: ProbabilityProfile, partition: PartitionReport, spectral_two
 ) -> OptimalityCertificate:
     """Sufficient condition for the canonical dual to be two-erasure
     spectrally optimal for this frame.
 
-    Requires the spans of the attaining and remaining vectors to intersect
-    trivially (the attaining set is a union of components), at least two
-    attaining indices, and all pairwise products
-    ``<S^-1 f_i, f_j><S^-1 f_j, f_i>`` equal to the weighted share of the
-    cross budget.  A negative budget makes the required constant imaginary
-    and is reported as a failed hypothesis.
+    Requires the spans of the attaining and remaining vectors of the
+    canonical spectral ``partition`` to intersect trivially (the attaining
+    set is a union of components), at least two attaining indices, and all
+    pairwise products ``<S^-1 f_i, f_j><S^-1 f_j, f_i>`` equal to the
+    weighted share of the cross budget.  A negative budget makes the
+    required constant imaginary and is reported as a failed hypothesis.
     """
-    _, partition = canonical_spectral_one_certificate(frame, profile)
     hypotheses = [
         Hypothesis(
             description="spans of attaining and remaining vectors intersect trivially",
@@ -375,7 +360,7 @@ def canonical_spectral_two_certificate(
                 witness=float(worst),
             )
         )
-        details["canonical_two_erasure_value"] = spectral_measure(pair, profile, 2).value
+        details["canonical_two_erasure_value"] = spectral_two()
     return OptimalityCertificate(
         condition_id=CONDITION_CANONICAL_SPECTRAL_TWO,
         hypotheses=tuple(hypotheses),
@@ -384,8 +369,8 @@ def canonical_spectral_two_certificate(
     )
 
 
-def two_erasure_spectral_prediction(
-    pair: DualPair, profile: ProbabilityProfile
+def _two_erasure_prediction(
+    pair: DualPair, profile: ProbabilityProfile, spectral_two
 ) -> OptimalityCertificate:
     """Predict the worst two-erasure spectral value from one-erasure data.
 
@@ -396,7 +381,7 @@ def two_erasure_spectral_prediction(
     the closed-form roots at two tied indices, giving ``R1 + sqrt(c)``.
     The unhalved variant ``R1 + sqrt(4c)`` (which skips the final division
     by two in the tie case) is recorded alongside for comparison; the
-    enumerated measure confirms the halved form.
+    enumerated measure ``spectral_two()`` confirms the halved form.
 
     When a hypothesis is violated the certificate carries the two evaluated
     hypotheses, no details, and the conclusion ``None``.
@@ -450,7 +435,7 @@ def two_erasure_spectral_prediction(
         details["second_level_value"] = None
         details["unhalved_variant"] = r1 + float(np.sqrt(4.0 * c))
         details["unhalved_discrepancy"] = details["unhalved_variant"] - predicted
-    enumerated = spectral_measure(pair, profile, 2).value
+    enumerated = spectral_two()
     details["predicted_two_erasure_value"] = float(predicted)
     details["enumerated_two_erasure_value"] = enumerated
     details["prediction_residual"] = float(abs(predicted - enumerated))
@@ -462,14 +447,14 @@ def two_erasure_spectral_prediction(
     )
 
 
-def one_erasure_norm_optimal_pair(
-    pair: DualPair, profile: ProbabilityProfile
+def _norm_one_pair(
+    pair: DualPair, profile: ProbabilityProfile, norm_one: float
 ) -> OptimalityCertificate:
     """Membership in the set attaining the one-erasure norm optimum.
 
     Requires both ``<f_i, g_i> = 1/q_i`` and ``||f_i|| ||g_i|| = 1/q_i`` for
-    every index.  Membership implies the pair is one-uniform, which the
-    certificate records.
+    every index, so a member is one-uniform; ``norm_one`` is the pair's
+    m = 1 norm value.
     """
     diag = np.conj(np.diagonal(pair.cross_gram))
     f_norms = np.linalg.norm(pair.frame.matrix, axis=0)
@@ -480,19 +465,11 @@ def one_erasure_norm_optimal_pair(
     hypotheses = _index_hypotheses(
         witnesses, "inner product and norm product equal the reciprocal weight"
     )
-    conclusion = all(h.holds for h in hypotheses)
-    details = {
-        "measure_value": norm_measure(pair, profile, 1).value,
-        "optimal_value": 1.0,
-    }
-    if conclusion:
-        implied = is_one_uniform(pair, profile)
-        details["one_uniform_implied"] = bool(implied.conclusion)
     return OptimalityCertificate(
         condition_id=CONDITION_NORM_ONE_PAIR,
         hypotheses=hypotheses,
-        conclusion=conclusion,
-        details=details,
+        conclusion=all(h.holds for h in hypotheses),
+        details={"measure_value": norm_one},
     )
 
 
@@ -523,8 +500,8 @@ def is_probabilistic_uniform_parseval(
     )
 
 
-def parseval_equivalence_report(
-    frame: Frame, profile: ProbabilityProfile
+def _parseval_equivalence(
+    frame: Frame, profile: ProbabilityProfile, spectral, norm, partition: PartitionReport
 ) -> OptimalityCertificate:
     """For a Parseval frame, canonical-dual one-erasure optimality under the
     spectral and norm measures must agree: both per-index values are
@@ -532,8 +509,8 @@ def parseval_equivalence_report(
 
     The one hypothesis is the one Parseval test, ``frame.parseval_residual``
     at most ``DEFAULT_TOL``; when it fails, the conclusion is ``False`` and
-    nothing else is computed.  ``witness`` is the spectral certificate's
-    component inside the attaining set; the gaps are those of the two
+    nothing else is computed.  ``witness`` is the one of the canonical
+    ``spectral`` certificate's ``partition``; the gaps are those of the two
     searches, which bear the verdicts out numerically.
     """
     from .search import certify_canonical_optimal
@@ -548,8 +525,6 @@ def parseval_equivalence_report(
         return OptimalityCertificate(
             condition_id=CONDITION_PARSEVAL_EQUIVALENCE, hypotheses=(hypothesis,), conclusion=False
         )
-    spectral, partition = canonical_spectral_one_certificate(frame, profile)
-    norm, _ = canonical_norm_one_certificate(frame, profile)
     return OptimalityCertificate(
         condition_id=CONDITION_PARSEVAL_EQUIVALENCE,
         hypotheses=(hypothesis,),
@@ -562,3 +537,29 @@ def parseval_equivalence_report(
             "witness": partition.witness,
         },
     )
+
+
+def analyze_certificates(frame: Frame, profile: ProbabilityProfile) -> list:
+    """The certificates of an ``analyze`` report on the canonical dual, in
+    report order; the two canonical one-erasure ones are dicts with their
+    ``partition``.  Each m = 1 measure is evaluated once, by the canonical
+    certificate whose threshold is its value, and the m = 2 spectral value
+    at most once, by the first certificate that records it."""
+    pair = canonical_dual(frame)
+    one_uniform = is_one_uniform(pair, profile)
+    spectral, spectral_partition = canonical_spectral_one_certificate(frame, profile)
+    norm, norm_partition = canonical_norm_one_certificate(frame, profile)
+    spectral_one, norm_one = spectral_partition.threshold, norm_partition.threshold
+    spectral_two = functools.cache(lambda: spectral_measure(pair, profile, 2).value)
+    return [
+        one_uniform,
+        is_two_uniform(pair, profile),
+        _norm_one_pair(pair, profile, norm_one),
+        _spectral_two_pair(pair, profile, one_uniform.conclusion, spectral_one, spectral_two),
+        {**vars(spectral), "partition": spectral_partition},
+        {**vars(norm), "partition": norm_partition},
+        _canonical_spectral_two(frame, profile, spectral_partition, spectral_two),
+        _two_erasure_prediction(pair, profile, spectral_two),
+        is_probabilistic_uniform_parseval(frame, profile),
+        _parseval_equivalence(frame, profile, spectral, norm, spectral_partition),
+    ]

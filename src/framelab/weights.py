@@ -7,7 +7,8 @@ Each transmitted coefficient ``i`` carries an erasure probability ``p_i``
 
 that scales its contribution to the reconstruction error.  The reciprocals
 always satisfy ``sum_i 1/q_i = n``, and ``q`` is strictly increasing in
-``p``.  The bound ``q_i >= 1`` holds whenever ``N >= n + 1`` but can fail
+``p`` (in floating point only nondecreasing: two probabilities a rounding
+apart can share one weight).  The bound ``q_i >= 1`` holds whenever ``N >= n + 1`` but can fail
 for ``N == n``, so it is reported rather than enforced.
 """
 
@@ -86,7 +87,6 @@ class WeightPropertiesReport:
     min_weight: float
     all_at_least_one: bool
     partition_residual: float
-    monotone: bool
     table: tuple[dict, ...]  # rows {"index", "probability", "weight"} sorted by probability
 
 
@@ -95,17 +95,13 @@ def weight_properties_report(profile: ProbabilityProfile) -> WeightPropertiesRep
     p = profile.probabilities
     q = profile.weights
     order = np.argsort(p, kind="stable")
-    ps, qs = p[order], q[order]
     table = tuple(
         {"index": i + 1, "probability": pi, "weight": qi}
-        for i, pi, qi in zip(order.tolist(), ps.tolist(), qs.tolist())
+        for i, pi, qi in zip(order.tolist(), p[order].tolist(), q[order].tolist())
     )
     return WeightPropertiesReport(
         min_weight=float(q.min()),
         all_at_least_one=bool(q.min() >= 1.0),
         partition_residual=float(abs(np.sum(1.0 / q) - profile.dim)),
-        # q is an elementwise function of p, so equal probabilities have
-        # equal weights; each rise in p between sorted neighbours must raise q
-        monotone=bool(np.all((qs[1:] > qs[:-1])[ps[1:] > ps[:-1]])),
         table=table,
     )

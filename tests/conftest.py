@@ -56,6 +56,14 @@ def uniform_profile(count: int, dim: int) -> fl.ProbabilityProfile:
     return fl.weights_from_probabilities(np.full(count, 1.0 / count), dim)
 
 
+def analyze_by_id(frame: fl.Frame, profile: fl.ProbabilityProfile) -> dict:
+    """The certificates of the frame's canonical dual that ``analyze``
+    reports, by condition id; the two canonical one-erasure entries, dicts
+    with their partition, are left out."""
+    entries = fl.analyze_certificates(frame, profile)
+    return {c.condition_id: c for c in entries if not isinstance(c, dict)}
+
+
 def report_text(document) -> str:
     """The text :func:`write_report` writes to stdout for ``document``."""
     out = io.StringIO()

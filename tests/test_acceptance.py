@@ -18,6 +18,7 @@ from conftest import (
     PLANE_VECTORS,
     TIGHT_PROBS,
     TIGHT_VECTORS,
+    analyze_by_id,
     enumerated_values,
     mercedes_vectors,
     plane_better_dual,
@@ -123,8 +124,9 @@ def test_criterion_4_lower_bounds_and_membership():
             norm_value = fl.norm_measure(pair, profile, 1).value
             assert spectral_value >= 1.0 - 1e-9
             assert norm_value >= 1.0 - 1e-9
-            spectral_member = fl.one_erasure_spectral_optimal_pair(pair, profile).conclusion
-            norm_member = fl.one_erasure_norm_optimal_pair(pair, profile).conclusion
+            # one-uniformity is the spectral membership test
+            spectral_member = fl.is_one_uniform(pair, profile).conclusion
+            norm_member = fl.optimality._norm_one_pair(pair, profile, norm_value).conclusion
             assert (abs(spectral_value - 1.0) <= 1e-9) == spectral_member
             assert (abs(norm_value - 1.0) <= 1e-9) == norm_member
 
@@ -165,13 +167,14 @@ def test_criterion_6_mercedes_certification():
         assert abs(bounds.cross_budget - 2 / 3) <= 1e-9
         assert abs(bounds.spectral_two - 1.5) <= 1e-9
         pair = fl.canonical_dual(frame)
-        assert fl.one_erasure_spectral_optimal_pair(pair, profile).conclusion
-        assert fl.two_erasure_spectral_optimal_pair(pair, profile).conclusion
+        certificates = analyze_by_id(frame, profile)
+        assert certificates["one_uniform_pair"].conclusion
+        assert certificates["spectral_two_optimal_pair"].conclusion
         enumerated = fl.spectral_measure(pair, profile, 2).value
         assert abs(enumerated - 1.5) <= 1e-9
         # exhaustive 2x2 block eigenvalue oracle
         assert abs(enumerated_values(pair, profile, 2, "spectral").max() - 1.5) <= 1e-9
-        prediction = fl.two_erasure_spectral_prediction(pair, profile)
+        prediction = certificates["two_erasure_prediction"]
         assert len(prediction.details["tie_set"]) == 3
         assert abs(prediction.details["cross_constant"] - 0.25) <= 1e-9
         assert abs(prediction.conclusion - 1.5) <= 1e-9
@@ -189,7 +192,7 @@ def test_criterion_7_parseval_equivalence():
             count = int(rng.integers(n + 1, 9))
             frame = random_parseval_frame(rng, n, count)
             profile = random_profile(rng, n, count)
-            cert = fl.parseval_equivalence_report(frame, profile)
+            cert = analyze_by_id(frame, profile)["parseval_equivalence"]
             assert cert.conclusion is True
             # both verdicts are those of converged searches
             for kind in ("spectral", "norm"):

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import framelab as fl
 from conftest import (
+    analyze_by_id,
     coloop_case,
     mercedes_vectors,
     plane_better_dual,
@@ -56,16 +57,15 @@ def test_is_two_uniform_scalar_member():
 
 
 def test_spectral_one_membership(tight_frame, tight_profile, plane_frame, plane_profile):
-    member = fl.one_erasure_spectral_optimal_pair(
-        fl.canonical_dual(tight_frame), tight_profile
-    )
-    assert member.conclusion
-    assert member.details["measure_value"] == pytest.approx(1.0, abs=1e-12)
-    non_member = fl.one_erasure_spectral_optimal_pair(
-        plane_better_dual(plane_frame), plane_profile
-    )
-    assert not non_member.conclusion
-    assert non_member.details["measure_value"] == pytest.approx(10 / 9, abs=1e-12)
+    # a pair attains the one-erasure spectral optimum 1 exactly when it is
+    # one-uniform
+    member = fl.canonical_dual(tight_frame)
+    assert fl.is_one_uniform(member, tight_profile).conclusion
+    assert fl.spectral_measure(member, tight_profile, 1).value == pytest.approx(1.0, abs=1e-12)
+    non_member = plane_better_dual(plane_frame)
+    assert not fl.is_one_uniform(non_member, plane_profile).conclusion
+    value = fl.spectral_measure(non_member, plane_profile, 1).value
+    assert value == pytest.approx(10 / 9, abs=1e-12)
 
 
 def test_spectral_one_lower_bound_random_pairs():
@@ -105,22 +105,17 @@ def test_optimal_values_uniform_double_redundancy():
 
 
 def test_spectral_two_membership(mercedes_frame, mercedes_profile, tight_frame, tight_profile):
-    mercedes = fl.two_erasure_spectral_optimal_pair(
-        fl.canonical_dual(mercedes_frame), mercedes_profile
-    )
+    mercedes = analyze_by_id(mercedes_frame, mercedes_profile)["spectral_two_optimal_pair"]
     assert mercedes.conclusion
     assert mercedes.details["measure_value"] == pytest.approx(1.5, abs=1e-12)
     assert mercedes.details["cross_target"] == pytest.approx(0.25, abs=1e-12)
     # the tight pair is one-erasure optimal but its cross products vary
-    tight = fl.two_erasure_spectral_optimal_pair(
-        fl.canonical_dual(tight_frame), tight_profile
-    )
+    tight = analyze_by_id(tight_frame, tight_profile)["spectral_two_optimal_pair"]
     assert not tight.conclusion
 
 
 def test_spectral_two_requires_one_erasure_optimality(plane_frame, plane_profile):
-    cert = fl.two_erasure_spectral_optimal_pair(fl.canonical_dual(plane_frame), plane_profile)
-    assert cert.condition_id == "spectral_two_optimal_pair"
+    cert = analyze_by_id(plane_frame, plane_profile)["spectral_two_optimal_pair"]
     # the plane's canonical one-erasure spectral value is 4/3
     (hypothesis,) = cert.hypotheses
     assert hypothesis.description == "pair attains the one-erasure spectral optimum"
@@ -133,7 +128,7 @@ def test_spectral_two_requires_one_erasure_optimality(plane_frame, plane_profile
 def test_spectral_two_orthonormal_square_zero_budget():
     basis = fl.build_frame(2, np.eye(2))
     profile = uniform_profile(2, 2)
-    cert = fl.two_erasure_spectral_optimal_pair(fl.DualPair(basis, basis.matrix), profile)
+    cert = analyze_by_id(basis, profile)["spectral_two_optimal_pair"]
     # alpha off-diagonal is 0 and the budget is 0, so membership holds
     assert fl.optimal_values(profile).cross_budget == pytest.approx(0.0, abs=1e-14)
     assert cert.conclusion
@@ -195,13 +190,13 @@ def test_canonical_norm_one_uniform_parseval(scaled_tight_pair):
 
 
 def test_canonical_spectral_two_certificate(mercedes_frame, mercedes_profile, plane_frame, plane_profile, tight_frame, tight_profile):
-    cert = fl.canonical_spectral_two_certificate(mercedes_frame, mercedes_profile)
+    cert = analyze_by_id(mercedes_frame, mercedes_profile)["canonical_spectral_two"]
     assert cert.conclusion
     assert cert.details["canonical_two_erasure_value"] == pytest.approx(1.5, abs=1e-12)
-    cert = fl.canonical_spectral_two_certificate(plane_frame, plane_profile)
+    cert = analyze_by_id(plane_frame, plane_profile)["canonical_spectral_two"]
     assert not cert.conclusion
     assert not cert.hypotheses[0].holds  # the spans intersect
-    cert = fl.canonical_spectral_two_certificate(tight_frame, tight_profile)
+    cert = analyze_by_id(tight_frame, tight_profile)["canonical_spectral_two"]
     assert not cert.conclusion
     assert cert.hypotheses[0].holds and cert.hypotheses[1].holds
     assert not cert.hypotheses[2].holds  # cross products are not constant
@@ -210,16 +205,16 @@ def test_canonical_spectral_two_certificate(mercedes_frame, mercedes_profile, pl
 def test_canonical_spectral_two_negative_budget_reported():
     frame = fl.build_frame(2, np.eye(2))
     profile = fl.weights_from_probabilities([0.9, 0.1], 2)
-    cert = fl.canonical_spectral_two_certificate(frame, profile)
+    cert = analyze_by_id(frame, profile)["canonical_spectral_two"]
     assert not cert.conclusion
+    assert "canonical_two_erasure_value" not in cert.details
     negative = [h for h in cert.hypotheses if "nonnegative" in h.description]
     assert len(negative) == 1 and not negative[0].holds
     assert negative[0].witness == pytest.approx(-1.28, abs=1e-12)
 
 
 def test_two_erasure_prediction_tie_branch(mercedes_frame, mercedes_profile):
-    pair = fl.canonical_dual(mercedes_frame)
-    cert = fl.two_erasure_spectral_prediction(pair, mercedes_profile)
+    cert = analyze_by_id(mercedes_frame, mercedes_profile)["two_erasure_prediction"]
     assert cert.conclusion == pytest.approx(1.5, abs=1e-12)
     assert cert.details["tie_set"] == [1, 2, 3]
     assert cert.details["cross_constant"] == pytest.approx(0.25, abs=1e-12)
@@ -235,17 +230,16 @@ def test_two_erasure_prediction_single_max_branch():
     dual = [[0.7, 0.3]]
     profile = fl.weights_from_probabilities([0.25, 0.75], 1)
     pair = fl.DualPair(frame, dual)
-    cert = fl.two_erasure_spectral_prediction(pair, profile)
-    assert cert.details["tie_set"] == [2]
     enumerated = fl.spectral_measure(pair, profile, 2).value
+    cert = fl.optimality._two_erasure_prediction(pair, profile, lambda: enumerated)
+    assert cert.details["tie_set"] == [2]
+    assert cert.details["enumerated_two_erasure_value"] == enumerated
     assert cert.conclusion == pytest.approx(enumerated, abs=1e-9)
     assert cert.details["prediction_residual"] <= 1e-9
 
 
 def test_two_erasure_prediction_rejects_nonconstant_cross(tight_frame, tight_profile):
-    pair = fl.canonical_dual(tight_frame)
-    cert = fl.two_erasure_spectral_prediction(pair, tight_profile)
-    assert cert.condition_id == "two_erasure_prediction"
+    cert = analyze_by_id(tight_frame, tight_profile)["two_erasure_prediction"]
     assert [h.description for h in cert.hypotheses] == [
         "cross-Gram diagonal is real and nonnegative",
         "weighted cross products share one positive constant",
@@ -258,15 +252,14 @@ def test_two_erasure_prediction_rejects_nonconstant_cross(tight_frame, tight_pro
 
 
 def test_norm_one_membership(tight_frame, tight_profile, plane_frame, plane_profile):
-    member = fl.one_erasure_norm_optimal_pair(
-        fl.canonical_dual(tight_frame), tight_profile
-    )
+    certificates = analyze_by_id(tight_frame, tight_profile)
+    member = certificates["norm_one_optimal_pair"]
     assert member.conclusion
+    assert list(member.details) == ["measure_value"]
     assert member.details["measure_value"] == pytest.approx(1.0, abs=1e-12)
-    assert member.details["one_uniform_implied"]
-    non_member = fl.one_erasure_norm_optimal_pair(
-        fl.canonical_dual(plane_frame), plane_profile
-    )
+    # a member is one-uniform
+    assert certificates["one_uniform_pair"].conclusion
+    non_member = analyze_by_id(plane_frame, plane_profile)["norm_one_optimal_pair"]
     assert not non_member.conclusion
     assert non_member.details["measure_value"] == pytest.approx(4 / 3, abs=1e-12)
 
@@ -306,7 +299,7 @@ def test_one_uniform_trace_identity_forces_budget(tight_frame, tight_profile, me
     # to the cross budget
     for frame, profile in ((tight_frame, tight_profile), (mercedes_frame, mercedes_profile)):
         pair = fl.canonical_dual(frame)
-        assert fl.one_erasure_spectral_optimal_pair(pair, profile).conclusion
+        assert fl.is_one_uniform(pair, profile).conclusion
         alpha = pair.cross_gram
         total = complex(np.sum(alpha * alpha.T) - np.sum(np.diagonal(alpha) ** 2))
         budget = fl.optimal_values(profile).cross_budget
@@ -331,7 +324,7 @@ def test_sufficiency_certificate_validated_by_search_oracle(tight_frame, tight_p
 
 def test_parseval_equivalence_on_examples(scaled_tight_pair):
     frame, profile = scaled_tight_pair
-    cert = fl.parseval_equivalence_report(frame, profile)
+    cert = analyze_by_id(frame, profile)["parseval_equivalence"]
     assert cert.conclusion is True
     assert cert.details["canonical_spectral_optimal"] is True
     assert cert.details["canonical_norm_optimal"] is True
@@ -340,7 +333,8 @@ def test_parseval_equivalence_on_examples(scaled_tight_pair):
 
 def test_parseval_equivalence_orthonormal():
     frame = fl.build_frame(2, np.eye(2))
-    cert = fl.parseval_equivalence_report(frame, fl.weights_from_probabilities([0.4, 0.6], 2))
+    profile = fl.weights_from_probabilities([0.4, 0.6], 2)
+    cert = analyze_by_id(frame, profile)["parseval_equivalence"]
     assert cert.conclusion is True
     assert cert.details["canonical_spectral_optimal"] is True
     # both vectors are coloops; the likelier erasure attains the maximum
@@ -352,8 +346,7 @@ def test_parseval_equivalence_rejects_non_parseval(plane_frame, plane_profile, m
         raise AssertionError("a search ran on a non-Parseval frame")
 
     monkeypatch.setattr(fl.search, "certify_canonical_optimal", no_search)
-    cert = fl.parseval_equivalence_report(plane_frame, plane_profile)
-    assert cert.condition_id == "parseval_equivalence"
+    cert = analyze_by_id(plane_frame, plane_profile)["parseval_equivalence"]
     # S = [[2, 1], [1, 2]]: the largest entry of |S - I| is 1
     (hypothesis,) = cert.hypotheses
     assert hypothesis.description == "frame operator equals the identity"
@@ -368,7 +361,7 @@ def test_parseval_equivalence_random_frames():
     for _ in range(3):
         frame = random_parseval_frame(rng, 2, 4)
         profile = random_profile(rng, 2, 4)
-        cert = fl.parseval_equivalence_report(frame, profile)
+        cert = analyze_by_id(frame, profile)["parseval_equivalence"]
         assert cert.conclusion is True
         for kind in ("spectral", "norm"):
             # the exact verdict is the converged search's, whose gap is recorded
@@ -384,9 +377,48 @@ def test_parseval_equivalence_verdicts_do_not_rest_on_the_searches(monkeypatch, 
 
     monkeypatch.setattr(fl.search, "certify_canonical_optimal", far_off)
     frame, profile = scaled_tight_pair
-    cert = fl.parseval_equivalence_report(frame, profile)
+    cert = analyze_by_id(frame, profile)["parseval_equivalence"]
     assert cert.conclusion is True and cert.details["canonical_norm_optimal"] is True
     assert cert.details["spectral_gap"] == cert.details["norm_gap"] == 1.0
+
+
+def test_analyze_certificates_evaluate_each_measure_once(
+    monkeypatch, plane_frame, plane_profile, tight_frame, tight_profile
+):
+    # the measures are counted where optimality binds them, so the hidden
+    # searches' own evaluations are not
+    calls = []
+
+    def counted(name):
+        measure = getattr(fl.optimality, name)
+
+        def count(pair, profile, m):
+            calls.append((name, m))
+            return measure(pair, profile, m)
+
+        return count
+
+    for name in ("spectral_measure", "norm_measure"):
+        monkeypatch.setattr(fl.optimality, name, counted(name))
+    rng = np.random.default_rng(5)
+    basis = fl.build_frame(2, np.eye(2))
+    cases = [
+        # Parseval: the equivalence report runs both searches
+        (random_parseval_frame(rng, 3, 6), random_profile(rng, 3, 6), 1),
+        # neither Parseval nor one-uniform, with a nonnegative cross budget
+        (plane_frame, plane_profile, 1),
+        # one-uniform: the pair and the canonical two-erasure certificates
+        # both record the m = 2 value
+        (tight_frame, tight_profile, 1),
+        # a negative budget, no one-uniform pair and no positive cross
+        # constant: no certificate records the m = 2 value
+        (basis, fl.weights_from_probabilities([0.9, 0.1], 2), 0),
+    ]
+    for frame, profile, spectral_two in cases:
+        calls.clear()
+        fl.analyze_certificates(frame, profile)
+        twos = [("spectral_measure", 2)] * spectral_two
+        assert sorted(calls) == [("norm_measure", 1), ("spectral_measure", 1), *twos]
 
 
 # The canonical one-erasure certificates are exact: their verdict is the one
@@ -482,7 +514,7 @@ def test_exact_certificate_decides_the_counterexample(kind):
     assert partition.witness == (1,)
     assert partition.crossing_components == 1
     assert assert_exact(frame, profile, kind)
-    assert not fl.canonical_spectral_two_certificate(frame, profile).hypotheses[0].holds
+    assert not analyze_by_id(frame, profile)["canonical_spectral_two"].hypotheses[0].holds
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -639,6 +671,12 @@ def oracle_cases():
                 yield frame, profile, pairs
 
 
+def spectral_two_value(pair, profile):
+    """The pair's m = 2 spectral value, evaluated when called, as the
+    private certificates take it."""
+    return lambda: fl.spectral_measure(pair, profile, 2).value
+
+
 def test_pair_certificates_match_the_loop_oracle(mercedes_frame, mercedes_profile):
     tol = fl.optimality.DEFAULT_TOL
     cases = [(mercedes_frame, mercedes_profile, [fl.canonical_dual(mercedes_frame)])]
@@ -650,16 +688,18 @@ def test_pair_certificates_match_the_loop_oracle(mercedes_frame, mercedes_profil
             assert triples(cert.hypotheses) == hypotheses
             assert cert.details["max_residual"] == worst
 
-            prediction = fl.two_erasure_spectral_prediction(pair, profile).hypotheses
-            assert triples(prediction)[1] == oracle_prediction_cross(pair, profile, tol)
+            spectral_two = spectral_two_value(pair, profile)
+            prediction = fl.optimality._two_erasure_prediction(pair, profile, spectral_two)
+            assert triples(prediction.hypotheses)[1] == oracle_prediction_cross(pair, profile, tol)
 
             if fl.is_one_uniform(pair, profile).conclusion:
-                cert = fl.two_erasure_spectral_optimal_pair(pair, profile)
+                spectral_one = fl.spectral_measure(pair, profile, 1).value
+                cert = fl.optimality._spectral_two_pair(pair, profile, True, spectral_one, spectral_two)
                 assert triples(cert.hypotheses) == oracle_spectral_two_pair(pair, profile, tol)
                 pair_two_checked += 1
         # The canonical certificate now uses a_ij a_ji where the loop used
         # |<S^-1 f_j, f_i>|^2: equal up to rounding for the Hermitian Gram.
-        cert = fl.canonical_spectral_two_certificate(frame, profile)
+        cert = analyze_by_id(frame, profile)["canonical_spectral_two"]
         if fl.optimal_values(profile).cross_budget >= 0:
             assert cert.hypotheses[2].witness == pytest.approx(
                 oracle_canonical_two_worst(frame, profile), rel=1e-13, abs=1e-13
@@ -704,7 +744,8 @@ def test_index_certificates_match_the_loop_oracle(tight_frame, tight_profile):
             assert triples(cert.hypotheses) == hypotheses
             assert cert.details["max_residual"] == max(h[2] for h in hypotheses)
             held["one"] += cert.conclusion
-            cert = fl.one_erasure_norm_optimal_pair(pair, profile)
+            norm_one = fl.norm_measure(pair, profile, 1).value
+            cert = fl.optimality._norm_one_pair(pair, profile, norm_one)
             assert triples(cert.hypotheses) == oracle_norm_one_pair(pair, profile, tol)
             held["norm"] += cert.conclusion
     assert held["one"] >= 12 and held["norm"] >= 1
@@ -726,6 +767,7 @@ def test_two_erasure_prediction_ties_are_relative():
     assert tol < gap < tol * r1
     c = np.linalg.solve(f[:, :2].T, np.sqrt(3) * np.array([s, s - gap / a]))
     dual = 2 / 3 * f + np.outer(c, np.ones(3)) / np.sqrt(3)
-    cert = fl.two_erasure_spectral_prediction(fl.DualPair(fl.Frame(f), dual), profile)
+    pair = fl.DualPair(fl.Frame(f), dual)
+    cert = fl.optimality._two_erasure_prediction(pair, profile, spectral_two_value(pair, profile))
     assert cert.details["one_erasure_value"] == pytest.approx(r1, abs=1e-12)
     assert cert.details["tie_set"] == [1, 2]
