@@ -6,8 +6,8 @@ searches the dual-frame space numerically for one-erasure optimal duals.
 
 Importing the package loads none of its modules, and so not numpy: each
 public name below is imported from its module on first use (PEP 562).
-:mod:`framelab.cli` relies on this to cap numpy's BLAS threads before numpy
-loads.
+:mod:`framelab.cli` relies on this: its import caps numpy's BLAS threads and
+loads no other module, and numpy loads with the first subcommand that runs.
 """
 
 from importlib import import_module

@@ -12,6 +12,11 @@ byte-deterministic for identical inputs and seeds.
 numpy's BLAS runs on one thread (see :func:`thread_cap`), so stdout does not
 depend on the machine's core count or on the BLAS thread variables either.
 
+numpy and the library layers load only once ``argparse`` has chosen a
+subcommand, and each handler imports only the layers it calls: ``--version``,
+``--help`` and an argument error load neither, and ``simulate`` loads neither
+:mod:`~framelab.optimality` nor :mod:`~framelab.search`.
+
 Exit codes: 0 success, 1 expected-value mismatch in ``examples``, 2 input
 error (any ``ValueError``: every :class:`~framelab.errors.InputError` and a
 report that cannot be written among them; and running out of memory, since
@@ -25,6 +30,13 @@ import argparse
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
+
+from . import __version__
+
+if TYPE_CHECKING:
+    from .frames import Frame
+    from .weights import ProbabilityProfile
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -41,33 +53,8 @@ def thread_cap() -> None:
         os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 
+# before any handler loads numpy
 thread_cap()
-
-import numpy as np  # noqa: E402  (after the thread cap)
-
-from . import __version__  # noqa: E402
-from .erasures import norm_measure, simulate_erasure_channel, spectral_measure  # noqa: E402
-from .errors import FrameLabError  # noqa: E402
-from .fileio import load_frame_file, load_probability_file, resolve_profile  # noqa: E402
-from .frames import DualPair, Frame, build_frame, canonical_dual  # noqa: E402
-from .optimality import (  # noqa: E402
-    analyze_certificates,
-    canonical_norm_one_certificate,
-    canonical_spectral_one_certificate,
-)
-from .reporting import (  # noqa: E402
-    dual_pair_to_dict,
-    frame_to_dict,
-    measure_report_to_dict,
-    vectors_as_rows,
-    write_report,
-)
-from .search import minimize_norm_one, minimize_spectral_one  # noqa: E402
-from .weights import (  # noqa: E402
-    ProbabilityProfile,
-    weight_properties_report,
-    weights_from_probabilities,
-)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -76,6 +63,8 @@ EXIT_NUMERIC = 3
 
 
 def _load_inputs(args) -> tuple[Frame, ProbabilityProfile, dict]:
+    from .fileio import load_frame_file, load_probability_file, resolve_profile
+
     content = load_frame_file(args.frame)
     separate = load_probability_file(args.probs) if args.probs else None
     profile, source, conflict = resolve_profile(content, separate)
@@ -99,11 +88,18 @@ def _load_inputs(args) -> tuple[Frame, ProbabilityProfile, dict]:
 
 def _write(args, **sections) -> None:
     """Write the ``args.command`` report: the tool and report name, then ``sections``."""
+    from .reporting import write_report
+
     document = {"tool": {"name": "framelab", "version": __version__}, "report": args.command}
     write_report({**document, **sections}, args.out)
 
 
 def cmd_analyze(args) -> int:
+    from .frames import canonical_dual
+    from .optimality import _measure_memo, analyze_certificates
+    from .reporting import dual_pair_to_dict, frame_to_dict, measure_report_to_dict
+    from .weights import weight_properties_report
+
     frame, profile, input_section = _load_inputs(args)
     requested = sorted(set(args.m)) if args.m else [1, 2]
     for m in requested:
@@ -111,15 +107,9 @@ def cmd_analyze(args) -> int:
             raise ValueError(f"requested m={m} outside 1..{frame.count}")
     kinds = ("spectral", "norm") if args.measure == "both" else (args.measure,)
     pair = canonical_dual(frame)
-    measures = []
-    for m in requested:
-        for kind in kinds:
-            report = (
-                spectral_measure(pair, profile, m)
-                if kind == "spectral"
-                else norm_measure(pair, profile, m)
-            )
-            measures.append(measure_report_to_dict(report))
+    # one memo of the canonical measures serves this section and the certificates
+    measure = _measure_memo(pair, profile)
+    measures = [measure_report_to_dict(measure(kind, m)) for m in requested for kind in kinds]
     _write(
         args,
         input=input_section,
@@ -127,12 +117,16 @@ def cmd_analyze(args) -> int:
         weights={**vars(profile), "properties": weight_properties_report(profile)},
         canonical_dual=dual_pair_to_dict(pair),
         measures=measures,
-        certificates=analyze_certificates(frame, profile),
+        certificates=analyze_certificates(frame, profile, measure),
     )
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
+    from .erasures import norm_measure, spectral_measure
+    from .reporting import vectors_as_rows
+    from .search import minimize_norm_one, minimize_spectral_one
+
     frame, profile, input_section = _load_inputs(args)
     if args.restarts is not None:
         print("note: --restarts is accepted but no longer changes the result", file=sys.stderr)
@@ -159,6 +153,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .erasures import norm_measure, simulate_erasure_channel
+    from .frames import canonical_dual
+
     frame, profile, input_section = _load_inputs(args)
     pair = canonical_dual(frame)
     # the worst case comes first, so an m over the enumeration cap fails
@@ -182,12 +179,18 @@ def cmd_simulate(args) -> int:
 
 
 def _example_a():
+    from .frames import build_frame
+    from .weights import weights_from_probabilities
+
     frame = build_frame(2, [(1, 0), (0, 1), (1, 1)])
     profile = weights_from_probabilities([1 / 4, 1 / 4, 1 / 2], 2)
     return frame, profile
 
 
 def _example_b():
+    from .frames import build_frame
+    from .weights import weights_from_probabilities
+
     frame = build_frame(2, [(1, 0), (0, 1), (1, 1), (1, -1)])
     profile = weights_from_probabilities([1 / 2, 1 / 2, 0.0, 0.0], 2)
     return frame, profile
@@ -195,6 +198,10 @@ def _example_b():
 
 def _example_a_better_dual(frame: Frame):
     """The dual shifting the first two dual vectors by (1/6, 1/6)."""
+    import numpy as np
+
+    from .frames import DualPair, canonical_dual
+
     pert = np.array([[1 / 6, 1 / 6, -1 / 6], [1 / 6, 1 / 6, -1 / 6]], dtype=complex)
     return DualPair(frame, canonical_dual(frame).dual + pert)
 
@@ -226,6 +233,11 @@ def builtin_example_checks() -> list[dict]:
     Expected values are exact rationals or closed forms evaluated at run
     time, never truncated decimals.
     """
+    from .erasures import norm_measure, spectral_measure
+    from .frames import canonical_dual
+    from .optimality import canonical_norm_one_certificate, canonical_spectral_one_certificate
+    from .search import minimize_norm_one, minimize_spectral_one
+
     checks: list[dict] = []
 
     frame, profile = _example_a()
@@ -356,13 +368,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _linalg_error() -> tuple:
+    """numpy's ``LinAlgError`` once numpy is loaded: before, none can have been raised."""
+    numpy = sys.modules.get("numpy")
+    return (numpy.linalg.LinAlgError,) if numpy is not None else ()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .errors import FrameLabError
+
     try:
         return args.handler(args)
     # LinAlgError subclasses ValueError, so it is caught before the input errors
-    except np.linalg.LinAlgError as exc:
+    except _linalg_error() as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     # every InputError is a ValueError

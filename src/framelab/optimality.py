@@ -35,7 +35,9 @@ is at most ``DEFAULT_TOL``; no certificate takes a tolerance of its own.
 
 :func:`analyze_certificates` builds an ``analyze`` report's certificates.
 Each public certificate evaluates at most one measure and calls no other;
-the private ones take the values and partitions it computes once.
+the private ones take the values and partitions it computes once, reading
+the measures from one memo (:func:`_measure_memo`) that ``analyze`` shares
+with its measures section.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .erasures import (
+    ErasureMeasureReport,
     _cabs,
     _cross_products,
     _ties,
@@ -239,15 +242,25 @@ def _spectral_two_pair(
     )
 
 
+def _measure_memo(pair: DualPair, profile: ProbabilityProfile):
+    """``measure(kind, m)``: the ``kind`` measure of ``pair`` at ``m``,
+    evaluated once however often it is asked for."""
+
+    @functools.cache
+    def measure(kind: str, m: int) -> ErasureMeasureReport:
+        return (spectral_measure if kind == "spectral" else norm_measure)(pair, profile, m)
+
+    return measure
+
+
 def _canonical_one_certificate(
-    kind: str, frame: Frame, profile: ProbabilityProfile
+    frame: Frame, report: ErasureMeasureReport
 ) -> tuple[OptimalityCertificate, PartitionReport]:
-    """Partition the indices by the canonical dual's m = 1 ``kind`` values and
-    look for a component of the frame's vector matroid inside the attaining
-    set, which is cut where the measure's ``argmax_sets`` are; the norm
-    certificate adds the uniqueness sub-check."""
-    measure = spectral_measure if kind == "spectral" else norm_measure
-    values = measure(canonical_dual(frame), profile, 1).per_set_values
+    """Partition the indices by the per-set values of the canonical dual's
+    m = 1 measure ``report`` and look for a component of the frame's vector
+    matroid inside the attaining set, which is cut where the measure's
+    ``argmax_sets`` are; the norm certificate adds the uniqueness sub-check."""
+    values = report.per_set_values
     threshold, attaining = _ties(values)
     components = frame._components
     inside = [c for c in components if attaining[c].all()]
@@ -261,7 +274,7 @@ def _canonical_one_certificate(
     )
     details = {"per_index_values": values.tolist(), "threshold": threshold}
     condition_id = CONDITION_CANONICAL_SPECTRAL_ONE
-    if kind == "norm":
+    if report.kind == "norm":
         # the attaining set is a union of components and every other vector
         # is a coloop: the remaining vectors are independent
         details["canonical_unique"] = partition.crossing_components == 0 and bool(
@@ -291,7 +304,7 @@ def canonical_spectral_one_certificate(
     optimal exactly when some component of the frame's vector matroid lies
     inside the attaining set.
     """
-    return _canonical_one_certificate("spectral", frame, profile)
+    return _canonical_one_certificate(frame, spectral_measure(canonical_dual(frame), profile, 1))
 
 
 def canonical_norm_one_certificate(
@@ -306,7 +319,7 @@ def canonical_norm_one_certificate(
     vectors intersect trivially and the remaining vectors are linearly
     independent, the canonical dual is the unique one-erasure optimal dual.
     """
-    return _canonical_one_certificate("norm", frame, profile)
+    return _canonical_one_certificate(frame, norm_measure(canonical_dual(frame), profile, 1))
 
 
 def _canonical_spectral_two(
@@ -513,8 +526,6 @@ def _parseval_equivalence(
     ``spectral`` certificate's ``partition``; the gaps are those of the two
     searches, which bear the verdicts out numerically.
     """
-    from .search import certify_canonical_optimal
-
     residual = frame.parseval_residual
     hypothesis = Hypothesis(
         description="frame operator equals the identity",
@@ -525,6 +536,9 @@ def _parseval_equivalence(
         return OptimalityCertificate(
             condition_id=CONDITION_PARSEVAL_EQUIVALENCE, hypotheses=(hypothesis,), conclusion=False
         )
+    # only a Parseval frame loads the search layer
+    from .search import certify_canonical_optimal
+
     return OptimalityCertificate(
         condition_id=CONDITION_PARSEVAL_EQUIVALENCE,
         hypotheses=(hypothesis,),
@@ -539,18 +553,27 @@ def _parseval_equivalence(
     )
 
 
-def analyze_certificates(frame: Frame, profile: ProbabilityProfile) -> list:
+def analyze_certificates(frame: Frame, profile: ProbabilityProfile, measure=None) -> list:
     """The certificates of an ``analyze`` report on the canonical dual, in
     report order; the two canonical one-erasure ones are dicts with their
-    ``partition``.  Each m = 1 measure is evaluated once, by the canonical
-    certificate whose threshold is its value, and the m = 2 spectral value
-    at most once, by the first certificate that records it."""
+    ``partition``.
+
+    ``measure(kind, m)`` gives the canonical dual's measure reports (a memo
+    from :func:`_measure_memo`, a fresh one by default); ``analyze`` passes
+    the one its measures section reads, so a measure that both read is
+    evaluated once.  The certificates read each m = 1 measure and, where one
+    records it, the m = 2 spectral value."""
     pair = canonical_dual(frame)
+    if measure is None:
+        measure = _measure_memo(pair, profile)
     one_uniform = is_one_uniform(pair, profile)
-    spectral, spectral_partition = canonical_spectral_one_certificate(frame, profile)
-    norm, norm_partition = canonical_norm_one_certificate(frame, profile)
+    spectral, spectral_partition = _canonical_one_certificate(frame, measure("spectral", 1))
+    norm, norm_partition = _canonical_one_certificate(frame, measure("norm", 1))
     spectral_one, norm_one = spectral_partition.threshold, norm_partition.threshold
-    spectral_two = functools.cache(lambda: spectral_measure(pair, profile, 2).value)
+
+    def spectral_two() -> float:
+        return measure("spectral", 2).value
+
     return [
         one_uniform,
         is_two_uniform(pair, profile),

@@ -158,7 +158,8 @@ def test_analyze_out_file(capsys, plane_path, tmp_path):
 
 
 def test_non_finite_table_value_writes_nothing(capsys, plane_path, tmp_path, monkeypatch):
-    spectral_measure = cli.spectral_measure
+    # analyze evaluates the canonical dual's measures through optimality's memo
+    spectral_measure = fl.optimality.spectral_measure
 
     def with_nan(*args):
         report = spectral_measure(*args)
@@ -166,7 +167,7 @@ def test_non_finite_table_value_writes_nothing(capsys, plane_path, tmp_path, mon
         values[-1] = np.nan
         return dataclasses.replace(report, per_set_values=values)
 
-    monkeypatch.setattr(cli, "spectral_measure", with_nan)
+    monkeypatch.setattr(fl.optimality, "spectral_measure", with_nan)
     out_path = tmp_path / "report.json"
     for extra in ([], ["--out", out_path]):
         code, out, err = run(capsys, ["analyze", plane_path, "--m", "2", *extra])
@@ -467,7 +468,7 @@ def test_out_of_memory_is_an_input_error(capsys, monkeypatch, plane_path):
     def fail(*args):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "simulate_erasure_channel", fail)
+    monkeypatch.setattr(fl.erasures, "simulate_erasure_channel", fail)
     code, out, err = run(capsys, ["simulate", plane_path, "--trials", "1000000000000"])
     assert (code, out) == (2, "")
     assert err.splitlines() == [f"error: out of memory: {message}"]
@@ -609,6 +610,49 @@ def test_import_framelab_loads_no_module():
     assert framelab_process(probe).stdout.split() == [b"framelab"]
 
 
+def modules_loaded_by(code):
+    """The last line ``code`` prints in a fresh interpreter, and the framelab
+    modules and numpy loaded when it ends."""
+    probe = code + "import sys\nprint(*sorted(m for m in sys.modules if m == 'numpy' or m.startswith('framelab')))\n"
+    *_, printed, loaded = framelab_process(probe).stdout.decode().splitlines()
+    return printed, set(loaded.split())
+
+
+def test_version_help_and_argument_errors_load_no_numeric_layer():
+    code = (
+        "import contextlib, io\n"
+        "from framelab.cli import main\n"
+        "codes = []\n"
+        "for argv in (['--version'], ['analyze', '--help'], ['analyze']):\n"
+        "    try:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "            main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        "print(*codes)\n"
+    )
+    assert modules_loaded_by(code) == ("0 0 2", {"framelab", "framelab.cli"})
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["simulate", "--trials", "100"], {"framelab.optimality", "framelab.search"}),
+        (["search"], {"framelab.optimality"}),
+        # the plane frame is not Parseval, so no hidden search runs
+        (["analyze"], {"framelab.search"}),
+    ],
+    ids=["simulate", "search", "analyze"],
+)
+def test_subcommand_loads_only_its_layers(plane_path, tmp_path, argv, absent):
+    command, *options = argv
+    argv = [command, str(plane_path), *options, "--out", str(tmp_path / "report.json")]
+    code, loaded = modules_loaded_by(f"from framelab.cli import main\nprint(main({argv!r}))\n")
+    assert code == "0"
+    assert {"numpy", "framelab.fileio", "framelab.reporting"} <= loaded
+    assert not absent & loaded
+
+
 def test_export_table_lists_every_public_name():
     """``framelab.<name>`` is the object its module defines, for every public
     function and class of the library modules, and ``dir`` lists it."""
@@ -708,7 +752,7 @@ def test_report_write_peak_memory(monkeypatch, tmp_path):
     frame = tmp_path / "frame.json"
     frame.write_text(json.dumps(random_frame_document(66, 8, 60, "real")), encoding="utf-8")
     documents = []
-    monkeypatch.setattr(cli, "write_report", lambda document, path: documents.append(document))
+    monkeypatch.setattr(fl.reporting, "write_report", lambda document, path: documents.append(document))
     argv = ["analyze", str(frame), "--m", "1", "--m", "2", "--m", "3", "--measure", "both"]
     assert cli.main(argv) == 0
     (document,) = documents
@@ -975,7 +1019,26 @@ def test_thread_cap_env(monkeypatch):
     assert [os.environ[name] for name in cli.BLAS_THREAD_VARS] == ["1", "1", "1"]
 
 
-def test_thread_cap_reaches_numpy():
+# The thread count of numpy's OpenBLAS, read as perfbench/run.py's BLAS_PROBE
+# reads it: through the library's own get_num_threads symbol.
+NUMPY_BLAS_THREADS = """
+import ctypes
+threads = None
+with open("/proc/self/maps") as fh:
+    libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "numpy" in line})
+for path in libs:
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None and threads is None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            threads = fn()
+print(threads)
+"""
+
+
+def test_thread_cap_reaches_numpy(plane_path, tmp_path):
     code = (
         "import os\n"
         "import framelab.cli\n"
@@ -985,6 +1048,19 @@ def test_thread_cap_reaches_numpy():
     assert framelab_process(code, **two).stdout.split() == [b"1"] * 3
     # a process that loaded numpy first keeps its environment
     assert framelab_process("import numpy\n" + code, **two).stdout.split() == [b"2"] * 3
+    # numpy loads only when a subcommand runs, and its BLAS then starts on
+    # the one thread that the import of framelab.cli asked for
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("no /proc/self/maps to find numpy's BLAS in")
+    argv = ["analyze", str(plane_path), "--out", str(tmp_path / "report.json")]
+    code = f"from framelab.cli import main\nassert main({argv!r}) == 0\n" + NUMPY_BLAS_THREADS
+    threads = framelab_process(code, **two).stdout.split()[-1]
+    if threads == b"None":
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    assert threads == b"1"
+    # the probe sees the two threads of a process that loaded numpy first
+    if (os.cpu_count() or 1) >= 2:
+        assert framelab_process("import numpy\n" + NUMPY_BLAS_THREADS, **two).stdout.split()[-1] == b"2"
 
 
 def test_usage_error_exit_code(capsys):

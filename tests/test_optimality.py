@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -383,15 +385,17 @@ def test_parseval_equivalence_verdicts_do_not_rest_on_the_searches(monkeypatch, 
 
 
 def test_analyze_certificates_evaluate_each_measure_once(
-    monkeypatch, plane_frame, plane_profile, tight_frame, tight_profile
+    monkeypatch, tmp_path, plane_frame, plane_profile, tight_frame, tight_profile
 ):
-    # the measures are counted where optimality binds them, so the hidden
-    # searches' own evaluations are not
+    # the measures are counted where erasures and optimality bind them, once
+    # the search layer has bound its own, so the hidden searches' evaluations
+    # are not
+    import framelab.cli
+    import framelab.search  # noqa: F401
+
     calls = []
 
-    def counted(name):
-        measure = getattr(fl.optimality, name)
-
+    def counted(name, measure):
         def count(pair, profile, m):
             calls.append((name, m))
             return measure(pair, profile, m)
@@ -399,7 +403,9 @@ def test_analyze_certificates_evaluate_each_measure_once(
         return count
 
     for name in ("spectral_measure", "norm_measure"):
-        monkeypatch.setattr(fl.optimality, name, counted(name))
+        count = counted(name, getattr(fl.erasures, name))
+        for module in (fl.erasures, fl.optimality):
+            monkeypatch.setattr(module, name, count)
     rng = np.random.default_rng(5)
     basis = fl.build_frame(2, np.eye(2))
     cases = [
@@ -414,11 +420,31 @@ def test_analyze_certificates_evaluate_each_measure_once(
         # constant: no certificate records the m = 2 value
         (basis, fl.weights_from_probabilities([0.9, 0.1], 2), 0),
     ]
+    path = tmp_path / "frame.json"
     for frame, profile, spectral_two in cases:
+        twos = [("spectral_measure", 2)] * spectral_two
         calls.clear()
         fl.analyze_certificates(frame, profile)
-        twos = [("spectral_measure", 2)] * spectral_two
         assert sorted(calls) == [("norm_measure", 1), ("spectral_measure", 1), *twos]
+        # a whole analyze shares the certificates' evaluations with its
+        # measures section: one evaluation per (kind, m)
+        document = {
+            "dim": frame.dim,
+            "count": frame.count,
+            "field": "complex",
+            "vectors": [[[z.real, z.imag] for z in column] for column in frame.matrix.T],
+            "probabilities": profile.probabilities.tolist(),
+        }
+        path.write_text(json.dumps(document), encoding="utf-8")
+        for extra, reported in (
+            ([], {("spectral_measure", 1), ("norm_measure", 1), ("spectral_measure", 2), ("norm_measure", 2)}),
+            (["--m", "2", "--measure", "norm"], {("norm_measure", 2)}),
+        ):
+            calls.clear()
+            argv = ["analyze", str(path), "--out", str(tmp_path / "report.json"), *extra]
+            assert framelab.cli.main(argv) == 0
+            expected = reported | {("norm_measure", 1), ("spectral_measure", 1), *twos}
+            assert sorted(calls) == sorted(expected)
 
 
 # The canonical one-erasure certificates are exact: their verdict is the one
