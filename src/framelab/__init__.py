@@ -47,8 +47,6 @@ _MODULE_EXPORTS = {
         "OptimalityCertificate",
         "PartitionReport",
         "analyze_certificates",
-        "canonical_norm_one_certificate",
-        "canonical_spectral_one_certificate",
         "is_one_uniform",
         "is_probabilistic_uniform_parseval",
         "is_two_uniform",

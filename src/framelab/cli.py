@@ -231,33 +231,30 @@ def builtin_example_checks() -> list[dict]:
     """Evaluate both built-in examples against their expected values.
 
     Expected values are exact rationals or closed forms evaluated at run
-    time, never truncated decimals.
+    time, never truncated decimals.  The canonical dual's facts come from
+    the certificates ``analyze`` reports.
     """
     from .erasures import norm_measure, spectral_measure
-    from .frames import canonical_dual
-    from .optimality import canonical_norm_one_certificate, canonical_spectral_one_certificate
+    from .optimality import (
+        CONDITION_CANONICAL_NORM_ONE,
+        CONDITION_CANONICAL_SPECTRAL_ONE,
+        analyze_certificates,
+    )
     from .search import minimize_norm_one, minimize_spectral_one
 
     checks: list[dict] = []
 
     frame, profile = _example_a()
-    pair = canonical_dual(frame)
-    spectral = spectral_measure(pair, profile, 1)
+    certificates = {c.condition_id: c for c in analyze_certificates(frame, profile)}
+    spectral = certificates[CONDITION_CANONICAL_SPECTRAL_ONE]
+    norm = certificates[CONDITION_CANONICAL_NORM_ONE]
     checks.append(
         _check("A", "weights", [4 / 3, 4 / 3, 2.0], [float(q) for q in profile.weights])
     )
-    checks.append(
-        _check(
-            "A",
-            "per_index_spectral",
-            [8 / 9, 8 / 9, 4 / 3],
-            spectral.per_set_values.tolist(),
-        )
-    )
-    checks.append(_check("A", "spectral_one_canonical", 4 / 3, spectral.value))
-    checks.append(
-        _check("A", "norm_one_canonical", 4 / 3, norm_measure(pair, profile, 1).value)
-    )
+    per_index = spectral.details["per_index_values"]
+    checks.append(_check("A", "per_index_spectral", [8 / 9, 8 / 9, 4 / 3], per_index))
+    checks.append(_check("A", "spectral_one_canonical", 4 / 3, spectral.partition.threshold))
+    checks.append(_check("A", "norm_one_canonical", 4 / 3, norm.partition.threshold))
     better = _example_a_better_dual(frame)
     checks.append(
         _check("A", "spectral_one_better_dual", 10 / 9, spectral_measure(better, profile, 1).value)
@@ -271,41 +268,25 @@ def builtin_example_checks() -> list[dict]:
         )
     )
     # no component of the frame's vector matroid lies inside either attaining set
-    _, spectral_partition = canonical_spectral_one_certificate(frame, profile)
-    _, norm_partition = canonical_norm_one_certificate(frame, profile)
-    checks.append(_check("A", "spectral_witness", [], list(spectral_partition.witness)))
-    checks.append(_check("A", "norm_witness", [], list(norm_partition.witness)))
+    checks.append(_check("A", "spectral_witness", [], list(spectral.partition.witness)))
+    checks.append(_check("A", "norm_witness", [], list(norm.partition.witness)))
 
     frame, profile = _example_b()
-    pair = canonical_dual(frame)
+    certificates = {c.condition_id: c for c in analyze_certificates(frame, profile)}
+    spectral = certificates[CONDITION_CANONICAL_SPECTRAL_ONE]
+    norm = certificates[CONDITION_CANONICAL_NORM_ONE]
     checks.append(
         _check("B", "frame_bounds", [3.0, 3.0], [frame.lower_bound, frame.upper_bound])
     )
-    spectral = spectral_measure(pair, profile, 1)
     checks.append(
-        _check(
-            "B",
-            "per_index_spectral",
-            [1.0, 1.0, 1.0, 1.0],
-            spectral.per_set_values.tolist(),
-        )
+        _check("B", "per_index_spectral", [1.0] * 4, spectral.details["per_index_values"])
     )
-    norm = norm_measure(pair, profile, 1)
-    checks.append(
-        _check(
-            "B",
-            "per_index_norm",
-            [1.0, 1.0, 1.0, 1.0],
-            norm.per_set_values.tolist(),
-        )
-    )
-    spectral_cert, spectral_partition = canonical_spectral_one_certificate(frame, profile)
-    norm_cert, norm_partition = canonical_norm_one_certificate(frame, profile)
-    checks.append(_check("B", "spectral_condition_holds", True, spectral_cert.conclusion))
-    checks.append(_check("B", "norm_condition_holds", True, norm_cert.conclusion))
+    checks.append(_check("B", "per_index_norm", [1.0] * 4, norm.details["per_index_values"]))
+    checks.append(_check("B", "spectral_condition_holds", True, spectral.conclusion))
+    checks.append(_check("B", "norm_condition_holds", True, norm.conclusion))
     # the frame is one component, and every index attains the threshold
-    checks.append(_check("B", "spectral_witness", [1, 2, 3, 4], list(spectral_partition.witness)))
-    checks.append(_check("B", "norm_witness", [1, 2, 3, 4], list(norm_partition.witness)))
+    checks.append(_check("B", "spectral_witness", [1, 2, 3, 4], list(spectral.partition.witness)))
+    checks.append(_check("B", "norm_witness", [1, 2, 3, 4], list(norm.partition.witness)))
     spectral_search = minimize_spectral_one(frame, profile)
     norm_search = minimize_norm_one(frame, profile)
     checks.append(_check("B", "spectral_search_gap", 0.0, spectral_search.gap, tol=1e-6))

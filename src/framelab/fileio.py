@@ -78,12 +78,29 @@ def _entry_to_complex(entry, where: str) -> complex:
     return complex(float(entry[0]), float(entry[1]))
 
 
-def parse_frame_document(text: str, source: str = "<frame>") -> FrameFileContent:
-    """Parse a frame document; raises :class:`~framelab.errors.InputError` on any defect."""
+def _read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of the ``what`` file at ``path``; a file that cannot be
+    read or decoded raises :class:`~framelab.errors.InputError` naming it."""
     try:
-        doc = json.loads(text)
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _decode(text: str, source: str):
+    """The JSON document ``text``; malformed or too deeply nested text
+    raises :class:`~framelab.errors.InputError` naming ``source``."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{source}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise InputError(f"{source}: not valid JSON (nested too deeply)") from exc
+
+
+def parse_frame_document(text: str, source: str = "<frame>") -> FrameFileContent:
+    """Parse a frame document; raises :class:`~framelab.errors.InputError` on any defect."""
+    doc = _decode(text, source)
     if not isinstance(doc, dict):
         raise InputError(f"{source}: expected a JSON object at the top level")
     for key in ("dim", "count", "field", "vectors"):
@@ -134,18 +151,11 @@ def _as_probability_tuple(raw, source: str) -> tuple[float, ...]:
 
 def load_frame_file(path: str | Path) -> FrameFileContent:
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read frame file {p}: {exc}") from exc
-    return parse_frame_document(text, source=str(p))
+    return parse_frame_document(_read_text(p, "frame"), source=str(p))
 
 
 def parse_probability_document(text: str, source: str = "<probabilities>") -> tuple[float, ...]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{source}: not valid JSON ({exc})") from exc
+    doc = _decode(text, source)
     if isinstance(doc, dict):
         if "probabilities" not in doc:
             raise InputError(f"{source}: missing 'probabilities' key")
@@ -155,11 +165,7 @@ def parse_probability_document(text: str, source: str = "<probabilities>") -> tu
 
 def load_probability_file(path: str | Path) -> tuple[float, ...]:
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read probability file {p}: {exc}") from exc
-    return parse_probability_document(text, source=str(p))
+    return parse_probability_document(_read_text(p, "probability"), source=str(p))
 
 
 def resolve_profile(

@@ -34,8 +34,7 @@ measure's ``argmax_sets`` are.  Every other hypothesis holds when its witness
 is at most ``DEFAULT_TOL``; no certificate takes a tolerance of its own.
 
 :func:`analyze_certificates` builds an ``analyze`` report's certificates.
-Each public certificate evaluates at most one measure and calls no other;
-the private ones take the values and partitions it computes once, reading
+The private ones take the values and partitions it computes once, reading
 the measures from one memo (:func:`_measure_memo`) that ``analyze`` shares
 with its measures section.
 """
@@ -108,6 +107,14 @@ class PartitionReport:
     remaining: tuple[int, ...]
     witness: tuple[int, ...]
     crossing_components: int
+
+
+@dataclass(frozen=True, kw_only=True)
+class _CanonicalCertificate(OptimalityCertificate):
+    """A canonical one-erasure certificate with the index ``partition`` it
+    decides on."""
+
+    partition: PartitionReport
 
 
 @dataclass(frozen=True)
@@ -253,13 +260,17 @@ def _measure_memo(pair: DualPair, profile: ProbabilityProfile):
     return measure
 
 
-def _canonical_one_certificate(
-    frame: Frame, report: ErasureMeasureReport
-) -> tuple[OptimalityCertificate, PartitionReport]:
-    """Partition the indices by the per-set values of the canonical dual's
-    m = 1 measure ``report`` and look for a component of the frame's vector
-    matroid inside the attaining set, which is cut where the measure's
-    ``argmax_sets`` are; the norm certificate adds the uniqueness sub-check."""
+def _canonical_one_certificate(frame: Frame, report: ErasureMeasureReport) -> _CanonicalCertificate:
+    """Is the canonical dual one-erasure optimal under the measure of its
+    m = 1 report ``report``?
+
+    Partitions the indices by the per-set values ``q_i |<S^-1 f_i, f_i>|``
+    or ``q_i ||f_i|| ||S^-1 f_i||``, cut where ``argmax_sets`` are, and
+    looks for a component of the frame's vector matroid inside the
+    attaining set.  The norm certificate adds the uniqueness sub-check: the
+    canonical dual is the unique optimal dual when the attaining set is a
+    union of components and the remaining vectors are independent.
+    """
     values = report.per_set_values
     threshold, attaining = _ties(values)
     components = frame._components
@@ -286,55 +297,29 @@ def _canonical_one_certificate(
         holds=bool(inside),
         witness=float(len(inside)),
     )
-    certificate = OptimalityCertificate(
+    return _CanonicalCertificate(
         condition_id=condition_id,
         hypotheses=(hypothesis,),
         conclusion=bool(inside),
         details=details,
+        partition=partition,
     )
-    return certificate, partition
-
-
-def canonical_spectral_one_certificate(
-    frame: Frame, profile: ProbabilityProfile
-) -> tuple[OptimalityCertificate, PartitionReport]:
-    """Is the canonical dual one-erasure spectrally optimal for this frame?
-
-    Partitions indices by ``q_i |<S^-1 f_i, f_i>|``; the canonical dual is
-    optimal exactly when some component of the frame's vector matroid lies
-    inside the attaining set.
-    """
-    return _canonical_one_certificate(frame, spectral_measure(canonical_dual(frame), profile, 1))
-
-
-def canonical_norm_one_certificate(
-    frame: Frame, profile: ProbabilityProfile
-) -> tuple[OptimalityCertificate, PartitionReport]:
-    """Is the canonical dual one-erasure optimal under the operator norm?
-    With a uniqueness sub-check.
-
-    Partitions indices by ``q_i ||f_i|| ||S^-1 f_i||``; the canonical dual is
-    optimal exactly when some component of the frame's vector matroid lies
-    inside the attaining set.  When the spans of the attaining and remaining
-    vectors intersect trivially and the remaining vectors are linearly
-    independent, the canonical dual is the unique one-erasure optimal dual.
-    """
-    return _canonical_one_certificate(frame, norm_measure(canonical_dual(frame), profile, 1))
 
 
 def _canonical_spectral_two(
-    frame: Frame, profile: ProbabilityProfile, partition: PartitionReport, spectral_two
+    frame: Frame, profile: ProbabilityProfile, spectral: _CanonicalCertificate, spectral_two
 ) -> OptimalityCertificate:
     """Sufficient condition for the canonical dual to be two-erasure
     spectrally optimal for this frame.
 
     Requires the spans of the attaining and remaining vectors of the
-    canonical spectral ``partition`` to intersect trivially (the attaining
-    set is a union of components), at least two attaining indices, and all
-    pairwise products ``<S^-1 f_i, f_j><S^-1 f_j, f_i>`` equal to the
-    weighted share of the cross budget.  A negative budget makes the
+    canonical ``spectral`` certificate's partition to intersect trivially
+    (the attaining set is a union of components), at least two attaining
+    indices, and all pairwise products ``<S^-1 f_i, f_j><S^-1 f_j, f_i>``
+    equal to the weighted share of the cross budget.  A negative budget makes the
     required constant imaginary and is reported as a failed hypothesis.
     """
+    partition = spectral.partition
     hypotheses = [
         Hypothesis(
             description="spans of attaining and remaining vectors intersect trivially",
@@ -514,7 +499,7 @@ def is_probabilistic_uniform_parseval(
 
 
 def _parseval_equivalence(
-    frame: Frame, profile: ProbabilityProfile, spectral, norm, partition: PartitionReport
+    frame: Frame, profile: ProbabilityProfile, spectral, norm
 ) -> OptimalityCertificate:
     """For a Parseval frame, canonical-dual one-erasure optimality under the
     spectral and norm measures must agree: both per-index values are
@@ -523,7 +508,7 @@ def _parseval_equivalence(
     The one hypothesis is the one Parseval test, ``frame.parseval_residual``
     at most ``DEFAULT_TOL``; when it fails, the conclusion is ``False`` and
     nothing else is computed.  ``witness`` is the one of the canonical
-    ``spectral`` certificate's ``partition``; the gaps are those of the two
+    ``spectral`` certificate's partition; the gaps are those of the two
     searches, which bear the verdicts out numerically.
     """
     residual = frame.parseval_residual
@@ -548,14 +533,16 @@ def _parseval_equivalence(
             "canonical_norm_optimal": norm.conclusion,
             "spectral_gap": certify_canonical_optimal(frame, profile, "spectral").gap,
             "norm_gap": certify_canonical_optimal(frame, profile, "norm").gap,
-            "witness": partition.witness,
+            "witness": spectral.partition.witness,
         },
     )
 
 
-def analyze_certificates(frame: Frame, profile: ProbabilityProfile, measure=None) -> list:
+def analyze_certificates(
+    frame: Frame, profile: ProbabilityProfile, measure=None
+) -> list[OptimalityCertificate]:
     """The certificates of an ``analyze`` report on the canonical dual, in
-    report order; the two canonical one-erasure ones are dicts with their
+    report order; the two canonical one-erasure ones carry their
     ``partition``.
 
     ``measure(kind, m)`` gives the canonical dual's measure reports (a memo
@@ -567,9 +554,9 @@ def analyze_certificates(frame: Frame, profile: ProbabilityProfile, measure=None
     if measure is None:
         measure = _measure_memo(pair, profile)
     one_uniform = is_one_uniform(pair, profile)
-    spectral, spectral_partition = _canonical_one_certificate(frame, measure("spectral", 1))
-    norm, norm_partition = _canonical_one_certificate(frame, measure("norm", 1))
-    spectral_one, norm_one = spectral_partition.threshold, norm_partition.threshold
+    spectral = _canonical_one_certificate(frame, measure("spectral", 1))
+    norm = _canonical_one_certificate(frame, measure("norm", 1))
+    spectral_one, norm_one = spectral.partition.threshold, norm.partition.threshold
 
     def spectral_two() -> float:
         return measure("spectral", 2).value
@@ -579,10 +566,10 @@ def analyze_certificates(frame: Frame, profile: ProbabilityProfile, measure=None
         is_two_uniform(pair, profile),
         _norm_one_pair(pair, profile, norm_one),
         _spectral_two_pair(pair, profile, one_uniform.conclusion, spectral_one, spectral_two),
-        {**vars(spectral), "partition": spectral_partition},
-        {**vars(norm), "partition": norm_partition},
-        _canonical_spectral_two(frame, profile, spectral_partition, spectral_two),
+        spectral,
+        norm,
+        _canonical_spectral_two(frame, profile, spectral, spectral_two),
         _two_erasure_prediction(pair, profile, spectral_two),
         is_probabilistic_uniform_parseval(frame, profile),
-        _parseval_equivalence(frame, profile, spectral, norm, spectral_partition),
+        _parseval_equivalence(frame, profile, spectral, norm),
     ]

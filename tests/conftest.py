@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import framelab as fl
+from framelab.optimality import _canonical_one_certificate
 from framelab.reporting import write_report
 
 # The two worked examples used across the suite:
@@ -58,10 +59,16 @@ def uniform_profile(count: int, dim: int) -> fl.ProbabilityProfile:
 
 def analyze_by_id(frame: fl.Frame, profile: fl.ProbabilityProfile) -> dict:
     """The certificates of the frame's canonical dual that ``analyze``
-    reports, by condition id; the two canonical one-erasure entries, dicts
-    with their partition, are left out."""
-    entries = fl.analyze_certificates(frame, profile)
-    return {c.condition_id: c for c in entries if not isinstance(c, dict)}
+    reports, by condition id."""
+    return {c.condition_id: c for c in fl.analyze_certificates(frame, profile)}
+
+
+def canonical_one(frame: fl.Frame, profile: fl.ProbabilityProfile, kind: str):
+    """The canonical one-erasure ``kind`` certificate that ``analyze``
+    reports, built from the canonical dual's m = 1 ``kind`` measure alone:
+    none of the other certificates' measures or searches run."""
+    measure = fl.spectral_measure if kind == "spectral" else fl.norm_measure
+    return _canonical_one_certificate(frame, measure(fl.canonical_dual(frame), profile, 1))
 
 
 def report_text(document) -> str:

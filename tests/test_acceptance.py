@@ -58,8 +58,10 @@ def test_criterion_1_first_example_golden():
         assert abs(fl.spectral_measure(better, profile, 1).value - 10 / 9) <= 1e-9
         assert abs(fl.norm_measure(pair, profile, 1).value - 4 / 3) <= 1e-9
         assert abs(fl.norm_measure(better, profile, 1).value - 2 * math.sqrt(26) / 9) <= 1e-9
-        spectral_cert, spectral_partition = fl.canonical_spectral_one_certificate(frame, profile)
-        norm_cert, norm_partition = fl.canonical_norm_one_certificate(frame, profile)
+        certificates = analyze_by_id(frame, profile)
+        spectral_cert = certificates["canonical_spectral_one"]
+        norm_cert = certificates["canonical_norm_one"]
+        spectral_partition, norm_partition = spectral_cert.partition, norm_cert.partition
         # one component, not inside the attaining set {3}: the spans intersect
         assert spectral_partition.crossing_components == 1 and not spectral_cert.conclusion
         assert norm_partition.crossing_components == 1 and not norm_cert.conclusion
@@ -77,8 +79,10 @@ def test_criterion_2_second_example_golden():
         norm = fl.norm_measure(pair, profile, 1)
         assert np.all(np.abs(spectral.per_set_values - 1.0) <= 1e-9)
         assert np.all(np.abs(norm.per_set_values - 1.0) <= 1e-9)
-        spectral_cert, spectral_partition = fl.canonical_spectral_one_certificate(frame, profile)
-        norm_cert, norm_partition = fl.canonical_norm_one_certificate(frame, profile)
+        certificates = analyze_by_id(frame, profile)
+        spectral_cert = certificates["canonical_spectral_one"]
+        norm_cert = certificates["canonical_norm_one"]
+        spectral_partition, norm_partition = spectral_cert.partition, norm_cert.partition
         assert spectral_cert.conclusion and norm_cert.conclusion
         assert spectral_partition.remaining == norm_partition.remaining == ()
         assert spectral_partition.witness == norm_partition.witness == (1, 2, 3, 4)

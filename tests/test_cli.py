@@ -18,6 +18,7 @@ from numpy.testing import assert_allclose
 
 import framelab as fl
 import framelab.cli as cli
+from framelab.fileio import load_frame_file
 from framelab.reporting import write_report
 from conftest import conditioned_matrix, random_parseval_frame, report_text, uniform_profile
 
@@ -136,6 +137,25 @@ def test_every_analyze_certificate_has_one_shape(capsys, plane_path, tight_path,
         for entry in certificates:
             partition = entry["condition_id"] in ("canonical_spectral_one", "canonical_norm_one")
             assert list(entry) == keys + ["partition"] * partition, entry["condition_id"]
+
+
+def test_analyze_certificates_are_optimality_certificates(capsys, plane_path, tight_path):
+    for path in (plane_path, tight_path):
+        code, out, _ = run(capsys, ["analyze", path, "--m", "1"])
+        assert code == 0
+        reported = {c["condition_id"]: c for c in json.loads(out)["certificates"]}
+        content = load_frame_file(path)
+        profile = fl.weights_from_probabilities(content.probabilities, content.frame.dim)
+        certificates = fl.analyze_certificates(content.frame, profile)
+        assert [c.condition_id for c in certificates] == ANALYZE_CONDITION_IDS
+        assert all(isinstance(c, fl.OptimalityCertificate) for c in certificates)
+        for cert in certificates:
+            if cert.condition_id in ("canonical_spectral_one", "canonical_norm_one"):
+                partition = json.loads(report_text(cert.partition))
+                assert partition == reported[cert.condition_id]["partition"]
+                assert cert.partition.threshold == reported[cert.condition_id]["details"]["threshold"]
+            else:
+                assert not hasattr(cert, "partition")
 
 
 def test_analyze_is_deterministic(capsys, plane_path):
@@ -290,6 +310,16 @@ def test_erasure_count_over_the_cap_is_an_input_error(capsys, tmp_path, monkeypa
         assert err.startswith("error: ") and "exceed the cap of 1000000" in err
 
 
+# deeper than the JSON decoder's recursion limit, and a file that is not UTF-8
+DEEP_TEXT = "[" * 200_000
+NON_UTF8 = b"\xff\xfe{}"
+NON_UTF8_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+def as_bytes(text):
+    return text if isinstance(text, bytes) else text.encode("utf-8")
+
+
 @pytest.mark.parametrize(
     "frame_text, probs_text, message",
     [
@@ -306,18 +336,32 @@ def test_erasure_count_over_the_cap_is_an_input_error(capsys, tmp_path, monkeypa
         ),
         (PLANE_DOC, "[0.5,", "{probs}: not valid JSON (Expecting value: line 1 column 6 (char 5))"),
         (PLANE_DOC, "", "cannot read probability file {probs}: [Errno 21] Is a directory: '{probs}'"),
+        (DEEP_TEXT, None, "{frame}: not valid JSON (nested too deeply)"),
+        (PLANE_DOC, DEEP_TEXT, "{probs}: not valid JSON (nested too deeply)"),
+        (NON_UTF8, None, "cannot read frame file {frame}: " + NON_UTF8_ERROR),
+        (PLANE_DOC, NON_UTF8, "cannot read probability file {probs}: " + NON_UTF8_ERROR),
     ],
-    ids=["non-object", "zero-dim", "too-few-vectors", "probs-invalid-json", "probs-unreadable"],
+    ids=[
+        "non-object",
+        "zero-dim",
+        "too-few-vectors",
+        "probs-invalid-json",
+        "probs-unreadable",
+        "deep",
+        "probs-deep",
+        "non-utf8",
+        "probs-non-utf8",
+    ],
 )
 def test_input_file_defects_exit_two(capsys, tmp_path, frame_text, probs_text, message):
     frame = tmp_path / "frame.json"
-    frame.write_text(frame_text, encoding="utf-8")
+    frame.write_bytes(as_bytes(frame_text))
     argv = ["analyze", frame]
     if probs_text is not None:
         # an empty text stands for a path that cannot be read: a directory
         probs = tmp_path / "probs"
         if probs_text:
-            probs.write_text(probs_text, encoding="utf-8")
+            probs.write_bytes(as_bytes(probs_text))
         else:
             probs.mkdir()
         argv += ["--probs", probs]
@@ -994,6 +1038,31 @@ def test_examples_pass(capsys):
     assert len(doc["checks"]) == 17
     assert err.count("PASS") == len(doc["checks"])
     assert "FAIL" not in err
+
+
+def test_examples_evaluate_each_canonical_measure_once(capsys, monkeypatch):
+    # count the m = 1 measures of each example's canonical dual, through the
+    # names that the CLI and the certificates call; the search module is
+    # loaded first, so its own bindings, and the searches' calls, stay
+    # uncounted
+    assert fl.search.spectral_measure is fl.erasures.spectral_measure
+    calls = []
+
+    def counted(kind, measure):
+        def wrapper(pair, profile, m):
+            canonical = np.array_equal(pair.dual, fl.canonical_dual(pair.frame).dual)
+            if m == 1 and canonical:
+                calls.append((pair.count, kind))
+            return measure(pair, profile, m)
+
+        return wrapper
+
+    for module in (fl.erasures, fl.optimality):
+        monkeypatch.setattr(module, "spectral_measure", counted("spectral", module.spectral_measure))
+        monkeypatch.setattr(module, "norm_measure", counted("norm", module.norm_measure))
+    assert run(capsys, ["examples"])[0] == 0
+    # example A has three vectors, example B four
+    assert sorted(calls) == [(3, "norm"), (3, "spectral"), (4, "norm"), (4, "spectral")]
 
 
 def test_examples_corrupted_table_fails(capsys, monkeypatch):

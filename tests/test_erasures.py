@@ -482,6 +482,26 @@ def test_exponential_keys_match_successive_sampling(p, m):
     assert_set_frequencies(draws, successive_sampling_probabilities(p, m))
 
 
+# The 0.999 quantiles of chi-squared with C(6, m) - 1 degrees of freedom.
+CHI2_999 = {1: 20.52, 2: 36.12, 3: 43.82}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_drawn_sets_follow_successive_sampling(m):
+    # Pearson's statistic over every m-set of 400,000 simulated trials
+    p = np.array([0.4, 0.25, 0.15, 0.1, 0.06, 0.04])
+    trials = 400_000
+    draws = _draw_erasures(key_uniforms(7, p, m, trials), p, m)
+    assert np.all(np.diff(np.sort(draws, axis=1), axis=1) > 0)
+    counts = np.bincount((1 << draws).sum(axis=1), minlength=1 << p.size)
+    exact = successive_sampling_probabilities(p, m)
+    assert counts.sum() == sum(counts[key] for key in exact) == trials
+    keys = np.array(list(exact))
+    expected = trials * np.array(list(exact.values()))
+    statistic = float(np.sum((counts[keys] - expected) ** 2 / expected))
+    assert statistic <= CHI2_999[m]
+
+
 def test_exponential_keys_survive_subnormal_probabilities():
     # Exp(1) / 1e-310 overflows to inf, which would tie indices 2 and 3
     p = np.array([0.5, 0.5, 1e-310, 1e-310])

@@ -129,6 +129,11 @@ def test_load_frame_file(tmp_path):
     message = f"^cannot read frame file {re.escape(str(absent))}: .*No such file or directory"
     with pytest.raises(fl.InputError, match=message):
         load_frame_file(absent)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    message = f"^cannot read frame file {re.escape(str(binary))}: 'utf-8' codec can't decode"
+    with pytest.raises(fl.InputError, match=message):
+        load_frame_file(binary)
 
 
 def test_parse_probability_document_forms():
@@ -149,6 +154,18 @@ def test_load_probability_file_rejects_an_unreadable_path(tmp_path):
     message = f"^cannot read probability file {re.escape(str(tmp_path))}: "
     with pytest.raises(fl.InputError, match=message):
         load_probability_file(tmp_path)
+
+
+# deeper than the JSON decoder's recursion limit
+DEEP_TEXT = "[" * 200_000
+
+
+@pytest.mark.parametrize(
+    "parse, source", [(parse_frame_document, "<frame>"), (parse_probability_document, "<probabilities>")]
+)
+def test_parse_rejects_deeply_nested_json(parse, source):
+    with pytest.raises(fl.InputError, match=f"^{source}: not valid JSON \\(nested too deeply\\)$"):
+        parse(DEEP_TEXT)
 
 
 def test_resolve_profile_sources():

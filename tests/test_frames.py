@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import null_space
 
 import framelab as fl
-from conftest import coefficient_shape, coloop_case, conditioned_matrix, random_frame
+from conftest import canonical_one, coefficient_shape, coloop_case, conditioned_matrix, random_frame
 
 
 def test_build_frame_shapes(plane_frame):
@@ -197,10 +197,10 @@ def test_components_survive_conditioning_near_the_limit():
             ], (seed, field)
             assert np.array_equal(scaled._coloops, frame._coloops), (seed, field)
             profile = fl.weights_from_probabilities(probabilities, frame.dim)
-            cert, partition = fl.canonical_spectral_one_certificate(frame, profile)
-            scaled_cert, scaled_partition = fl.canonical_spectral_one_certificate(scaled, profile)
+            cert = canonical_one(frame, profile, "spectral")
+            scaled_cert = canonical_one(scaled, profile, "spectral")
             assert scaled_cert.conclusion == cert.conclusion, (seed, field)
-            assert scaled_partition.witness == partition.witness, (seed, field)
+            assert scaled_cert.partition.witness == cert.partition.witness, (seed, field)
 
 
 def test_frame_and_canonical_dual_take_one_svd(monkeypatch):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 import framelab as fl
 from conftest import (
     analyze_by_id,
+    canonical_one,
     coloop_case,
     mercedes_vectors,
     plane_better_dual,
@@ -138,33 +139,33 @@ def test_spectral_two_orthonormal_square_zero_budget():
 
 def test_canonical_spectral_one_certificates(plane_frame, plane_profile, tight_frame, tight_profile):
     # each frame is one component of its vector matroid
-    cert, partition = fl.canonical_spectral_one_certificate(plane_frame, plane_profile)
+    cert = canonical_one(plane_frame, plane_profile, "spectral")
     assert not cert.conclusion
-    assert partition.attaining == (3,)
-    assert partition.witness == ()
-    assert partition.crossing_components == 1  # the spans intersect
-    cert, partition = fl.canonical_spectral_one_certificate(tight_frame, tight_profile)
+    assert cert.partition.attaining == (3,)
+    assert cert.partition.witness == ()
+    assert cert.partition.crossing_components == 1  # the spans intersect
+    cert = canonical_one(tight_frame, tight_profile, "spectral")
     assert cert.conclusion
-    assert partition.attaining == (1, 2, 3, 4)
-    assert partition.witness == (1, 2, 3, 4)
-    assert partition.crossing_components == 0
+    assert cert.partition.attaining == (1, 2, 3, 4)
+    assert cert.partition.witness == (1, 2, 3, 4)
+    assert cert.partition.crossing_components == 0
 
 
 def test_canonical_spectral_one_orthonormal():
     frame = fl.build_frame(3, np.eye(3))
-    cert, partition = fl.canonical_spectral_one_certificate(frame, uniform_profile(3, 3))
+    cert = canonical_one(frame, uniform_profile(3, 3), "spectral")
     assert cert.conclusion
-    assert partition.remaining == ()
+    assert cert.partition.remaining == ()
 
 
 def test_canonical_norm_one_certificates(plane_frame, plane_profile, tight_frame, tight_profile):
-    cert, partition = fl.canonical_norm_one_certificate(tight_frame, tight_profile)
+    cert = canonical_one(tight_frame, tight_profile, "norm")
     assert cert.conclusion
-    assert partition.remaining == ()
+    assert cert.partition.remaining == ()
     assert cert.details["canonical_unique"]
-    cert, partition = fl.canonical_norm_one_certificate(plane_frame, plane_profile)
+    cert = canonical_one(plane_frame, plane_profile, "norm")
     assert not cert.conclusion
-    assert partition.crossing_components == 1
+    assert cert.partition.crossing_components == 1
     assert not cert.details["canonical_unique"]
 
 
@@ -177,17 +178,17 @@ def test_canonical_norm_one_uniqueness_needs_coloops_outside_the_attaining_set()
     for vectors, probabilities, unique in cases:
         frame = fl.build_frame(2, vectors)
         profile = fl.weights_from_probabilities(probabilities, 2)
-        cert, partition = fl.canonical_norm_one_certificate(frame, profile)
-        assert cert.conclusion and partition.crossing_components == 0
-        assert partition.remaining and cert.details["canonical_unique"] is unique
+        cert = canonical_one(frame, profile, "norm")
+        assert cert.conclusion and cert.partition.crossing_components == 0
+        assert cert.partition.remaining and cert.details["canonical_unique"] is unique
 
 
 def test_canonical_norm_one_uniform_parseval(scaled_tight_pair):
     frame, profile = scaled_tight_pair
-    cert, partition = fl.canonical_norm_one_certificate(frame, profile)
+    cert = canonical_one(frame, profile, "norm")
     assert cert.conclusion
-    assert partition.threshold == pytest.approx(1.0, abs=1e-12)
-    assert partition.remaining == ()
+    assert cert.partition.threshold == pytest.approx(1.0, abs=1e-12)
+    assert cert.partition.remaining == ()
     assert cert.details["canonical_unique"]
 
 
@@ -318,8 +319,7 @@ def test_sufficiency_certificate_validated_by_search_oracle(tight_frame, tight_p
         (fl.build_frame(2, np.eye(2)), uniform_profile(2, 2)),
     ]
     for frame, profile in cases:
-        cert, _ = fl.canonical_spectral_one_certificate(frame, profile)
-        assert cert.conclusion
+        assert canonical_one(frame, profile, "spectral").conclusion
         result = fl.minimize_spectral_one(frame, profile)
         assert result.best_value >= result.canonical_value - 1e-6
 
@@ -455,12 +455,6 @@ KINDS = ("spectral", "norm")
 COUNTEREXAMPLE = ([(1, 0), (0, 1), (0, 0.5), (0, 0.5)], [0.34, 0.56, 0.05, 0.05])
 
 
-def canonical_one_certificate(frame, profile, kind):
-    if kind == "spectral":
-        return fl.canonical_spectral_one_certificate(frame, profile)
-    return fl.canonical_norm_one_certificate(frame, profile)
-
-
 def searched_optimal(frame, profile, kind):
     """Is the canonical dual within 1e-8 of a converged search's optimum?"""
     result = fl.search._run_search(kind, frame, profile)
@@ -469,12 +463,12 @@ def searched_optimal(frame, profile, kind):
 
 
 def assert_exact(frame, profile, kind):
-    cert, partition = canonical_one_certificate(frame, profile, kind)
+    cert = canonical_one(frame, profile, kind)
     assert cert.conclusion is searched_optimal(frame, profile, kind)
-    witness = [i - 1 for i in partition.witness]
+    witness = [i - 1 for i in cert.partition.witness]
     # the witness is a component inside the attaining set: a union of
     # components of the vector matroid splits the frame's rank
-    assert set(partition.witness) <= set(partition.attaining)
+    assert set(cert.partition.witness) <= set(cert.partition.attaining)
     assert bool(witness) is cert.conclusion
     if witness:
         rank = np.linalg.matrix_rank
@@ -534,11 +528,11 @@ def test_exact_certificate_decides_the_counterexample(kind):
     vectors, probabilities = COUNTEREXAMPLE
     frame = fl.build_frame(2, vectors)
     profile = fl.weights_from_probabilities(probabilities, 2)
-    cert, partition = canonical_one_certificate(frame, profile, kind)
+    cert = canonical_one(frame, profile, kind)
     assert cert.conclusion is True
-    assert partition.attaining == (1, 2)
-    assert partition.witness == (1,)
-    assert partition.crossing_components == 1
+    assert cert.partition.attaining == (1, 2)
+    assert cert.partition.witness == (1,)
+    assert cert.partition.crossing_components == 1
     assert assert_exact(frame, profile, kind)
     assert not analyze_by_id(frame, profile)["canonical_spectral_two"].hypotheses[0].holds
 
@@ -548,9 +542,9 @@ def test_witness_is_the_smallest_component_inside_the_attaining_set(kind):
     # components {1} and {2, 3}; every value is 1, so both lie inside
     frame = fl.build_frame(2, [(1, 0), (0, 1), (0, 1)])
     profile = fl.weights_from_probabilities([0.0, 0.5, 0.5], 2)
-    cert, partition = canonical_one_certificate(frame, profile, kind)
-    assert partition.attaining == (1, 2, 3)
-    assert partition.witness == (1,)
+    cert = canonical_one(frame, profile, kind)
+    assert cert.partition.attaining == (1, 2, 3)
+    assert cert.partition.witness == (1,)
     assert cert.hypotheses[0].witness == 2.0  # components inside
 
 
@@ -566,8 +560,7 @@ def test_exact_certificate_with_a_zero_vector(kind):
         frame = fl.build_frame(2, vectors)
         profile = fl.weights_from_probabilities(probabilities, 2)
         assert assert_exact(frame, profile, kind) is optimal
-        _, partition = canonical_one_certificate(frame, profile, kind)
-        assert len(vectors) in partition.remaining
+        assert len(vectors) in canonical_one(frame, profile, kind).partition.remaining
         assert not frame._coloops[-1]
         assert np.linalg.norm(fl.dual_perturbation_basis(frame)[-1]) == pytest.approx(1.0)
 
@@ -582,16 +575,16 @@ def test_exact_certificate_at_the_tie_cut(kind):
     for eps, attains in ((0.33e-9, True), (1.32e-9, False)):
         p = np.array(probabilities) + [-eps, 0.0, eps, 0.0]
         profile = fl.weights_from_probabilities(p, 2)
-        cert, partition = canonical_one_certificate(frame, profile, kind)
+        cert = canonical_one(frame, profile, kind)
         values = cert.details["per_index_values"]
         assert (values[1] - values[0]) / values[1] == pytest.approx(eps / 0.66, rel=1e-3)
         assert cert.conclusion is attains
-        assert partition.witness == ((1,) if attains else ())
-        assert partition.attaining == ((1, 2) if attains else (2,))
+        assert cert.partition.witness == ((1,) if attains else ())
+        assert cert.partition.attaining == ((1, 2) if attains else (2,))
         # one tie rule: the attaining set is the m = 1 measure's argmax sets
         measure = fl.spectral_measure if kind == "spectral" else fl.norm_measure
         argmax = measure(fl.canonical_dual(frame), profile, 1).argmax_sets
-        assert partition.attaining == tuple(s[0] for s in argmax)
+        assert cert.partition.attaining == tuple(s[0] for s in argmax)
         # the optimum is the coloop's value, which no dual changes
         result = fl.search._run_search(kind, frame, profile)
         assert result.converged

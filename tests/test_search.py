@@ -10,6 +10,7 @@ from scipy.optimize import linprog
 import framelab as fl
 import framelab.cli as cli
 from conftest import (
+    canonical_one,
     coefficient_shape,
     coloop_case,
     enumerated_values,
@@ -227,7 +228,7 @@ def test_spectral_value_matches_the_linear_program(vectors, probabilities):
     assert result.converged
     optimum = spectral_linear_program(vectors, probabilities)
     assert abs(result.best_value - optimum) <= 1e-9
-    cert, _ = fl.canonical_spectral_one_certificate(frame, profile)
+    cert = canonical_one(frame, profile, "spectral")
     assert cert.conclusion is (result.canonical_value - optimum <= 1e-8)
 
 
