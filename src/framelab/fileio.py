@@ -48,6 +48,8 @@ from .frames import Frame, build_frame
 from .weights import ProbabilityProfile, weights_from_probabilities
 
 FIELDS = ("real", "complex")
+# An input error echoes at most this many characters of an offending value.
+ECHO_CHARS = 40
 
 
 @dataclass(frozen=True)
@@ -67,14 +69,19 @@ def _finite(x) -> bool:
 
 
 def _entry_to_complex(entry, where: str) -> complex:
+    """The entry at ``where``, which names its vector and position, as a
+    complex number."""
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 2
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
     ):
-        raise InputError(f"{where}: every entry must be an [re, im] pair, got {entry!r}")
+        text = repr(entry)
+        if len(text) > ECHO_CHARS:
+            text = text[: ECHO_CHARS - 3] + "..."
+        raise InputError(f"{where}: expected an [re, im] pair, got {text}")
     if not all(map(_finite, entry)):
-        raise InputError(f"{where}: entries must be finite, got {entry!r}")
+        raise InputError(f"{where} must be finite")
     return complex(float(entry[0]), float(entry[1]))
 
 
@@ -118,7 +125,10 @@ def parse_frame_document(text: str, source: str = "<frame>") -> FrameFileContent
     for r, row in enumerate(rows, start=1):
         if not isinstance(row, list) or len(row) != dim:
             raise InputError(f"{source}: vector {r} must have {dim} entries")
-        vec = [_entry_to_complex(entry, f"{source}: vector {r}") for entry in row]
+        vec = [
+            _entry_to_complex(entry, f"{source}: vector {r}, entry {k}")
+            for k, entry in enumerate(row, start=1)
+        ]
         if field == "real" and any(v.imag != 0.0 for v in vec):
             raise InputError(f"{source}: vector {r} has a nonzero imaginary part in a real frame")
         vectors.append(vec)
@@ -144,8 +154,9 @@ def _as_probability_tuple(raw, source: str) -> tuple[float, ...]:
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
     ):
         raise InputError(f"{source}: probabilities must be a list of numbers")
-    if not all(map(_finite, raw)):
-        raise InputError(f"{source}: probabilities must be finite, got {raw!r}")
+    for k, x in enumerate(raw, start=1):
+        if not _finite(x):
+            raise InputError(f"{source}: probability {k} must be finite")
     return tuple(float(x) for x in raw)
 
 

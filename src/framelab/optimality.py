@@ -18,7 +18,8 @@ component found is the witness.  ``A`` is a union of components exactly when
 the spans of the attaining and remaining vectors intersect trivially, and
 the remaining vectors are then independent exactly when each is a coloop.
 No verdict rests on a search; the Parseval equivalence report records the
-gaps of the two searches next to its exact verdicts.
+gaps of the two searches, which bear out the canonical certificates' exact
+verdicts.
 
 The two-erasure optimal value over one-erasure optimal pairs depends only on
 the weights, through the budget ``n - sum_i 1/q_i^2`` that the trace identity
@@ -30,13 +31,16 @@ certificates take their per-index values ``q_i |<f_i, g_i>|`` and
 take the cross products ``q_i q_j a_ij a_ji`` over all pairs ``i < j`` from
 ``erasures._cross_products``, and every tie set follows ``erasures._ties``,
 so a canonical certificate's attaining set is cut exactly where the m = 1
-measure's ``argmax_sets`` are.  Every other hypothesis holds when its witness
-is at most ``DEFAULT_TOL``; no certificate takes a tolerance of its own.
+measure's ``argmax_sets`` are.  A condition stated for every index or every
+pair is one hypothesis: its witness is the largest residual, and it holds
+when that is at most ``DEFAULT_TOL``; no certificate takes a tolerance of
+its own.
 
 :func:`analyze_certificates` builds an ``analyze`` report's certificates.
-The private ones take the values and partitions it computes once, reading
-the measures from one memo (:func:`_measure_memo`) that ``analyze`` shares
-with its measures section.
+The private ones take the values, partitions and residuals it computes once,
+reading only the m = 1 measures from one memo (:func:`_measure_memo`) that
+``analyze`` shares with its measures section; no certificate enumerates a
+set of two or more erasures.
 """
 
 from __future__ import annotations
@@ -132,23 +136,12 @@ class OptimalBounds:
     offdiag_weight_sum: float
 
 
-def _index_hypotheses(witnesses: np.ndarray, claim: str) -> tuple[Hypothesis, ...]:
-    """One hypothesis per vector ``i``, in index order."""
-    return tuple(
-        Hypothesis(description=f"vector {i}: {claim}", holds=w <= DEFAULT_TOL, witness=w)
-        for i, w in enumerate(witnesses.tolist(), start=1)
-    )
-
-
-def _pair_hypotheses(count: int, witnesses: np.ndarray, claim: str) -> tuple[Hypothesis, ...]:
-    """One hypothesis per pair ``i < j``, in the order of ``_cross_products``."""
-    i, j = np.triu_indices(count, 1)
-    return tuple(
-        Hypothesis(
-            description=f"pair ({a + 1},{b + 1}): {claim}", holds=w <= DEFAULT_TOL, witness=w
-        )
-        for a, b, w in zip(i.tolist(), j.tolist(), witnesses.tolist())
-    )
+def _hypothesis(residuals: np.ndarray, claim: str) -> Hypothesis:
+    """The one hypothesis that ``claim`` holds at every index or pair: its
+    witness is the largest of the nonnegative ``residuals`` (0 when there
+    are none), and a NaN residual fails it."""
+    worst = float(np.max(residuals, initial=0.0))
+    return Hypothesis(description=claim, holds=worst <= DEFAULT_TOL, witness=worst)
 
 
 def is_one_uniform(pair: DualPair, profile: ProbabilityProfile) -> OptimalityCertificate:
@@ -159,16 +152,15 @@ def is_one_uniform(pair: DualPair, profile: ProbabilityProfile) -> OptimalityCer
     """
     q = profile.weights
     products = q * np.conj(np.diagonal(pair.cross_gram))
-    witnesses = np.maximum(np.abs(products.real - 1.0), np.abs(products.imag)) / q
-    hypotheses = _index_hypotheses(witnesses, "<f,g> equals the reciprocal weight")
+    hypothesis = _hypothesis(
+        np.maximum(np.abs(products.real - 1.0), np.abs(products.imag)) / q,
+        "every vector: <f,g> equals the reciprocal weight",
+    )
     return OptimalityCertificate(
         condition_id=CONDITION_ONE_UNIFORM,
-        hypotheses=hypotheses,
-        conclusion=all(h.holds for h in hypotheses),
-        details={
-            "weighted_diagonal": [complex(v) for v in products],
-            "max_residual": float(np.max(witnesses)),
-        },
+        hypotheses=(hypothesis,),
+        conclusion=hypothesis.holds,
+        details={"weighted_diagonal": [complex(v) for v in products]},
     )
 
 
@@ -177,13 +169,11 @@ def is_two_uniform(pair: DualPair, profile: ProbabilityProfile) -> OptimalityCer
     q = profile.weights
     i, j = np.triu_indices(pair.count, 1)
     products = _cross_products(pair.cross_gram, np.ones(pair.count))
-    witnesses = _cabs(products - 1.0 / (q[i] * q[j]))
-    hypotheses = _pair_hypotheses(pair.count, witnesses, "cross products match")
+    hypothesis = _hypothesis(
+        _cabs(products - 1.0 / (q[i] * q[j])), "every pair: cross products match"
+    )
     return OptimalityCertificate(
-        condition_id=CONDITION_TWO_UNIFORM,
-        hypotheses=hypotheses,
-        conclusion=all(h.holds for h in hypotheses),
-        details={"max_residual": float(np.max(witnesses, initial=0.0))},
+        condition_id=CONDITION_TWO_UNIFORM, hypotheses=(hypothesis,), conclusion=hypothesis.holds
     )
 
 
@@ -211,7 +201,7 @@ def optimal_values(profile: ProbabilityProfile) -> OptimalBounds:
 
 
 def _spectral_two_pair(
-    pair: DualPair, profile: ProbabilityProfile, one_uniform: bool, spectral_one, spectral_two
+    one_uniform: bool, spectral_one: float, bounds: OptimalBounds, residuals: np.ndarray
 ) -> OptimalityCertificate:
     """Membership in the set attaining the two-erasure spectral optimum.
 
@@ -219,8 +209,8 @@ def _spectral_two_pair(
     otherwise the one hypothesis is that the pair attains it, failed, with
     witness ``spectral_one - 1`` (its m = 1 spectral value less 1).  Then
     checks that every weighted off-diagonal cross product equals the shared
-    constant ``cross_budget / offdiag_weight_sum``; ``spectral_two()`` is
-    the pair's m = 2 spectral value.
+    constant ``cross_budget / offdiag_weight_sum`` of ``bounds``;
+    ``residuals`` are the moduli of their differences from it.
     """
     if not one_uniform:
         hypothesis = Hypothesis(
@@ -231,20 +221,16 @@ def _spectral_two_pair(
         return OptimalityCertificate(
             condition_id=CONDITION_SPECTRAL_TWO_PAIR, hypotheses=(hypothesis,), conclusion=False
         )
-    bounds = optimal_values(profile)
-    target = bounds.cross_budget / bounds.offdiag_weight_sum
-    witnesses = _cabs(_cross_products(pair.cross_gram, profile.weights) - target)
-    hypotheses = _pair_hypotheses(
-        pair.count, witnesses, "weighted cross product equals the shared constant"
+    hypothesis = _hypothesis(
+        residuals, "every pair: weighted cross product equals the shared constant"
     )
     return OptimalityCertificate(
         condition_id=CONDITION_SPECTRAL_TWO_PAIR,
-        hypotheses=hypotheses,
-        conclusion=all(h.holds for h in hypotheses),
+        hypotheses=(hypothesis,),
+        conclusion=hypothesis.holds,
         details={
-            "measure_value": spectral_two(),
             "optimal_value": bounds.spectral_two,
-            "cross_target": target,
+            "cross_target": bounds.cross_budget / bounds.offdiag_weight_sum,
         },
     )
 
@@ -283,7 +269,7 @@ def _canonical_one_certificate(frame: Frame, report: ErasureMeasureReport) -> _C
         witness=tuple(int(i) + 1 for i in min(inside, key=len, default=())),
         crossing_components=touching - len(inside),
     )
-    details = {"per_index_values": values.tolist(), "threshold": threshold}
+    details = {"per_index_values": values.tolist()}
     condition_id = CONDITION_CANONICAL_SPECTRAL_ONE
     if report.kind == "norm":
         # the attaining set is a union of components and every other vector
@@ -307,19 +293,19 @@ def _canonical_one_certificate(frame: Frame, report: ErasureMeasureReport) -> _C
 
 
 def _canonical_spectral_two(
-    frame: Frame, profile: ProbabilityProfile, spectral: _CanonicalCertificate, spectral_two
+    partition: PartitionReport, bounds: OptimalBounds, residuals: np.ndarray
 ) -> OptimalityCertificate:
     """Sufficient condition for the canonical dual to be two-erasure
     spectrally optimal for this frame.
 
     Requires the spans of the attaining and remaining vectors of the
-    canonical ``spectral`` certificate's partition to intersect trivially
+    canonical spectral certificate's ``partition`` to intersect trivially
     (the attaining set is a union of components), at least two attaining
     indices, and all pairwise products ``<S^-1 f_i, f_j><S^-1 f_j, f_i>``
-    equal to the weighted share of the cross budget.  A negative budget makes the
+    equal to the weighted share of the cross budget, which ``residuals``
+    measure as in :func:`_spectral_two_pair`.  A negative budget makes the
     required constant imaginary and is reported as a failed hypothesis.
     """
-    partition = spectral.partition
     hypotheses = [
         Hypothesis(
             description="spans of attaining and remaining vectors intersect trivially",
@@ -332,12 +318,6 @@ def _canonical_spectral_two(
             witness=float(len(partition.attaining)),
         ),
     ]
-    bounds = optimal_values(profile)
-    details: dict = {
-        "threshold": partition.threshold,
-        "cross_budget": bounds.cross_budget,
-        "predicted_two_erasure_value": bounds.spectral_two,
-    }
     if bounds.cross_budget < 0:
         hypotheses.append(
             Hypothesis(
@@ -347,28 +327,24 @@ def _canonical_spectral_two(
             )
         )
     else:
-        pair = canonical_dual(frame)
-        target = bounds.cross_budget / bounds.offdiag_weight_sum
-        products = _cross_products(pair.cross_gram, profile.weights)
-        worst = float(np.max(_cabs(products - target)))
         hypotheses.append(
-            Hypothesis(
-                description="all pairwise inverse-operator products equal the weighted cross target",
-                holds=worst <= DEFAULT_TOL,
-                witness=float(worst),
+            _hypothesis(
+                residuals, "all pairwise inverse-operator products equal the weighted cross target"
             )
         )
-        details["canonical_two_erasure_value"] = spectral_two()
     return OptimalityCertificate(
         condition_id=CONDITION_CANONICAL_SPECTRAL_TWO,
         hypotheses=tuple(hypotheses),
         conclusion=all(h.holds for h in hypotheses),
-        details=details,
+        details={
+            "cross_budget": bounds.cross_budget,
+            "predicted_two_erasure_value": bounds.spectral_two,
+        },
     )
 
 
 def _two_erasure_prediction(
-    pair: DualPair, profile: ProbabilityProfile, spectral_two
+    pair: DualPair, profile: ProbabilityProfile, products: np.ndarray
 ) -> OptimalityCertificate:
     """Predict the worst two-erasure spectral value from one-erasure data.
 
@@ -379,14 +355,14 @@ def _two_erasure_prediction(
     the closed-form roots at two tied indices, giving ``R1 + sqrt(c)``.
     The unhalved variant ``R1 + sqrt(4c)`` (which skips the final division
     by two in the tie case) is recorded alongside for comparison; the
-    enumerated measure ``spectral_two()`` confirms the halved form.
+    enumerated m = 2 spectral measure confirms the halved form.  ``products``
+    are the pair's weighted cross products (``erasures._cross_products``).
 
     When a hypothesis is violated the certificate carries the two evaluated
     hypotheses, no details, and the conclusion ``None``.
     """
-    alpha = pair.cross_gram
     q = profile.weights
-    diag = np.diagonal(alpha)
+    diag = np.diagonal(pair.cross_gram)
     diag_violation = float(
         max(np.max(np.maximum(-diag.real, 0.0)), np.max(np.abs(diag.imag)))
     )
@@ -395,7 +371,6 @@ def _two_erasure_prediction(
         holds=diag_violation <= DEFAULT_TOL,
         witness=diag_violation,
     )
-    products = _cross_products(alpha, q)
     mean = complex(np.mean(products))
     deviation = float(np.max(_cabs(products - mean)))
     constant_ok = (
@@ -433,10 +408,7 @@ def _two_erasure_prediction(
         details["second_level_value"] = None
         details["unhalved_variant"] = r1 + float(np.sqrt(4.0 * c))
         details["unhalved_discrepancy"] = details["unhalved_variant"] - predicted
-    enumerated = spectral_two()
     details["predicted_two_erasure_value"] = float(predicted)
-    details["enumerated_two_erasure_value"] = enumerated
-    details["prediction_residual"] = float(abs(predicted - enumerated))
     return OptimalityCertificate(
         condition_id=CONDITION_TWO_ERASURE_PREDICTION,
         hypotheses=hypotheses,
@@ -445,29 +417,23 @@ def _two_erasure_prediction(
     )
 
 
-def _norm_one_pair(
-    pair: DualPair, profile: ProbabilityProfile, norm_one: float
-) -> OptimalityCertificate:
+def _norm_one_pair(pair: DualPair, profile: ProbabilityProfile) -> OptimalityCertificate:
     """Membership in the set attaining the one-erasure norm optimum.
 
     Requires both ``<f_i, g_i> = 1/q_i`` and ``||f_i|| ||g_i|| = 1/q_i`` for
-    every index, so a member is one-uniform; ``norm_one`` is the pair's
-    m = 1 norm value.
+    every index, so a member is one-uniform.
     """
     diag = np.conj(np.diagonal(pair.cross_gram))
     f_norms = np.linalg.norm(pair.frame.matrix, axis=0)
     g_norms = np.linalg.norm(pair.dual, axis=0)
     inv_q = 1.0 / profile.weights
     inner_dev = np.maximum(np.abs(diag.real - inv_q), np.abs(diag.imag))
-    witnesses = np.maximum(inner_dev, np.abs(f_norms * g_norms - inv_q))
-    hypotheses = _index_hypotheses(
-        witnesses, "inner product and norm product equal the reciprocal weight"
+    hypothesis = _hypothesis(
+        np.maximum(inner_dev, np.abs(f_norms * g_norms - inv_q)),
+        "every vector: inner product and norm product equal the reciprocal weight",
     )
     return OptimalityCertificate(
-        condition_id=CONDITION_NORM_ONE_PAIR,
-        hypotheses=hypotheses,
-        conclusion=all(h.holds for h in hypotheses),
-        details={"measure_value": norm_one},
+        condition_id=CONDITION_NORM_ONE_PAIR, hypotheses=(hypothesis,), conclusion=hypothesis.holds
     )
 
 
@@ -507,9 +473,9 @@ def _parseval_equivalence(
 
     The one hypothesis is the one Parseval test, ``frame.parseval_residual``
     at most ``DEFAULT_TOL``; when it fails, the conclusion is ``False`` and
-    nothing else is computed.  ``witness`` is the one of the canonical
-    ``spectral`` certificate's partition; the gaps are those of the two
-    searches, which bear the verdicts out numerically.
+    nothing else is computed.  Otherwise the conclusion is whether the
+    canonical ``spectral`` and ``norm`` certificates agree, and the gaps are
+    those of the two searches, which bear their verdicts out numerically.
     """
     residual = frame.parseval_residual
     hypothesis = Hypothesis(
@@ -529,11 +495,8 @@ def _parseval_equivalence(
         hypotheses=(hypothesis,),
         conclusion=spectral.conclusion == norm.conclusion,
         details={
-            "canonical_spectral_optimal": spectral.conclusion,
-            "canonical_norm_optimal": norm.conclusion,
             "spectral_gap": certify_canonical_optimal(frame, profile, "spectral").gap,
             "norm_gap": certify_canonical_optimal(frame, profile, "norm").gap,
-            "witness": spectral.partition.witness,
         },
     )
 
@@ -548,28 +511,29 @@ def analyze_certificates(
     ``measure(kind, m)`` gives the canonical dual's measure reports (a memo
     from :func:`_measure_memo`, a fresh one by default); ``analyze`` passes
     the one its measures section reads, so a measure that both read is
-    evaluated once.  The certificates read each m = 1 measure and, where one
-    records it, the m = 2 spectral value."""
+    evaluated once.  The certificates read only the two m = 1 measures; the
+    weighted cross products, the optimal values and the residuals of the
+    products from the shared cross target are computed here, once."""
     pair = canonical_dual(frame)
     if measure is None:
         measure = _measure_memo(pair, profile)
     one_uniform = is_one_uniform(pair, profile)
     spectral = _canonical_one_certificate(frame, measure("spectral", 1))
     norm = _canonical_one_certificate(frame, measure("norm", 1))
-    spectral_one, norm_one = spectral.partition.threshold, norm.partition.threshold
-
-    def spectral_two() -> float:
-        return measure("spectral", 2).value
-
+    products = _cross_products(pair.cross_gram, profile.weights)
+    bounds = optimal_values(profile)
+    residuals = _cabs(products - bounds.cross_budget / bounds.offdiag_weight_sum)
     return [
         one_uniform,
         is_two_uniform(pair, profile),
-        _norm_one_pair(pair, profile, norm_one),
-        _spectral_two_pair(pair, profile, one_uniform.conclusion, spectral_one, spectral_two),
+        _norm_one_pair(pair, profile),
+        _spectral_two_pair(
+            one_uniform.conclusion, spectral.partition.threshold, bounds, residuals
+        ),
         spectral,
         norm,
-        _canonical_spectral_two(frame, profile, spectral, spectral_two),
-        _two_erasure_prediction(pair, profile, spectral_two),
+        _canonical_spectral_two(spectral.partition, bounds, residuals),
+        _two_erasure_prediction(pair, profile, products),
         is_probabilistic_uniform_parseval(frame, profile),
         _parseval_equivalence(frame, profile, spectral, norm),
     ]

@@ -130,7 +130,7 @@ def test_criterion_4_lower_bounds_and_membership():
             assert norm_value >= 1.0 - 1e-9
             # one-uniformity is the spectral membership test
             spectral_member = fl.is_one_uniform(pair, profile).conclusion
-            norm_member = fl.optimality._norm_one_pair(pair, profile, norm_value).conclusion
+            norm_member = fl.optimality._norm_one_pair(pair, profile).conclusion
             assert (abs(spectral_value - 1.0) <= 1e-9) == spectral_member
             assert (abs(norm_value - 1.0) <= 1e-9) == norm_member
 
@@ -196,13 +196,14 @@ def test_criterion_7_parseval_equivalence():
             count = int(rng.integers(n + 1, 9))
             frame = random_parseval_frame(rng, n, count)
             profile = random_profile(rng, n, count)
-            cert = analyze_by_id(frame, profile)["parseval_equivalence"]
+            certificates = analyze_by_id(frame, profile)
+            cert = certificates["parseval_equivalence"]
             assert cert.conclusion is True
             # both verdicts are those of converged searches
             for kind in ("spectral", "norm"):
                 outcome = fl.certify_canonical_optimal(frame, profile, kind)
                 assert outcome.optimal is not None
-                assert (outcome.gap <= 1e-8) is cert.details[f"canonical_{kind}_optimal"]
+                assert (outcome.gap <= 1e-8) is certificates[f"canonical_{kind}_one"].conclusion
                 assert cert.details[f"{kind}_gap"] == outcome.gap
 
 

@@ -137,13 +137,17 @@ def test_every_analyze_certificate_has_one_shape(capsys, plane_path, tight_path,
         for entry in certificates:
             partition = entry["condition_id"] in ("canonical_spectral_one", "canonical_norm_one")
             assert list(entry) == keys + ["partition"] * partition, entry["condition_id"]
+            # each condition is stated once, whatever the frame's size
+            assert 1 <= len(entry["hypotheses"]) <= 3, entry["condition_id"]
 
 
 def test_analyze_certificates_are_optimality_certificates(capsys, plane_path, tight_path):
     for path in (plane_path, tight_path):
         code, out, _ = run(capsys, ["analyze", path, "--m", "1"])
         assert code == 0
-        reported = {c["condition_id"]: c for c in json.loads(out)["certificates"]}
+        document = json.loads(out)
+        reported = {c["condition_id"]: c for c in document["certificates"]}
+        values = {m["kind"]: m["value"] for m in document["measures"]}
         content = load_frame_file(path)
         profile = fl.weights_from_probabilities(content.probabilities, content.frame.dim)
         certificates = fl.analyze_certificates(content.frame, profile)
@@ -153,7 +157,8 @@ def test_analyze_certificates_are_optimality_certificates(capsys, plane_path, ti
             if cert.condition_id in ("canonical_spectral_one", "canonical_norm_one"):
                 partition = json.loads(report_text(cert.partition))
                 assert partition == reported[cert.condition_id]["partition"]
-                assert cert.partition.threshold == reported[cert.condition_id]["details"]["threshold"]
+                # the threshold is the canonical dual's m = 1 measure
+                assert cert.partition.threshold == values[cert.condition_id.split("_")[1]]
             else:
                 assert not hasattr(cert, "partition")
 
@@ -308,6 +313,19 @@ def test_erasure_count_over_the_cap_is_an_input_error(capsys, tmp_path, monkeypa
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: ") and "exceed the cap of 1000000" in err
+
+
+def test_certificates_enumerate_no_erasure_sets(capsys, tmp_path, monkeypatch):
+    # C(6, 2) = 15 sets of two erasures exceed a cap of 10, which an
+    # analyze --m 1 never meets: its certificates read the m = 1 measures alone
+    monkeypatch.setattr(fl.erasures, "DEFAULT_MAX_SETS", 10)
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(random_frame_document(26, 2, 6, "real")), encoding="utf-8")
+    code, out, err = run(capsys, ["analyze", path, "--m", "1"])
+    assert code == 0, err
+    assert [m["m"] for m in json.loads(out)["measures"]] == [1, 1]
+    code, out, err = run(capsys, ["analyze", path, "--m", "2"])
+    assert code == 2 and "15 erasure sets of size 2 exceed the cap of 10" in err
 
 
 # deeper than the JSON decoder's recursion limit, and a file that is not UTF-8
@@ -791,8 +809,9 @@ def test_analyze_and_search_load_no_openssl(tmp_path):
 def test_report_write_peak_memory(monkeypatch, tmp_path):
     """Writing a large analyze report holds neither the encoder's chunks of
     its head in one list nor a whole table as Python floats: a seeded real
-    8x60 frame at m = 1, 2, 3 has 1,770 two-uniform hypotheses and two
-    34,220-row tables, and the write peaked at 2.2 MB when it did."""
+    8x60 frame at m = 1, 2, 3 has a head of more than one ``ENCODE_BATCH``
+    of encoder chunks and two 34,220-row tables, and the write peaked at
+    2.2 MB when it did."""
     frame = tmp_path / "frame.json"
     frame.write_text(json.dumps(random_frame_document(66, 8, 60, "real")), encoding="utf-8")
     documents = []
@@ -800,7 +819,13 @@ def test_report_write_peak_memory(monkeypatch, tmp_path):
     argv = ["analyze", str(frame), "--m", "1", "--m", "2", "--m", "3", "--measure", "both"]
     assert cli.main(argv) == 0
     (document,) = documents
-    assert len(document["certificates"][1].hypotheses) == 1770
+    def head(obj):
+        if isinstance(obj, fl.erasures.ErasureMeasureReport):
+            return "\0"
+        return fl.reporting._plain(obj)
+
+    chunks = json.JSONEncoder(indent=2, default=head).iterencode(document)
+    assert sum(1 for _ in chunks) > fl.reporting.ENCODE_BATCH
     assert [m["per_set_values"].per_set_values.size for m in document["measures"]][-1] == 34220
     out = tmp_path / "report.json"
     tracemalloc.start()

@@ -502,6 +502,36 @@ def test_drawn_sets_follow_successive_sampling(m):
     assert statistic <= CHI2_999[m]
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_simulated_errors_have_the_exact_mean_square(m):
+    # For v uniform on the unit sphere of C^n, E[v v^*] = I / n, so the mean
+    # of ||E_L v||^2 over the drawn sets is sum_L P(L) ||E_L||_F^2 / n.  The
+    # trials are replayed from the simulator's uniforms, and each error is
+    # taken from the set's own error operator.
+    rng = np.random.default_rng(29)
+    n, count, trials, seed = 3, 6, 20_000, 5
+    p = np.array([0.4, 0.25, 0.15, 0.1, 0.06, 0.04])
+    profile = fl.weights_from_probabilities(p, n)
+    pair = random_dual_pair(rng, random_frame(rng, n, count))
+    width = 2 * n + _key_count(p, m)
+
+    def draw(columns):
+        return _uniforms(seed, 0, trials, width, columns)
+
+    v = _unit_vectors(draw(range(n)), draw(range(n, 2 * n)))
+    keys = (1 << _draw_erasures(draw(range(2 * n, width)), p, m)).sum(axis=1)
+    exact = successive_sampling_probabilities(p, m)
+    operators = np.zeros((1 << count, n, n), dtype=complex)
+    for key in exact:
+        operators[key] = fl.error_operator(pair, profile, [i + 1 for i in range(count) if key >> i & 1])
+    squares = np.sum(np.abs(np.einsum("tij,tj->ti", operators[keys], v)) ** 2, axis=1)
+    expected = sum(prob * np.sum(np.abs(operators[key]) ** 2) / n for key, prob in exact.items())
+    standard_error = squares.std(ddof=1) / math.sqrt(trials)
+    assert abs(squares.mean() - expected) <= 4.0 * standard_error
+    stats = fl.simulate_erasure_channel(pair, profile, m, trials, seed)
+    assert stats.mean_error == pytest.approx(np.mean(np.sqrt(squares)), rel=1e-12)
+
+
 def test_exponential_keys_survive_subnormal_probabilities():
     # Exp(1) / 1e-310 overflows to inf, which would tie indices 2 and 3
     p = np.array([0.5, 0.5, 1e-310, 1e-310])

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import framelab as fl
+from framelab import cli
 from framelab.fileio import (
     load_frame_file,
     load_probability_file,
@@ -67,7 +68,7 @@ DEFECTS = {
     lambda d: d["vectors"][0].append([0, 0]): "^<frame>: vector 1 must have 2 entries$",
     lambda d: d.update(probabilities=[0.5, 0.5]): "^<frame>: 2 probabilities for 3 vectors$",
     lambda d: d["vectors"][0].__setitem__(0, [1, 0, 0]): (
-        r"^<frame>: vector 1: every entry must be an \[re, im\] pair, got \[1, 0, 0\]$"
+        r"^<frame>: vector 1, entry 1: expected an \[re, im\] pair, got \[1, 0, 0\]$"
     ),
     lambda d: d.update(dim="two"): DIM_AND_COUNT,
     # JSON booleans are not integers, although Python counts True as 1
@@ -147,6 +148,32 @@ def test_parse_probability_document_forms():
     message = r"^<probabilities>: not valid JSON \(Expecting value: line 1 column 6 \(char 5\)\)$"
     with pytest.raises(fl.InputError, match=message):
         parse_probability_document("[0.5,")
+
+
+@pytest.mark.parametrize("defect", ["deep-entry", "nan-probability"])
+def test_input_errors_name_the_position_and_echo_little(capsys, tmp_path, defect):
+    # one bad value in a large structure: the one error line names the file
+    # and the value's position, and echoes at most ECHO_CHARS of the value
+    frame, probs = tmp_path / "frame.json", tmp_path / "probs.json"
+    argv = ["analyze", str(frame)]
+    if defect == "deep-entry":
+        # the second entry of vector 2 is a list nested 500 deep
+        deep = "[" * 500 + "]" * 500
+        frame.write_text(PLANE_DOC.replace("[[0, 0], [1, 0]]", f"[[0, 0], {deep}]"), "utf-8")
+        where = f"{frame}: vector 2, entry 2: expected an [re, im] pair, got "
+        excerpt = "[" * (fl.fileio.ECHO_CHARS - 3) + "..."
+        message = where + excerpt
+    else:
+        frame.write_text(PLANE_DOC, encoding="utf-8")
+        values = ["0.0001"] * 10_000
+        values[5] = "NaN"
+        probs.write_text(f"[{', '.join(values)}]", encoding="utf-8")
+        argv += ["--probs", str(probs)]
+        message = f"{probs}: probability 6 must be finite"
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_load_probability_file_rejects_an_unreadable_path(tmp_path):

@@ -30,9 +30,12 @@ def test_is_one_uniform(plane_frame, plane_profile, tight_frame, tight_profile):
     assert fl.is_one_uniform(fl.canonical_dual(tight_frame), tight_profile).conclusion
     cert = fl.is_one_uniform(fl.canonical_dual(plane_frame), plane_profile)
     assert not cert.conclusion
-    assert not cert.hypotheses[0].holds  # q_1 <f_1, g_1> = 8/9, not 1
-    failed = [h for h in cert.hypotheses if not h.holds]
-    assert len(failed) == 3 and all(h.witness > 1e-3 for h in failed)
+    # q_i <f_i, g_i> = 8/9, 8/9, 4/3 with q = 4/3, 4/3, 2: the residuals
+    # |q_i <f_i, g_i> - 1| / q_i are 1/12, 1/12 and 1/6
+    (hypothesis,) = cert.hypotheses
+    assert hypothesis.description == "every vector: <f,g> equals the reciprocal weight"
+    assert hypothesis.holds is False
+    assert hypothesis.witness == pytest.approx(1 / 6, abs=1e-12)
 
 
 def test_is_one_uniform_uniform_parseval(scaled_tight_pair):
@@ -110,7 +113,10 @@ def test_optimal_values_uniform_double_redundancy():
 def test_spectral_two_membership(mercedes_frame, mercedes_profile, tight_frame, tight_profile):
     mercedes = analyze_by_id(mercedes_frame, mercedes_profile)["spectral_two_optimal_pair"]
     assert mercedes.conclusion
-    assert mercedes.details["measure_value"] == pytest.approx(1.5, abs=1e-12)
+    # a member attains the optimal value
+    value = fl.spectral_measure(fl.canonical_dual(mercedes_frame), mercedes_profile, 2).value
+    assert value == pytest.approx(mercedes.details["optimal_value"], abs=1e-12)
+    assert value == pytest.approx(1.5, abs=1e-12)
     assert mercedes.details["cross_target"] == pytest.approx(0.25, abs=1e-12)
     # the tight pair is one-erasure optimal but its cross products vary
     tight = analyze_by_id(tight_frame, tight_profile)["spectral_two_optimal_pair"]
@@ -195,7 +201,9 @@ def test_canonical_norm_one_uniform_parseval(scaled_tight_pair):
 def test_canonical_spectral_two_certificate(mercedes_frame, mercedes_profile, plane_frame, plane_profile, tight_frame, tight_profile):
     cert = analyze_by_id(mercedes_frame, mercedes_profile)["canonical_spectral_two"]
     assert cert.conclusion
-    assert cert.details["canonical_two_erasure_value"] == pytest.approx(1.5, abs=1e-12)
+    value = fl.spectral_measure(fl.canonical_dual(mercedes_frame), mercedes_profile, 2).value
+    assert value == pytest.approx(cert.details["predicted_two_erasure_value"], abs=1e-12)
+    assert value == pytest.approx(1.5, abs=1e-12)
     cert = analyze_by_id(plane_frame, plane_profile)["canonical_spectral_two"]
     assert not cert.conclusion
     assert not cert.hypotheses[0].holds  # the spans intersect
@@ -210,7 +218,7 @@ def test_canonical_spectral_two_negative_budget_reported():
     profile = fl.weights_from_probabilities([0.9, 0.1], 2)
     cert = analyze_by_id(frame, profile)["canonical_spectral_two"]
     assert not cert.conclusion
-    assert "canonical_two_erasure_value" not in cert.details
+    assert list(cert.details) == ["cross_budget", "predicted_two_erasure_value"]
     negative = [h for h in cert.hypotheses if "nonnegative" in h.description]
     assert len(negative) == 1 and not negative[0].holds
     assert negative[0].witness == pytest.approx(-1.28, abs=1e-12)
@@ -221,7 +229,8 @@ def test_two_erasure_prediction_tie_branch(mercedes_frame, mercedes_profile):
     assert cert.conclusion == pytest.approx(1.5, abs=1e-12)
     assert cert.details["tie_set"] == [1, 2, 3]
     assert cert.details["cross_constant"] == pytest.approx(0.25, abs=1e-12)
-    assert cert.details["prediction_residual"] <= 1e-9
+    enumerated = fl.spectral_measure(fl.canonical_dual(mercedes_frame), mercedes_profile, 2).value
+    assert cert.conclusion == pytest.approx(enumerated, abs=1e-9)
     # the unhalved variant would overshoot by sqrt(c)
     assert cert.details["unhalved_variant"] == pytest.approx(2.0, abs=1e-12)
     assert cert.details["unhalved_discrepancy"] == pytest.approx(0.5, abs=1e-12)
@@ -234,11 +243,9 @@ def test_two_erasure_prediction_single_max_branch():
     profile = fl.weights_from_probabilities([0.25, 0.75], 1)
     pair = fl.DualPair(frame, dual)
     enumerated = fl.spectral_measure(pair, profile, 2).value
-    cert = fl.optimality._two_erasure_prediction(pair, profile, lambda: enumerated)
+    cert = fl.optimality._two_erasure_prediction(pair, profile, weighted_products(pair, profile))
     assert cert.details["tie_set"] == [2]
-    assert cert.details["enumerated_two_erasure_value"] == enumerated
     assert cert.conclusion == pytest.approx(enumerated, abs=1e-9)
-    assert cert.details["prediction_residual"] <= 1e-9
 
 
 def test_two_erasure_prediction_rejects_nonconstant_cross(tight_frame, tight_profile):
@@ -258,13 +265,13 @@ def test_norm_one_membership(tight_frame, tight_profile, plane_frame, plane_prof
     certificates = analyze_by_id(tight_frame, tight_profile)
     member = certificates["norm_one_optimal_pair"]
     assert member.conclusion
-    assert list(member.details) == ["measure_value"]
-    assert member.details["measure_value"] == pytest.approx(1.0, abs=1e-12)
-    # a member is one-uniform
+    assert member.details == {}
+    # a member attains the optimum 1, and is one-uniform
+    assert certificates["canonical_norm_one"].partition.threshold == pytest.approx(1.0, abs=1e-12)
     assert certificates["one_uniform_pair"].conclusion
-    non_member = analyze_by_id(plane_frame, plane_profile)["norm_one_optimal_pair"]
-    assert not non_member.conclusion
-    assert non_member.details["measure_value"] == pytest.approx(4 / 3, abs=1e-12)
+    certificates = analyze_by_id(plane_frame, plane_profile)
+    assert not certificates["norm_one_optimal_pair"].conclusion
+    assert certificates["canonical_norm_one"].partition.threshold == pytest.approx(4 / 3, abs=1e-12)
 
 
 def test_norm_one_lower_bound_random_pairs():
@@ -326,21 +333,21 @@ def test_sufficiency_certificate_validated_by_search_oracle(tight_frame, tight_p
 
 def test_parseval_equivalence_on_examples(scaled_tight_pair):
     frame, profile = scaled_tight_pair
-    cert = analyze_by_id(frame, profile)["parseval_equivalence"]
-    assert cert.conclusion is True
-    assert cert.details["canonical_spectral_optimal"] is True
-    assert cert.details["canonical_norm_optimal"] is True
-    assert cert.details["witness"] == (1, 2, 3, 4)
+    certificates = analyze_by_id(frame, profile)
+    assert certificates["parseval_equivalence"].conclusion is True
+    assert certificates["canonical_spectral_one"].conclusion is True
+    assert certificates["canonical_norm_one"].conclusion is True
+    assert certificates["canonical_spectral_one"].partition.witness == (1, 2, 3, 4)
 
 
 def test_parseval_equivalence_orthonormal():
     frame = fl.build_frame(2, np.eye(2))
     profile = fl.weights_from_probabilities([0.4, 0.6], 2)
-    cert = analyze_by_id(frame, profile)["parseval_equivalence"]
-    assert cert.conclusion is True
-    assert cert.details["canonical_spectral_optimal"] is True
+    certificates = analyze_by_id(frame, profile)
+    assert certificates["parseval_equivalence"].conclusion is True
+    assert certificates["canonical_spectral_one"].conclusion is True
     # both vectors are coloops; the likelier erasure attains the maximum
-    assert cert.details["witness"] == (2,)
+    assert certificates["canonical_spectral_one"].partition.witness == (2,)
 
 
 def test_parseval_equivalence_rejects_non_parseval(plane_frame, plane_profile, monkeypatch):
@@ -363,13 +370,14 @@ def test_parseval_equivalence_random_frames():
     for _ in range(3):
         frame = random_parseval_frame(rng, 2, 4)
         profile = random_profile(rng, 2, 4)
-        cert = analyze_by_id(frame, profile)["parseval_equivalence"]
+        certificates = analyze_by_id(frame, profile)
+        cert = certificates["parseval_equivalence"]
         assert cert.conclusion is True
         for kind in ("spectral", "norm"):
             # the exact verdict is the converged search's, whose gap is recorded
             outcome = fl.certify_canonical_optimal(frame, profile, kind)
             assert outcome.optimal is not None
-            assert (outcome.gap <= 1e-8) is cert.details[f"canonical_{kind}_optimal"]
+            assert (outcome.gap <= 1e-8) is certificates[f"canonical_{kind}_one"].conclusion
             assert cert.details[f"{kind}_gap"] == outcome.gap
 
 
@@ -379,8 +387,9 @@ def test_parseval_equivalence_verdicts_do_not_rest_on_the_searches(monkeypatch, 
 
     monkeypatch.setattr(fl.search, "certify_canonical_optimal", far_off)
     frame, profile = scaled_tight_pair
-    cert = analyze_by_id(frame, profile)["parseval_equivalence"]
-    assert cert.conclusion is True and cert.details["canonical_norm_optimal"] is True
+    certificates = analyze_by_id(frame, profile)
+    cert = certificates["parseval_equivalence"]
+    assert cert.conclusion is True and certificates["canonical_norm_one"].conclusion is True
     assert cert.details["spectral_gap"] == cert.details["norm_gap"] == 1.0
 
 
@@ -410,22 +419,20 @@ def test_analyze_certificates_evaluate_each_measure_once(
     basis = fl.build_frame(2, np.eye(2))
     cases = [
         # Parseval: the equivalence report runs both searches
-        (random_parseval_frame(rng, 3, 6), random_profile(rng, 3, 6), 1),
+        (random_parseval_frame(rng, 3, 6), random_profile(rng, 3, 6)),
         # neither Parseval nor one-uniform, with a nonnegative cross budget
-        (plane_frame, plane_profile, 1),
-        # one-uniform: the pair and the canonical two-erasure certificates
-        # both record the m = 2 value
-        (tight_frame, tight_profile, 1),
-        # a negative budget, no one-uniform pair and no positive cross
-        # constant: no certificate records the m = 2 value
-        (basis, fl.weights_from_probabilities([0.9, 0.1], 2), 0),
+        (plane_frame, plane_profile),
+        # one-uniform, with a positive cross constant
+        (tight_frame, tight_profile),
+        # a negative budget, no one-uniform pair and no positive cross constant
+        (basis, fl.weights_from_probabilities([0.9, 0.1], 2)),
     ]
     path = tmp_path / "frame.json"
-    for frame, profile, spectral_two in cases:
-        twos = [("spectral_measure", 2)] * spectral_two
+    for frame, profile in cases:
+        # the certificates read the two m = 1 measures and nothing at m >= 2
         calls.clear()
         fl.analyze_certificates(frame, profile)
-        assert sorted(calls) == [("norm_measure", 1), ("spectral_measure", 1), *twos]
+        assert sorted(calls) == [("norm_measure", 1), ("spectral_measure", 1)]
         # a whole analyze shares the certificates' evaluations with its
         # measures section: one evaluation per (kind, m)
         document = {
@@ -443,7 +450,7 @@ def test_analyze_certificates_evaluate_each_measure_once(
             calls.clear()
             argv = ["analyze", str(path), "--out", str(tmp_path / "report.json"), *extra]
             assert framelab.cli.main(argv) == 0
-            expected = reported | {("norm_measure", 1), ("spectral_measure", 1), *twos}
+            expected = reported | {("norm_measure", 1), ("spectral_measure", 1)}
             assert sorted(calls) == sorted(expected)
 
 
@@ -595,37 +602,33 @@ def test_exact_certificate_at_the_tie_cut(kind):
 # kept to check that the vectorised cross products give the same bits.
 
 
+def one_hypothesis(claim, witnesses, tol):
+    """The one hypothesis a certificate states for a condition on every
+    index or pair, from the per-element ``witnesses`` of the loop."""
+    return [(claim, all(w <= tol for w in witnesses), max(witnesses, default=0.0))]
+
+
 def oracle_two_uniform(pair, profile, tol):
     alpha, q = pair.cross_gram, profile.weights
-    hypotheses, worst = [], 0.0
-    for i in range(pair.count):
-        for j in range(i + 1, pair.count):
-            product = alpha[i, j] * alpha[j, i]
-            witness = float(abs(product - 1.0 / (q[i] * q[j])))
-            worst = max(worst, witness)
-            hypotheses.append(
-                (f"pair ({i + 1},{j + 1}): cross products match", witness <= tol, witness)
-            )
-    return hypotheses, worst
+    witnesses = [
+        float(abs(alpha[i, j] * alpha[j, i] - 1.0 / (q[i] * q[j])))
+        for i in range(pair.count)
+        for j in range(i + 1, pair.count)
+    ]
+    return one_hypothesis("every pair: cross products match", witnesses, tol)
 
 
 def oracle_spectral_two_pair(pair, profile, tol):
     bounds = fl.optimal_values(profile)
     target = bounds.cross_budget / bounds.offdiag_weight_sum
     alpha, q = pair.cross_gram, profile.weights
-    hypotheses = []
-    for i in range(pair.count):
-        for j in range(i + 1, pair.count):
-            product = q[i] * q[j] * alpha[i, j] * alpha[j, i]
-            witness = float(abs(product - target))
-            hypotheses.append(
-                (
-                    f"pair ({i + 1},{j + 1}): weighted cross product equals the shared constant",
-                    witness <= tol,
-                    witness,
-                )
-            )
-    return hypotheses
+    witnesses = [
+        float(abs(q[i] * q[j] * alpha[i, j] * alpha[j, i] - target))
+        for i in range(pair.count)
+        for j in range(i + 1, pair.count)
+    ]
+    claim = "every pair: weighted cross product equals the shared constant"
+    return one_hypothesis(claim, witnesses, tol)
 
 
 def oracle_prediction_cross(pair, profile, tol):
@@ -690,10 +693,10 @@ def oracle_cases():
                 yield frame, profile, pairs
 
 
-def spectral_two_value(pair, profile):
-    """The pair's m = 2 spectral value, evaluated when called, as the
-    private certificates take it."""
-    return lambda: fl.spectral_measure(pair, profile, 2).value
+def weighted_products(pair, profile):
+    """The pair's weighted cross products, as the private certificates take
+    them."""
+    return fl.erasures._cross_products(pair.cross_gram, profile.weights)
 
 
 def test_pair_certificates_match_the_loop_oracle(mercedes_frame, mercedes_profile):
@@ -703,26 +706,35 @@ def test_pair_certificates_match_the_loop_oracle(mercedes_frame, mercedes_profil
     for frame, profile, pairs in [*cases, *oracle_cases()]:
         for pair in pairs:
             cert = fl.is_two_uniform(pair, profile)
-            hypotheses, worst = oracle_two_uniform(pair, profile, tol)
-            assert triples(cert.hypotheses) == hypotheses
-            assert cert.details["max_residual"] == worst
+            assert triples(cert.hypotheses) == oracle_two_uniform(pair, profile, tol)
 
-            spectral_two = spectral_two_value(pair, profile)
-            prediction = fl.optimality._two_erasure_prediction(pair, profile, spectral_two)
+            products = weighted_products(pair, profile)
+            prediction = fl.optimality._two_erasure_prediction(pair, profile, products)
             assert triples(prediction.hypotheses)[1] == oracle_prediction_cross(pair, profile, tol)
 
             if fl.is_one_uniform(pair, profile).conclusion:
+                # the residuals as analyze_certificates computes them
+                bounds = fl.optimal_values(profile)
+                residuals = fl.erasures._cabs(
+                    products - bounds.cross_budget / bounds.offdiag_weight_sum
+                )
                 spectral_one = fl.spectral_measure(pair, profile, 1).value
-                cert = fl.optimality._spectral_two_pair(pair, profile, True, spectral_one, spectral_two)
+                cert = fl.optimality._spectral_two_pair(True, spectral_one, bounds, residuals)
                 assert triples(cert.hypotheses) == oracle_spectral_two_pair(pair, profile, tol)
                 pair_two_checked += 1
         # The canonical certificate now uses a_ij a_ji where the loop used
         # |<S^-1 f_j, f_i>|^2: equal up to rounding for the Hermitian Gram.
-        cert = analyze_by_id(frame, profile)["canonical_spectral_two"]
+        certificates = analyze_by_id(frame, profile)
+        cert = certificates["canonical_spectral_two"]
         if fl.optimal_values(profile).cross_budget >= 0:
             assert cert.hypotheses[2].witness == pytest.approx(
                 oracle_canonical_two_worst(frame, profile), rel=1e-13, abs=1e-13
             )
+        # analyze's pair certificate on the canonical dual reads the same bits
+        canonical = fl.canonical_dual(frame)
+        if fl.is_one_uniform(canonical, profile).conclusion:
+            expected = oracle_spectral_two_pair(canonical, profile, tol)
+            assert triples(certificates["spectral_two_optimal_pair"].hypotheses) == expected
     assert pair_two_checked >= 12
 
 
@@ -731,11 +743,11 @@ def test_pair_certificates_match_the_loop_oracle(mercedes_frame, mercedes_profil
 
 def oracle_one_uniform(pair, profile, tol):
     products = profile.weights * np.conj(np.diagonal(pair.cross_gram))
-    hypotheses = []
-    for i, value in enumerate(products, start=1):
-        witness = float(max(abs(value.real - 1.0), abs(value.imag)) / profile.weights[i - 1])
-        hypotheses.append((f"vector {i}: <f,g> equals the reciprocal weight", witness <= tol, witness))
-    return hypotheses
+    witnesses = [
+        float(max(abs(value.real - 1.0), abs(value.imag)) / q)
+        for value, q in zip(products, profile.weights)
+    ]
+    return one_hypothesis("every vector: <f,g> equals the reciprocal weight", witnesses, tol)
 
 
 def oracle_norm_one_pair(pair, profile, tol):
@@ -743,13 +755,12 @@ def oracle_norm_one_pair(pair, profile, tol):
     f_norms = np.linalg.norm(pair.frame.matrix, axis=0)
     g_norms = np.linalg.norm(pair.dual, axis=0)
     inv_q = 1.0 / profile.weights
-    hypotheses = []
+    witnesses = []
     for i in range(pair.count):
         inner_dev = max(abs(diag[i].real - inv_q[i]), abs(diag[i].imag))
-        witness = float(max(inner_dev, abs(f_norms[i] * g_norms[i] - inv_q[i])))
-        claim = "inner product and norm product equal the reciprocal weight"
-        hypotheses.append((f"vector {i + 1}: {claim}", witness <= tol, witness))
-    return hypotheses
+        witnesses.append(float(max(inner_dev, abs(f_norms[i] * g_norms[i] - inv_q[i]))))
+    claim = "every vector: inner product and norm product equal the reciprocal weight"
+    return one_hypothesis(claim, witnesses, tol)
 
 
 def test_index_certificates_match_the_loop_oracle(tight_frame, tight_profile):
@@ -759,12 +770,9 @@ def test_index_certificates_match_the_loop_oracle(tight_frame, tight_profile):
     for _, profile, pairs in [*cases, *oracle_cases()]:
         for pair in pairs:
             cert = fl.is_one_uniform(pair, profile)
-            hypotheses = oracle_one_uniform(pair, profile, tol)
-            assert triples(cert.hypotheses) == hypotheses
-            assert cert.details["max_residual"] == max(h[2] for h in hypotheses)
+            assert triples(cert.hypotheses) == oracle_one_uniform(pair, profile, tol)
             held["one"] += cert.conclusion
-            norm_one = fl.norm_measure(pair, profile, 1).value
-            cert = fl.optimality._norm_one_pair(pair, profile, norm_one)
+            cert = fl.optimality._norm_one_pair(pair, profile)
             assert triples(cert.hypotheses) == oracle_norm_one_pair(pair, profile, tol)
             held["norm"] += cert.conclusion
     assert held["one"] >= 12 and held["norm"] >= 1
@@ -787,6 +795,6 @@ def test_two_erasure_prediction_ties_are_relative():
     c = np.linalg.solve(f[:, :2].T, np.sqrt(3) * np.array([s, s - gap / a]))
     dual = 2 / 3 * f + np.outer(c, np.ones(3)) / np.sqrt(3)
     pair = fl.DualPair(fl.Frame(f), dual)
-    cert = fl.optimality._two_erasure_prediction(pair, profile, spectral_two_value(pair, profile))
+    cert = fl.optimality._two_erasure_prediction(pair, profile, weighted_products(pair, profile))
     assert cert.details["one_erasure_value"] == pytest.approx(r1, abs=1e-12)
     assert cert.details["tie_set"] == [1, 2]
