@@ -95,11 +95,12 @@ def _read_text(path: Path, what: str) -> str:
 
 
 def _decode(text: str, source: str):
-    """The JSON document ``text``; malformed or too deeply nested text
-    raises :class:`~framelab.errors.InputError` naming ``source``."""
+    """The JSON document ``text``; malformed or too deeply nested text, or
+    an integer literal longer than Python's integer string conversion
+    limit, raises :class:`~framelab.errors.InputError` naming ``source``."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError, or the digit limit
         raise InputError(f"{source}: not valid JSON ({exc})") from exc
     except RecursionError as exc:
         raise InputError(f"{source}: not valid JSON (nested too deeply)") from exc

@@ -21,9 +21,11 @@ No verdict rests on a search; the Parseval equivalence report records the
 gaps of the two searches, which bear out the canonical certificates' exact
 verdicts.
 
-The two-erasure optimal value over one-erasure optimal pairs depends only on
-the weights, through the budget ``n - sum_i 1/q_i^2`` that the trace identity
-forces onto the off-diagonal cross-Gram products.
+A lower bound on the two-erasure spectral value over one-erasure optimal
+(one-uniform) duals depends only on the weights, through the budget
+``n - sum_i 1/q_i^2`` that the trace identity forces onto the off-diagonal
+cross-Gram products.  It is not the optimum over all duals: a dual that is
+not one-erasure optimal can fall below it.
 
 The closed forms live in :mod:`framelab.erasures`: the canonical partition
 certificates take their per-index values ``q_i |<f_i, g_i>|`` and
@@ -123,12 +125,16 @@ class _CanonicalCertificate(OptimalityCertificate):
 
 @dataclass(frozen=True)
 class OptimalBounds:
-    """The two-erasure optimal value, which the weight sequence alone
-    determines (both one-erasure optima are 1).
+    """A lower bound over one-erasure optimal (one-uniform) duals on the
+    two-erasure spectral value, which the weight sequence alone determines
+    (both one-erasure optima are 1).
 
     ``cross_budget`` is ``n - sum_i 1/q_i^2``: the total off-diagonal
     cross-Gram product mass available to a one-erasure optimal pair.  Its
-    sign selects the branch of the two-erasure optimal value.
+    sign selects the branch of ``spectral_two``.  A one-uniform pair attains
+    the bound exactly when its weighted cross products all equal
+    ``cross_budget / offdiag_weight_sum``, which many weight sequences do
+    not allow; a dual that is not one-uniform can fall below it.
     """
 
     spectral_two: float
@@ -178,11 +184,12 @@ def is_two_uniform(pair: DualPair, profile: ProbabilityProfile) -> OptimalityCer
 
 
 def optimal_values(profile: ProbabilityProfile) -> OptimalBounds:
-    """The two-erasure spectral optimum over all dual pairs.
+    """A lower bound on the two-erasure spectral value over one-erasure
+    optimal (one-uniform) duals; not the optimum over all dual pairs.
 
-    Both one-erasure optima equal 1.  The two-erasure optimum follows the
-    sign of the cross budget ``n - sum 1/q_i^2``; a negative budget is only
-    possible when the vector count equals the dimension.
+    Both one-erasure optima equal 1.  The bound follows the sign of the
+    cross budget ``n - sum 1/q_i^2``; a negative budget is only possible
+    when the vector count equals the dimension.
     """
     inv_q = 1.0 / profile.weights
     n = profile.dim
@@ -203,7 +210,10 @@ def optimal_values(profile: ProbabilityProfile) -> OptimalBounds:
 def _spectral_two_pair(
     one_uniform: bool, spectral_one: float, bounds: OptimalBounds, residuals: np.ndarray
 ) -> OptimalityCertificate:
-    """Membership in the set attaining the two-erasure spectral optimum.
+    """Does the pair attain the lower bound on the two-erasure spectral
+    value over one-erasure optimal (one-uniform) duals?  A pair that does is
+    two-erasure optimal among them; one that does not may still be, as the
+    bound is not always attained.
 
     Requires one-erasure optimality, the pair's one-uniformity, first:
     otherwise the one hypothesis is that the pair attains it, failed, with

@@ -1,7 +1,8 @@
 """Canonical report serialization.
 
-Reports are JSON documents with the layout of the standard encoder's
-``json.dumps(indent=2)``: keys in insertion order and two-space indentation.
+A report is the text of ``json.dumps(document, separators=(",", ":"),
+allow_nan=False)`` and a final newline: keys in insertion order and no
+whitespace between tokens (``python -m json.tool`` shows it indented).
 Floats take the shortest spelling that parses back to the same double
 (Python's ``repr``), so identical inputs produce byte-identical reports and
 parsing a written report gives back the document.  Non-finite floats are
@@ -10,17 +11,17 @@ the dict of its fields in declaration order.
 
 The per-set tables of the erasure measures (one row per erasure set, up to
 tens of thousands of rows) are written from a ``%``-format row template
-instead of the encoder's pure-Python recursion; their bytes are the ones
-``json.dumps`` would write, and a NaN or infinite value raises
-``ValueError`` as ``allow_nan=False`` does.  Everything else, the report's
-head, goes through the standard encoder with ``indent=2``.
+instead of by the encoder, which would need each table whole as Python
+objects; their bytes are the ones ``json.dumps`` would write, and a NaN or
+infinite value raises ``ValueError`` as ``allow_nan=False`` does.
+Everything else, the report's head, goes through one ``json.dumps`` call,
+which runs the standard library's C encoder.
 
 :func:`write_report` writes the text in pieces, so a report is never held in
 memory whole.  The head is encoded in full, and every check run, before the
-first piece, so a report that fails one writes nothing; its chunks are
-joined ``ENCODE_BATCH`` at a time, where ``json.dumps`` would hold all of
-them in one list.  A table is converted to Python floats, and written, one
-block of ``TABLE_BLOCK`` rows at a time.
+first piece, so a report that fails one writes nothing.  A table is
+converted to Python floats, and written, one block of ``TABLE_BLOCK`` rows
+at a time.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from .frames import DualPair, Frame
 
 # Per-set table rows per piece of report text.
 TABLE_BLOCK = 1024
-# Encoder chunks per string of the report's head.
-ENCODE_BATCH = 4096
 
 
 def _plain(obj):
@@ -113,50 +112,32 @@ def _report_pieces(document: dict) -> Iterator[str]:
             return "\0"
         return _plain(obj)
 
-    chunks = json.JSONEncoder(indent=2, allow_nan=False, default=default).iterencode(document)
-    # the placeholder is one chunk, so no batch splits it
-    pieces = []
-    for batch in iter(lambda: list(itertools.islice(chunks, ENCODE_BATCH)), []):
-        first, *rest = "".join(batch).split(_TABLE_PLACEHOLDER)
-        pieces.append(first)
-        for text in rest:
-            pieces += (None, text)
-    return _spliced(pieces, iter(tables))
+    head = json.dumps(document, separators=(",", ":"), allow_nan=False, default=default)
+    return _spliced(head.split(_TABLE_PLACEHOLDER), tables)
 
 
-def _spliced(pieces, tables) -> Iterator[str]:
-    """The strings of ``pieces``, each None replaced by the next of
-    ``tables``, then the final newline."""
-    line = ""
-    for piece in pieces:
-        if piece is None:
-            yield from _set_table(next(tables), len(line) - len(line.lstrip(" ")))
-        else:
-            yield piece
-            cut = piece.rfind("\n")
-            line = piece[cut + 1 :] if cut >= 0 else line + piece
+def _spliced(texts: list[str], tables: list[ErasureMeasureReport]) -> Iterator[str]:
+    """The head texts with the tables between them, then the final newline."""
+    yield texts[0]
+    for table, text in zip(tables, texts[1:]):
+        yield from _set_table(table)
+        yield text
     yield "\n"
 
 
-def _set_table(report: ErasureMeasureReport, indent: int) -> Iterator[str]:
-    """The ``json.dumps(indent=2)`` text of the rows ``{"indices": [...],
-    "value": v}`` of ``report``, opened on a line indented by ``indent``, in
-    pieces of at most ``TABLE_BLOCK`` rows."""
-    pad = " " * indent
-    row = (
-        f"{pad}  {{\n{pad}    \"indices\": [\n"
-        + ",\n".join([f"{pad}      %d"] * report.m)
-        + f"\n{pad}    ],\n{pad}    \"value\": %s\n{pad}  }}"
-    )
+def _set_table(report: ErasureMeasureReport) -> Iterator[str]:
+    """The ``json.dumps`` text of the rows ``{"indices":[...],"value":v}`` of
+    ``report``, in pieces of at most ``TABLE_BLOCK`` rows."""
+    row = '{"indices":[' + ",".join(["%d"] * report.m) + '],"value":%s}'
     sets, values = report.sets(), report.per_set_values
-    yield "[\n"
+    yield "["
     for start in range(0, values.size, TABLE_BLOCK):
         block = values[start : start + TABLE_BLOCK].tolist()
         rows = map(
             tuple.__add__, itertools.islice(sets, len(block)), zip(map(float.__repr__, block))
         )
-        yield ("" if start == 0 else ",\n") + ",\n".join(map(row.__mod__, rows))
-    yield f"\n{pad}]"
+        yield ("" if start == 0 else ",") + ",".join(map(row.__mod__, rows))
+    yield "]"
 
 
 def vectors_as_rows(matrix: np.ndarray) -> list:

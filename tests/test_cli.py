@@ -169,6 +169,21 @@ def test_analyze_is_deterministic(capsys, plane_path):
     assert first == second
 
 
+def test_every_report_is_the_compact_stdlib_layout(capsys, plane_path):
+    """Every subcommand's stdout is what the standard encoder writes, with
+    the separators ``","`` and ``":"``, for the parsed document: per-set
+    tables at every depth, searches, simulations and the worked examples."""
+    for argv in (
+        ["analyze", plane_path, "--m", "1", "--m", "2", "--m", "3", "--measure", "both"],
+        ["search", plane_path, "--measure", "both"],
+        ["simulate", plane_path, "--m", "2", "--trials", "500"],
+        ["examples"],
+    ):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), separators=(",", ":"), allow_nan=False) + "\n"
+
+
 def test_analyze_out_file(capsys, plane_path, tmp_path):
     out_path = tmp_path / "report.json"
     argv = ["analyze", plane_path, "--m", "1", "--m", "2", "--m", "3"]
@@ -332,6 +347,12 @@ def test_certificates_enumerate_no_erasure_sets(capsys, tmp_path, monkeypatch):
 DEEP_TEXT = "[" * 200_000
 NON_UTF8 = b"\xff\xfe{}"
 NON_UTF8_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+# a frame entry that is a 5,001-digit integer, over Python's conversion limit
+LONG_INTEGER_DOC = PLANE_DOC.replace("[[[1, 0]", "[[[1" + "0" * 5000 + ", 0]", 1)
+LONG_INTEGER_ERROR = (
+    "Exceeds the limit (4300 digits) for integer string conversion: value has 5001 digits;"
+    " use sys.set_int_max_str_digits() to increase the limit"
+)
 
 
 def as_bytes(text):
@@ -358,6 +379,7 @@ def as_bytes(text):
         (PLANE_DOC, DEEP_TEXT, "{probs}: not valid JSON (nested too deeply)"),
         (NON_UTF8, None, "cannot read frame file {frame}: " + NON_UTF8_ERROR),
         (PLANE_DOC, NON_UTF8, "cannot read probability file {probs}: " + NON_UTF8_ERROR),
+        (LONG_INTEGER_DOC, None, "{frame}: not valid JSON (" + LONG_INTEGER_ERROR + ")"),
     ],
     ids=[
         "non-object",
@@ -369,6 +391,7 @@ def as_bytes(text):
         "probs-deep",
         "non-utf8",
         "probs-non-utf8",
+        "long-integer",
     ],
 )
 def test_input_file_defects_exit_two(capsys, tmp_path, frame_text, probs_text, message):
@@ -807,11 +830,11 @@ def test_analyze_and_search_load_no_openssl(tmp_path):
 
 
 def test_report_write_peak_memory(monkeypatch, tmp_path):
-    """Writing a large analyze report holds neither the encoder's chunks of
-    its head in one list nor a whole table as Python floats: a seeded real
-    8x60 frame at m = 1, 2, 3 has a head of more than one ``ENCODE_BATCH``
-    of encoder chunks and two 34,220-row tables, and the write peaked at
-    2.2 MB when it did."""
+    """Writing a large analyze report holds no whole table as Python floats
+    and no whole report as one string: a seeded real 8x60 frame at m = 1, 2,
+    3 has two 34,220-row tables and a head of more than 40 kB, its report
+    is 3.6 MB, and the write peaks at 6.4 MB when it converts each table in
+    one block."""
     frame = tmp_path / "frame.json"
     frame.write_text(json.dumps(random_frame_document(66, 8, 60, "real")), encoding="utf-8")
     documents = []
@@ -824,9 +847,9 @@ def test_report_write_peak_memory(monkeypatch, tmp_path):
             return "\0"
         return fl.reporting._plain(obj)
 
-    chunks = json.JSONEncoder(indent=2, default=head).iterencode(document)
-    assert sum(1 for _ in chunks) > fl.reporting.ENCODE_BATCH
-    assert [m["per_set_values"].per_set_values.size for m in document["measures"]][-1] == 34220
+    assert len(json.dumps(document, separators=(",", ":"), default=head)) > 40_000
+    sizes = [m["per_set_values"].per_set_values.size for m in document["measures"]]
+    assert sizes.count(34220) == 2
     out = tmp_path / "report.json"
     tracemalloc.start()
     try:

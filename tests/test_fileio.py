@@ -246,7 +246,7 @@ def test_report_round_trip_and_determinism():
     assert parsed == document
     assert report_text(parsed) == text
     # floats take the shortest spelling that parses back to the same double
-    assert '"third": 0.3333333333333333,' in text
+    assert '"third":0.3333333333333333,' in text
 
 
 def test_report_rejects_non_finite_and_bad_types():
@@ -268,6 +268,7 @@ def test_per_set_table_has_the_stdlib_layout_at_any_depth(plane_frame, plane_pro
     for document in ({"table": report}, {"a": [{"b": [report]}, report]}, report):
         text = report_text(document)
         assert report_text(json.loads(text)) == text
+        assert text == json.dumps(json.loads(text), separators=(",", ":"), allow_nan=False) + "\n"
     assert json.loads(report_text(report)) == [
         {"indices": list(s), "value": v}
         for s, v in zip(report.sets(), report.per_set_values.tolist())

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -108,6 +109,25 @@ def test_optimal_values_uniform_double_redundancy():
     assert_allclose(profile.weights, np.full(4, 2.0), atol=1e-14)
     assert bounds.cross_budget == pytest.approx(1.0, abs=1e-12)
     assert bounds.spectral_two == pytest.approx(1 + np.sqrt(1 / 3), abs=1e-12)
+
+
+def test_spectral_two_bound_is_not_the_optimum_over_all_duals():
+    """``spectral_two`` bounds the one-uniform duals only: a dual of e1, e2,
+    e1 + e2, e1 - e2 that is not one-uniform has a lower m = 2 value."""
+    frame = fl.build_frame(2, [(1, 0), (0, 1), (1, 1), (1, -1)])
+    profile = fl.weights_from_probabilities([0.85, 0.01, 0.06, 0.08], 2)
+    pair = fl.DualPair(frame, [[0.06, -0.14, 0.54, 0.40], [0, 1, 0, 0]])
+    q = profile.weights
+    brute = max(
+        np.max(np.abs(np.linalg.eigvals(q[list(s), None] * pair.cross_gram[np.ix_(s, s)])))
+        for s in itertools.combinations(range(4), 2)
+    )
+    value = fl.spectral_measure(pair, profile, 2).value
+    assert value == pytest.approx(brute, abs=1e-12)
+    assert value == pytest.approx(1.5151515151515151, abs=1e-12)
+    assert not fl.is_one_uniform(pair, profile).conclusion
+    assert fl.optimal_values(profile).spectral_two == pytest.approx(1.5310357003258657, abs=1e-12)
+    assert value < fl.optimal_values(profile).spectral_two - 0.01
 
 
 def test_spectral_two_membership(mercedes_frame, mercedes_profile, tight_frame, tight_profile):
