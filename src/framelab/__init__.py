@@ -49,7 +49,6 @@ _MODULE_EXPORTS = {
         "analyze_certificates",
         "is_one_uniform",
         "is_probabilistic_uniform_parseval",
-        "is_two_uniform",
         "optimal_values",
     ),
     "search": (

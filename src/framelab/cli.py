@@ -232,12 +232,14 @@ def builtin_example_checks() -> list[dict]:
 
     Expected values are exact rationals or closed forms evaluated at run
     time, never truncated decimals.  The canonical dual's facts come from
-    the certificates ``analyze`` reports.
+    the m = 1 measures and the certificates ``analyze`` reports.
     """
     from .erasures import norm_measure, spectral_measure
+    from .frames import canonical_dual
     from .optimality import (
         CONDITION_CANONICAL_NORM_ONE,
         CONDITION_CANONICAL_SPECTRAL_ONE,
+        _measure_memo,
         analyze_certificates,
     )
     from .search import minimize_norm_one, minimize_spectral_one
@@ -245,13 +247,15 @@ def builtin_example_checks() -> list[dict]:
     checks: list[dict] = []
 
     frame, profile = _example_a()
-    certificates = {c.condition_id: c for c in analyze_certificates(frame, profile)}
+    # the certificates read the m = 1 measures from this memo, so each is evaluated once
+    measure = _measure_memo(canonical_dual(frame), profile)
+    certificates = {c.condition_id: c for c in analyze_certificates(frame, profile, measure)}
     spectral = certificates[CONDITION_CANONICAL_SPECTRAL_ONE]
     norm = certificates[CONDITION_CANONICAL_NORM_ONE]
     checks.append(
         _check("A", "weights", [4 / 3, 4 / 3, 2.0], [float(q) for q in profile.weights])
     )
-    per_index = spectral.details["per_index_values"]
+    per_index = measure("spectral", 1).per_set_values.tolist()
     checks.append(_check("A", "per_index_spectral", [8 / 9, 8 / 9, 4 / 3], per_index))
     checks.append(_check("A", "spectral_one_canonical", 4 / 3, spectral.partition.threshold))
     checks.append(_check("A", "norm_one_canonical", 4 / 3, norm.partition.threshold))
@@ -272,16 +276,17 @@ def builtin_example_checks() -> list[dict]:
     checks.append(_check("A", "norm_witness", [], list(norm.partition.witness)))
 
     frame, profile = _example_b()
-    certificates = {c.condition_id: c for c in analyze_certificates(frame, profile)}
+    measure = _measure_memo(canonical_dual(frame), profile)
+    certificates = {c.condition_id: c for c in analyze_certificates(frame, profile, measure)}
     spectral = certificates[CONDITION_CANONICAL_SPECTRAL_ONE]
     norm = certificates[CONDITION_CANONICAL_NORM_ONE]
     checks.append(
         _check("B", "frame_bounds", [3.0, 3.0], [frame.lower_bound, frame.upper_bound])
     )
-    checks.append(
-        _check("B", "per_index_spectral", [1.0] * 4, spectral.details["per_index_values"])
-    )
-    checks.append(_check("B", "per_index_norm", [1.0] * 4, norm.details["per_index_values"]))
+    per_index = measure("spectral", 1).per_set_values.tolist()
+    checks.append(_check("B", "per_index_spectral", [1.0] * 4, per_index))
+    per_index = measure("norm", 1).per_set_values.tolist()
+    checks.append(_check("B", "per_index_norm", [1.0] * 4, per_index))
     checks.append(_check("B", "spectral_condition_holds", True, spectral.conclusion))
     checks.append(_check("B", "norm_condition_holds", True, norm.conclusion))
     # the frame is one component, and every index attains the threshold

@@ -42,7 +42,10 @@ its own.
 The private ones take the values, partitions and residuals it computes once,
 reading only the m = 1 measures from one memo (:func:`_measure_memo`) that
 ``analyze`` shares with its measures section; no certificate enumerates a
-set of two or more erasures.
+set of two or more erasures.  No detail repeats what the report's other
+sections hold or give exactly: the per-index values are the m = 1 measures'
+per-set values, and the two-erasure lower bound is ``canonical_spectral_two``'s
+``predicted_two_erasure_value``.
 """
 
 from __future__ import annotations
@@ -163,20 +166,19 @@ def is_one_uniform(pair: DualPair, profile: ProbabilityProfile) -> OptimalityCer
         "every vector: <f,g> equals the reciprocal weight",
     )
     return OptimalityCertificate(
-        condition_id=CONDITION_ONE_UNIFORM,
-        hypotheses=(hypothesis,),
-        conclusion=hypothesis.holds,
-        details={"weighted_diagonal": [complex(v) for v in products]},
+        condition_id=CONDITION_ONE_UNIFORM, hypotheses=(hypothesis,), conclusion=hypothesis.holds
     )
 
 
-def is_two_uniform(pair: DualPair, profile: ProbabilityProfile) -> OptimalityCertificate:
-    """Does ``<f_i, g_j><f_j, g_i> = 1/(q_i q_j)`` hold for every ``i != j``?"""
-    q = profile.weights
-    i, j = np.triu_indices(pair.count, 1)
-    products = _cross_products(pair.cross_gram, np.ones(pair.count))
+def _two_uniform(products: np.ndarray, q: np.ndarray) -> OptimalityCertificate:
+    """Does ``<f_i, g_j><f_j, g_i> = 1/(q_i q_j)`` hold for every ``i != j``?
+
+    ``products`` are the pair's weighted cross products ``w_ij = q_i q_j
+    a_ij a_ji`` (``erasures._cross_products``); the residual of a pair is
+    ``|w_ij - 1| / (q_i q_j)``."""
+    i, j = np.triu_indices(q.size, 1)
     hypothesis = _hypothesis(
-        _cabs(products - 1.0 / (q[i] * q[j])), "every pair: cross products match"
+        _cabs(products - 1.0) / (q[i] * q[j]), "every pair: cross products match"
     )
     return OptimalityCertificate(
         condition_id=CONDITION_TWO_UNIFORM, hypotheses=(hypothesis,), conclusion=hypothesis.holds
@@ -238,10 +240,7 @@ def _spectral_two_pair(
         condition_id=CONDITION_SPECTRAL_TWO_PAIR,
         hypotheses=(hypothesis,),
         conclusion=hypothesis.holds,
-        details={
-            "optimal_value": bounds.spectral_two,
-            "cross_target": bounds.cross_budget / bounds.offdiag_weight_sum,
-        },
+        details={"cross_target": bounds.cross_budget / bounds.offdiag_weight_sum},
     )
 
 
@@ -279,7 +278,7 @@ def _canonical_one_certificate(frame: Frame, report: ErasureMeasureReport) -> _C
         witness=tuple(int(i) + 1 for i in min(inside, key=len, default=())),
         crossing_components=touching - len(inside),
     )
-    details = {"per_index_values": values.tolist()}
+    details = {}
     condition_id = CONDITION_CANONICAL_SPECTRAL_ONE
     if report.kind == "norm":
         # the attaining set is a union of components and every other vector
@@ -362,11 +361,11 @@ def _two_erasure_prediction(
     weighted cross product ``c``.  With a unique worst index the prediction
     is ``(R1 + M2 + sqrt((R1 - M2)^2 + 4c)) / 2`` where ``M2`` is the
     second-highest weighted diagonal; with a tie the prediction evaluates
-    the closed-form roots at two tied indices, giving ``R1 + sqrt(c)``.
-    The unhalved variant ``R1 + sqrt(4c)`` (which skips the final division
-    by two in the tie case) is recorded alongside for comparison; the
-    enumerated m = 2 spectral measure confirms the halved form.  ``products``
-    are the pair's weighted cross products (``erasures._cross_products``).
+    the closed-form roots at two tied indices, giving ``R1 + sqrt(c)``, which
+    the enumerated m = 2 spectral measure confirms (``R1 + 2 sqrt(c)``, the
+    form without the final halving, would exceed it by ``sqrt(c)``).
+    ``products`` are the pair's weighted cross products
+    (``erasures._cross_products``).
 
     When a hypothesis is violated the certificate carries the two evaluated
     hypotheses, no details, and the conclusion ``None``.
@@ -409,15 +408,11 @@ def _two_erasure_prediction(
         m2 = float(np.max(weighted[~tied]))
         predicted = 0.5 * (r1 + m2 + np.sqrt((r1 - m2) ** 2 + 4.0 * c))
         details["second_level_value"] = m2
-        details["unhalved_variant"] = None
-        details["unhalved_discrepancy"] = None
     else:
         i1, i2 = tie_set[0], tie_set[1]
         roots = two_erasure_eigenvalues(pair, profile, i1, i2)
         predicted = max(abs(roots[0]), abs(roots[1]))
         details["second_level_value"] = None
-        details["unhalved_variant"] = r1 + float(np.sqrt(4.0 * c))
-        details["unhalved_discrepancy"] = details["unhalved_variant"] - predicted
     details["predicted_two_erasure_value"] = float(predicted)
     return OptimalityCertificate(
         condition_id=CONDITION_TWO_ERASURE_PREDICTION,
@@ -470,7 +465,6 @@ def is_probabilistic_uniform_parseval(
         condition_id=CONDITION_UNIFORM_PARSEVAL,
         hypotheses=hypotheses,
         conclusion=all(h.holds for h in hypotheses),
-        details={"squared_norms": [float(v) for v in norms_sq]},
     )
 
 
@@ -535,7 +529,7 @@ def analyze_certificates(
     residuals = _cabs(products - bounds.cross_budget / bounds.offdiag_weight_sum)
     return [
         one_uniform,
-        is_two_uniform(pair, profile),
+        _two_uniform(products, profile.weights),
         _norm_one_pair(pair, profile),
         _spectral_two_pair(
             one_uniform.conclusion, spectral.partition.threshold, bounds, residuals

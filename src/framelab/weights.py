@@ -78,7 +78,9 @@ def weights_from_probabilities(probabilities, dim: int) -> ProbabilityProfile:
 
 @dataclass(frozen=True)
 class WeightPropertiesReport:
-    """Checked properties of a weight sequence.
+    """Checked properties of a weight sequence; the probabilities and weights
+    themselves are the profile's, and sorting the indices by probability
+    sorts the weights too.
 
     ``all_at_least_one`` can legitimately be False when the vector count
     equals the dimension; it is a reported flag, not an error.
@@ -86,22 +88,14 @@ class WeightPropertiesReport:
 
     min_weight: float
     all_at_least_one: bool
-    partition_residual: float
-    table: tuple[dict, ...]  # rows {"index", "probability", "weight"} sorted by probability
+    partition_residual: float  # |sum_i 1/q_i - n|
 
 
 def weight_properties_report(profile: ProbabilityProfile) -> WeightPropertiesReport:
     """Evaluate the weight-sequence properties on a profile."""
-    p = profile.probabilities
     q = profile.weights
-    order = np.argsort(p, kind="stable")
-    table = tuple(
-        {"index": i + 1, "probability": pi, "weight": qi}
-        for i, pi, qi in zip(order.tolist(), p[order].tolist(), q[order].tolist())
-    )
     return WeightPropertiesReport(
         min_weight=float(q.min()),
         all_at_least_one=bool(q.min() >= 1.0),
         partition_residual=float(abs(np.sum(1.0 / q) - profile.dim)),
-        table=table,
     )

@@ -182,10 +182,12 @@ def test_criterion_6_mercedes_certification():
         assert len(prediction.details["tie_set"]) == 3
         assert abs(prediction.details["cross_constant"] - 0.25) <= 1e-9
         assert abs(prediction.conclusion - 1.5) <= 1e-9
-        # the unhalved variant of the tie-branch increment is recorded so the
-        # discrepancy with the closed-form roots is visible in reports
-        assert abs(prediction.details["unhalved_variant"] - 2.0) <= 1e-9
-        assert abs(prediction.details["unhalved_discrepancy"] - 0.5) <= 1e-9
+        # the tie-branch increment without its final halving, R1 + 2 sqrt(c),
+        # would exceed the closed-form roots by sqrt(c)
+        details = prediction.details
+        unhalved = details["one_erasure_value"] + 2.0 * np.sqrt(details["cross_constant"])
+        assert abs(unhalved - 2.0) <= 1e-9
+        assert abs(unhalved - prediction.conclusion - 0.5) <= 1e-9
 
 
 def test_criterion_7_parseval_equivalence():

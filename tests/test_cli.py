@@ -141,6 +141,103 @@ def test_every_analyze_certificate_has_one_shape(capsys, plane_path, tight_path,
             assert 1 <= len(entry["hypotheses"]) <= 3, entry["condition_id"]
 
 
+PREDICTION_KEYS = [
+    "one_erasure_value",
+    "cross_constant",
+    "tie_set",
+    "second_level_value",
+    "predicted_two_erasure_value",
+]
+
+
+def recomputation_case(name):
+    """A frame document, and whether its canonical dual is one-uniform, has a
+    predicted two-erasure value and is Parseval."""
+    if name == "plane":
+        return json.loads(PLANE_DOC), False, False, False
+    if name == "parseval":
+        tight = json.loads(TIGHT_DOC)
+        vectors = (np.array(tight["vectors"]) / np.sqrt(3.0)).tolist()
+        return {**tight, "vectors": vectors}, True, False, True
+    if name == "mercedes":
+        angles = (0.0, 2 * np.pi / 3, 4 * np.pi / 3)
+        vectors = [[[np.cos(a), 0.0], [np.sin(a), 0.0]] for a in angles]
+        document = {"dim": 2, "count": 3, "field": "real", "vectors": vectors}
+        return {**document, "probabilities": [1 / 3] * 3}, True, True, False
+    return random_frame_document(71, 3, 7, "complex"), False, False, False
+
+
+def as_complex(pairs):
+    """The complex array of nested ``[re, im]`` pairs, bit for bit."""
+    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+@pytest.mark.parametrize("name", ["plane", "parseval", "mercedes", "complex"])
+def test_report_writes_each_fact_once(capsys, tmp_path, name):
+    """Each certificate's details repeat nothing the report keeps elsewhere:
+    the per-index values, the weighted diagonal, the squared norms, the
+    order of the weights, the tie branch's unhalved prediction and the
+    two-erasure bound are recomputed from the kept sections, and equal the
+    entries as their formulas (kept here as the oracle) give them."""
+    document, one_uniform, predicted, parseval = recomputation_case(name)
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, _ = run(capsys, ["analyze", path, "--m", "1"])
+    assert code == 0
+    doc = json.loads(out)
+    assert [list(c["details"]) for c in doc["certificates"]] == [
+        [],
+        [],
+        [],
+        ["cross_target"] * one_uniform,
+        [],
+        ["canonical_unique"],
+        ["cross_budget", "predicted_two_erasure_value"],
+        PREDICTION_KEYS * predicted,
+        [],
+        ["spectral_gap", "norm_gap"] * parseval,
+    ]
+    content = load_frame_file(path)
+    frame = content.frame
+    profile = fl.weights_from_probabilities(content.probabilities, frame.dim)
+    pair = fl.canonical_dual(frame)
+    p, q = np.array(doc["weights"]["probabilities"]), np.array(doc["weights"]["weights"])
+    f, g = as_complex(doc["frame"]["vectors"]), as_complex(doc["canonical_dual"]["dual_vectors"])
+    diagonal = as_complex(doc["canonical_dual"]["cross_gram_diagonal"])
+
+    # per-index values: the m = 1 tables, and q_i |<f_i, g_i>|, q_i ||f_i|| ||g_i||
+    tables = {m["kind"]: [row["value"] for row in m["per_set_values"]] for m in doc["measures"]}
+    assert tables["spectral"] == fl.spectral_measure(pair, profile, 1).per_set_values.tolist()
+    assert tables["norm"] == fl.norm_measure(pair, profile, 1).per_set_values.tolist()
+    assert_allclose(tables["spectral"], q * np.abs(diagonal), rtol=1e-12)
+    norms = np.linalg.norm(f, axis=1) * np.linalg.norm(g, axis=1)
+    assert_allclose(tables["norm"], q * norms, rtol=1e-12)
+    # the weighted diagonal q_i <f_i, g_i>
+    weighted = profile.weights * np.conj(np.diagonal(pair.cross_gram))
+    assert (q * np.conj(diagonal)).tobytes() == weighted.tobytes()
+    # the squared norms
+    squared_norms = np.linalg.norm(frame.matrix, axis=0) ** 2
+    assert_allclose(np.sum(np.abs(f) ** 2, axis=1), squared_norms, rtol=0, atol=1e-12)
+    # the weights table's order: by probability, which orders the weights too
+    order = sorted(range(p.size), key=lambda i: (p[i], i))
+    assert order == np.argsort(profile.probabilities, kind="stable").tolist()
+    assert all(q[a] <= q[b] for a, b in zip(order, order[1:]))
+    # the two-erasure lower bound over one-uniform duals
+    by_id = {c["condition_id"]: c for c in doc["certificates"]}
+    bound = by_id["canonical_spectral_two"]["details"]["predicted_two_erasure_value"]
+    assert bound == pytest.approx(fl.optimal_values(profile).spectral_two, abs=1e-12)
+    if name == "mercedes":
+        # the tie branch: its unhalved variant R1 + sqrt(4c) exceeds the
+        # prediction by sqrt(c)
+        details = by_id["two_erasure_prediction"]["details"]
+        assert details["tie_set"] == [1, 2, 3]
+        r1, c = details["one_erasure_value"], details["cross_constant"]
+        unhalved = r1 + 2.0 * np.sqrt(c)
+        assert unhalved == pytest.approx(r1 + float(np.sqrt(4.0 * c)), abs=1e-12)
+        discrepancy = unhalved - details["predicted_two_erasure_value"]
+        assert discrepancy == pytest.approx(np.sqrt(c), abs=1e-12)
+
+
 def test_analyze_certificates_are_optimality_certificates(capsys, plane_path, tight_path):
     for path in (plane_path, tight_path):
         code, out, _ = run(capsys, ["analyze", path, "--m", "1"])
@@ -832,7 +929,7 @@ def test_analyze_and_search_load_no_openssl(tmp_path):
 def test_report_write_peak_memory(monkeypatch, tmp_path):
     """Writing a large analyze report holds no whole table as Python floats
     and no whole report as one string: a seeded real 8x60 frame at m = 1, 2,
-    3 has two 34,220-row tables and a head of more than 40 kB, its report
+    3 has two 34,220-row tables and a head of more than 30 kB, its report
     is 3.6 MB, and the write peaks at 6.4 MB when it converts each table in
     one block."""
     frame = tmp_path / "frame.json"
@@ -847,7 +944,7 @@ def test_report_write_peak_memory(monkeypatch, tmp_path):
             return "\0"
         return fl.reporting._plain(obj)
 
-    assert len(json.dumps(document, separators=(",", ":"), default=head)) > 40_000
+    assert len(json.dumps(document, separators=(",", ":"), default=head)) > 30_000
     sizes = [m["per_set_values"].per_set_values.size for m in document["measures"]]
     assert sizes.count(34220) == 2
     out = tmp_path / "report.json"
@@ -968,9 +1065,7 @@ def test_report_sections_list_fields_in_declaration_order(capsys, plane_path):
         "min_weight",
         "all_at_least_one",
         "partition_residual",
-        "table",
     ]
-    assert [list(row) for row in properties["table"]] == [["index", "probability", "weight"]] * 3
 
     _, out, _ = run(capsys, ["search", plane_path])
     doc = json.loads(out)
@@ -1026,9 +1121,6 @@ def test_every_complex_report_value_is_a_pair(capsys, plane_path, tmp_path):
         assert all(is_pair(entry) for vector in dual["dual_vectors"] for entry in vector)
         assert all(map(is_pair, dual["cross_gram_diagonal"]))
         assert is_pair(dual["cross_gram_trace"])
-        (one_uniform,) = (c for c in doc["certificates"] if c["condition_id"] == "one_uniform_pair")
-        assert len(one_uniform["details"]["weighted_diagonal"]) == doc["input"]["count"]
-        assert all(map(is_pair, one_uniform["details"]["weighted_diagonal"])), path
 
 
 def test_analyze_orthonormal_basis(capsys, tmp_path):
@@ -1073,8 +1165,11 @@ def test_analyze_mercedes_records_prediction_discrepancy(capsys, tmp_path):
     by_id = {c["condition_id"]: c for c in report["certificates"]}
     prediction = by_id["two_erasure_prediction"]
     assert prediction["conclusion"] == pytest.approx(1.5, abs=1e-9)
-    assert prediction["details"]["unhalved_variant"] == pytest.approx(2.0, abs=1e-9)
-    assert prediction["details"]["unhalved_discrepancy"] == pytest.approx(0.5, abs=1e-9)
+    # R1 + 2 sqrt(c), without the final halving, would exceed the value by sqrt(c)
+    details = prediction["details"]
+    unhalved = details["one_erasure_value"] + 2.0 * np.sqrt(details["cross_constant"])
+    assert unhalved == pytest.approx(2.0, abs=1e-9)
+    assert unhalved - prediction["conclusion"] == pytest.approx(0.5, abs=1e-9)
     assert by_id["spectral_two_optimal_pair"]["conclusion"] is True
 
 

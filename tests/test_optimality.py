@@ -44,14 +44,16 @@ def test_is_one_uniform_uniform_parseval(scaled_tight_pair):
     assert fl.is_one_uniform(fl.canonical_dual(frame), profile).conclusion
 
 
+def two_uniform(pair, profile):
+    """The two-uniform certificate of ``pair``, from its weighted cross
+    products as ``analyze_certificates`` passes them."""
+    return fl.optimality._two_uniform(weighted_products(pair, profile), profile.weights)
+
+
 def test_is_two_uniform(mercedes_frame, mercedes_profile):
-    assert not fl.is_two_uniform(
-        fl.canonical_dual(mercedes_frame), mercedes_profile
-    ).conclusion
+    assert not two_uniform(fl.canonical_dual(mercedes_frame), mercedes_profile).conclusion
     basis = fl.build_frame(2, np.eye(2))
-    assert not fl.is_two_uniform(
-        fl.DualPair(basis, basis.matrix), uniform_profile(2, 2)
-    ).conclusion
+    assert not two_uniform(fl.DualPair(basis, basis.matrix), uniform_profile(2, 2)).conclusion
 
 
 def test_is_two_uniform_scalar_member():
@@ -59,7 +61,7 @@ def test_is_two_uniform_scalar_member():
     frame = fl.build_frame(1, [(1,), (1,)])
     dual = [[0.5, 0.5]]
     profile = uniform_profile(2, 1)
-    cert = fl.is_two_uniform(fl.DualPair(frame, dual), profile)
+    cert = two_uniform(fl.DualPair(frame, dual), profile)
     assert cert.conclusion
 
 
@@ -129,12 +131,47 @@ def test_spectral_two_bound_is_not_the_optimum_over_all_duals():
     assert fl.optimal_values(profile).spectral_two == pytest.approx(1.5310357003258657, abs=1e-12)
 
 
+def test_no_one_uniform_dual_falls_below_the_spectral_two_bound():
+    """Over one-uniform duals, ``spectral_two`` is a lower bound on the m = 2
+    spectral value: sampled ones (a particular solution plus null-space
+    steps) of random real and complex frames with N > n never fall below.
+    On the Mercedes frame and the regular simplex in R^3, with equal
+    probabilities, the one-uniform dual is the canonical one, which attains
+    the bound, so the bound is also reached."""
+    rng = np.random.default_rng(111)
+    simplex = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+    cases = [
+        (fl.build_frame(2, mercedes_vectors()), uniform_profile(3, 2)),
+        (fl.build_frame(3, simplex), uniform_profile(4, 3)),
+    ]
+    for k in range(40):
+        n = int(rng.integers(2, 5))
+        count = int(rng.integers(n + 1, 9))
+        matrix = rng.standard_normal((n, count))
+        if k % 2:
+            matrix = matrix + 1j * rng.standard_normal((n, count))
+        cases.append((fl.Frame(matrix), random_profile(rng, n, count)))
+    closest = np.inf
+    for frame, profile in cases:
+        bound = fl.optimal_values(profile).spectral_two
+        for _ in range(5):
+            pair = one_uniform_dual(frame, profile, step=rng)
+            assert fl.is_one_uniform(pair, profile).conclusion
+            value = fl.spectral_measure(pair, profile, 2).value
+            assert value >= bound - 1e-9
+            closest = min(closest, value / bound)
+    assert closest <= 1.0 + 1e-9
+
+
 def test_spectral_two_membership(mercedes_frame, mercedes_profile, tight_frame, tight_profile):
-    mercedes = analyze_by_id(mercedes_frame, mercedes_profile)["spectral_two_optimal_pair"]
+    certificates = analyze_by_id(mercedes_frame, mercedes_profile)
+    mercedes = certificates["spectral_two_optimal_pair"]
     assert mercedes.conclusion
-    # a member attains the optimal value
+    # a member attains the lower bound, which canonical_spectral_two reports
+    bound = certificates["canonical_spectral_two"].details["predicted_two_erasure_value"]
+    assert bound == fl.optimal_values(mercedes_profile).spectral_two
     value = fl.spectral_measure(fl.canonical_dual(mercedes_frame), mercedes_profile, 2).value
-    assert value == pytest.approx(mercedes.details["optimal_value"], abs=1e-12)
+    assert value == pytest.approx(bound, abs=1e-12)
     assert value == pytest.approx(1.5, abs=1e-12)
     assert mercedes.details["cross_target"] == pytest.approx(0.25, abs=1e-12)
     # the tight pair is one-erasure optimal but its cross products vary
@@ -250,9 +287,10 @@ def test_two_erasure_prediction_tie_branch(mercedes_frame, mercedes_profile):
     assert cert.details["cross_constant"] == pytest.approx(0.25, abs=1e-12)
     enumerated = fl.spectral_measure(fl.canonical_dual(mercedes_frame), mercedes_profile, 2).value
     assert cert.conclusion == pytest.approx(enumerated, abs=1e-9)
-    # the unhalved variant would overshoot by sqrt(c)
-    assert cert.details["unhalved_variant"] == pytest.approx(2.0, abs=1e-12)
-    assert cert.details["unhalved_discrepancy"] == pytest.approx(0.5, abs=1e-12)
+    # R1 + 2 sqrt(c), without the final halving, would overshoot by sqrt(c)
+    r1, c = cert.details["one_erasure_value"], cert.details["cross_constant"]
+    assert r1 + 2.0 * np.sqrt(c) == pytest.approx(2.0, abs=1e-12)
+    assert r1 + 2.0 * np.sqrt(c) - cert.conclusion == pytest.approx(0.5, abs=1e-12)
 
 
 def test_two_erasure_prediction_single_max_branch():
@@ -308,7 +346,10 @@ def test_uniform_parseval_certificate(scaled_tight_pair, plane_frame, plane_prof
     frame, profile = scaled_tight_pair
     cert = fl.is_probabilistic_uniform_parseval(frame, profile)
     assert cert.conclusion
-    assert_allclose(cert.details["squared_norms"], [1 / 3, 1 / 3, 2 / 3, 2 / 3], atol=1e-12)
+    # the squared norms, read off the frame, are the reciprocal weights
+    squared_norms = np.linalg.norm(frame.matrix, axis=0) ** 2
+    assert_allclose(squared_norms, [1 / 3, 1 / 3, 2 / 3, 2 / 3], atol=1e-12)
+    assert cert.hypotheses[1].witness <= 1e-12
     assert not fl.is_probabilistic_uniform_parseval(plane_frame, plane_profile).conclusion
 
 
@@ -471,6 +512,12 @@ def test_analyze_certificates_evaluate_each_measure_once(
             assert framelab.cli.main(argv) == 0
             expected = reported | {("norm_measure", 1), ("spectral_measure", 1)}
             assert sorted(calls) == sorted(expected)
+    # examples reads its per-index values from the memo its certificates
+    # read: each example's canonical m = 1 measures once, and those of
+    # example A's better dual
+    calls.clear()
+    framelab.cli.builtin_example_checks()
+    assert sorted(calls) == [("norm_measure", 1)] * 3 + [("spectral_measure", 1)] * 3
 
 
 # The canonical one-erasure certificates are exact: their verdict is the one
@@ -602,15 +649,15 @@ def test_exact_certificate_at_the_tie_cut(kind):
         p = np.array(probabilities) + [-eps, 0.0, eps, 0.0]
         profile = fl.weights_from_probabilities(p, 2)
         cert = canonical_one(frame, profile, kind)
-        values = cert.details["per_index_values"]
+        measure = fl.spectral_measure if kind == "spectral" else fl.norm_measure
+        one = measure(fl.canonical_dual(frame), profile, 1)
+        values = one.per_set_values
         assert (values[1] - values[0]) / values[1] == pytest.approx(eps / 0.66, rel=1e-3)
         assert cert.conclusion is attains
         assert cert.partition.witness == ((1,) if attains else ())
         assert cert.partition.attaining == ((1, 2) if attains else (2,))
         # one tie rule: the attaining set is the m = 1 measure's argmax sets
-        measure = fl.spectral_measure if kind == "spectral" else fl.norm_measure
-        argmax = measure(fl.canonical_dual(frame), profile, 1).argmax_sets
-        assert cert.partition.attaining == tuple(s[0] for s in argmax)
+        assert cert.partition.attaining == tuple(s[0] for s in one.argmax_sets)
         # the optimum is the coloop's value, which no dual changes
         result = fl.search._run_search(kind, frame, profile)
         assert result.converged
@@ -630,7 +677,7 @@ def one_hypothesis(claim, witnesses, tol):
 def oracle_two_uniform(pair, profile, tol):
     alpha, q = pair.cross_gram, profile.weights
     witnesses = [
-        float(abs(alpha[i, j] * alpha[j, i] - 1.0 / (q[i] * q[j])))
+        float(abs(q[i] * q[j] * alpha[i, j] * alpha[j, i] - 1.0) / (q[i] * q[j]))
         for i in range(pair.count)
         for j in range(i + 1, pair.count)
     ]
@@ -683,15 +730,22 @@ def triples(hypotheses):
     return [(h.description, h.holds, h.witness) for h in hypotheses]
 
 
-def one_uniform_dual(frame, profile):
+def one_uniform_dual(frame, profile, step=None):
     """A dual with ``<g_i, f_i> = 1/q_i`` for every i: the least-squares
-    solution of these N linear equations in ``C``."""
+    solution of these N linear equations in ``C``, plus, when ``step`` is a
+    generator, a random complex step in their null space."""
     f, v = frame.matrix, fl.dual_perturbation_basis(frame)
     g0 = fl.canonical_dual(frame).dual
     a = np.einsum("ri,ik->irk", f.conj(), v.conj()).reshape(frame.count, -1)
     b = 1.0 / profile.weights - np.einsum("ri,ri->i", f.conj(), g0)
-    c = np.linalg.lstsq(a, b, rcond=None)[0].reshape(frame.dim, -1)
-    return fl.dual_from_coefficients(frame, c)
+    c = np.linalg.lstsq(a, b, rcond=None)[0]
+    if step is not None:
+        _, singular, vh = np.linalg.svd(a)
+        null = vh[np.sum(singular > 1e-10 * singular[0]) :].conj().T
+        shape = null.shape[1]
+        scale = step.choice([1e-3, 0.1, 1.0, 3.0])
+        c = c + scale * null @ (step.standard_normal(shape) + 1j * step.standard_normal(shape))
+    return fl.dual_from_coefficients(frame, c.reshape(frame.dim, -1))
 
 
 def oracle_cases():
@@ -724,7 +778,7 @@ def test_pair_certificates_match_the_loop_oracle(mercedes_frame, mercedes_profil
     pair_two_checked = 0
     for frame, profile, pairs in [*cases, *oracle_cases()]:
         for pair in pairs:
-            cert = fl.is_two_uniform(pair, profile)
+            cert = two_uniform(pair, profile)
             assert triples(cert.hypotheses) == oracle_two_uniform(pair, profile, tol)
 
             products = weighted_products(pair, profile)
