@@ -39,7 +39,6 @@ _MODULE_EXPORTS = {
         "operator_norm",
         "simulate_erasure_channel",
         "spectral_measure",
-        "two_erasure_eigenvalues",
     ),
     "optimality": (
         "Hypothesis",

@@ -7,17 +7,17 @@ radius (``spectral_measure``) or by the operator norm (``norm_measure``).
 
 Closed forms: for ``m == 1`` the spectral value at index ``i`` is
 ``q_i |<f_i, g_i>|`` and the norm value is ``q_i ||f_i|| ||g_i||``; for
-``m == 2`` the nonzero eigenvalues of ``E_L`` are the roots of a quadratic in
-the weighted cross-Gram entries (:func:`two_erasure_eigenvalues`), whose
-discriminant holds the weighted cross product ``q_i q_j a_ij a_ji``
-(``_cross_products``).  The dual search and the certificates reuse these
-evaluations and the one tie rule of ``_ties``: values within ``TIE_TOL`` of
-the maximum attain it.  For general ``m`` the nonzero spectrum of ``E_L``
-equals that of the small ``m x m`` block ``[q_i <g_j, f_i>]_{i,j in L}``,
-and ``||E_L||^2`` is the largest eigenvalue of ``D G_L^H G_L D F_L^H F_L``
-with ``D = diag(q_L)``, whose factors are cut from the Gram matrices
-``G^H G`` and ``F^H F``; both keep the eigenproblem at size ``m`` instead of
-``n``.
+``m == 2`` the nonzero eigenvalues of ``E_L``, ``L = {i, j}``, are the roots
+``_two_erasure_roots`` of ``x^2 - (q_i a_ii + q_j a_jj) x + q_i q_j (a_ii
+a_jj - a_ij a_ji)`` with ``a`` the cross-Gram matrix, whose discriminant
+holds the weighted cross product ``q_i q_j a_ij a_ji`` (``_cross_products``).
+The dual search and the certificates reuse these evaluations and the one tie
+rule of ``_ties``: values within ``TIE_TOL`` of the maximum attain it.  For
+general ``m`` the nonzero spectrum of ``E_L`` equals that of the small
+``m x m`` block ``[q_i <g_j, f_i>]_{i,j in L}``, and ``||E_L||^2`` is the
+largest eigenvalue of ``D G_L^H G_L D F_L^H F_L`` with ``D = diag(q_L)``,
+whose factors are cut from the Gram matrices ``G^H G`` and ``F^H F``; both
+keep the eigenproblem at size ``m`` instead of ``n``.
 
 For ``m == 3`` both values are read off the characteristic cubic of the
 block, whose coefficients are sums of products of gathered entries: the
@@ -220,23 +220,6 @@ def _two_erasure_roots(alpha: np.ndarray, q: np.ndarray, i: np.ndarray, j: np.nd
     cross = _cross_products(alpha, q, i, j)
     root = np.sqrt(_cmul(a - d, a - d) + 4.0 * cross)
     return (a + d + root) / 2.0, (a + d - root) / 2.0
-
-
-def two_erasure_eigenvalues(
-    pair: DualPair, profile: ProbabilityProfile, i: int, j: int
-) -> tuple[complex, complex]:
-    """Both eigenvalues of the two-erasure error block for distinct indices
-    ``i, j`` in ``1..count`` (``ValueError`` otherwise).
-
-    Roots of ``x^2 - (q_i a_ii + q_j a_jj) x + q_i q_j (a_ii a_jj - a_ij a_ji)``
-    where ``a`` is the cross-Gram matrix; evaluated via the explicit quadratic
-    formula with a complex square root, the formula ``spectral_measure``
-    evaluates over all pairs at once.
-    """
-    _check_compatible(pair, profile)
-    ix = _offsets((i, j), pair.count)
-    hi, lo = _two_erasure_roots(pair.cross_gram, profile.weights, ix[:1], ix[1:])
-    return complex(hi[0]), complex(lo[0])
 
 
 def _cubic(c1, c2, c3, x):

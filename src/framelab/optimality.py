@@ -28,7 +28,8 @@ cross-Gram products.  It is not the optimum over all duals: a dual that is
 not one-erasure optimal can fall below it.
 
 The closed forms live in :mod:`framelab.erasures`: the canonical partition
-certificates take their per-index values ``q_i |<f_i, g_i>|`` and
+certificates, the norm membership certificate and the two-erasure
+prediction take their per-index values ``q_i |<f_i, g_i>|`` and
 ``q_i ||f_i|| ||g_i||`` from the m = 1 measures, the pairwise certificates
 take the cross products ``q_i q_j a_ij a_ji`` over all pairs ``i < j`` from
 ``erasures._cross_products``, and every tie set follows ``erasures._ties``,
@@ -44,8 +45,11 @@ reading only the m = 1 measures from one memo (:func:`_measure_memo`) that
 ``analyze`` shares with its measures section; no certificate enumerates a
 set of two or more erasures.  No detail repeats what the report's other
 sections hold or give exactly: the per-index values are the m = 1 measures'
-per-set values, and the two-erasure lower bound is ``canonical_spectral_two``'s
-``predicted_two_erasure_value``.
+per-set values, a partition's remaining indices are those not attaining,
+the two-erasure lower bound is ``canonical_spectral_two``'s
+``predicted_two_erasure_value``, and the two-erasure prediction is its
+certificate's conclusion, from the one-erasure value and tie set of
+``canonical_spectral_one``'s partition.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ from .erasures import (
     _ties,
     norm_measure,
     spectral_measure,
-    two_erasure_eigenvalues,
 )
 from .frames import DualPair, Frame, canonical_dual
 from .weights import ProbabilityProfile
@@ -104,16 +107,15 @@ class PartitionReport:
     """Index partition by the per-index canonical values.
 
     ``attaining`` holds the (1-based) indices whose value reaches the
-    maximum ``threshold``.  ``witness`` is the smallest component of the
-    frame's vector matroid inside ``attaining``, or empty when none is.
-    ``crossing_components`` counts the components that meet both sides; it
-    is 0 exactly when the spans of the attaining and remaining vectors
-    intersect trivially.
+    maximum ``threshold``; the other indices are the remaining ones.
+    ``witness`` is the smallest component of the frame's vector matroid
+    inside ``attaining``, or empty when none is.  ``crossing_components``
+    counts the components that meet both sides; it is 0 exactly when the
+    spans of the attaining and remaining vectors intersect trivially.
     """
 
     threshold: float
     attaining: tuple[int, ...]
-    remaining: tuple[int, ...]
     witness: tuple[int, ...]
     crossing_components: int
 
@@ -134,15 +136,18 @@ class OptimalBounds:
 
     ``cross_budget`` is ``n - sum_i 1/q_i^2``: the total off-diagonal
     cross-Gram product mass available to a one-erasure optimal pair.  Its
-    sign selects the branch of ``spectral_two``.  A one-uniform pair attains
-    the bound exactly when its weighted cross products all equal
-    ``cross_budget / offdiag_weight_sum``, which many weight sequences do
-    not allow; a dual that is not one-uniform can fall below it.
+    sign selects the branch of ``spectral_two``.  ``cross_target`` is its
+    share per pair, ``cross_budget / sum_{i != j} 1/(q_i q_j)``, and
+    ``spectral_two`` is ``1 + sqrt(cross_target)`` when the budget is
+    nonnegative.  A one-uniform pair attains the bound exactly when its
+    weighted cross products all equal ``cross_target``, which many weight
+    sequences do not allow; a dual that is not one-uniform can fall below
+    it.
     """
 
     spectral_two: float
     cross_budget: float
-    offdiag_weight_sum: float
+    cross_target: float
 
 
 def _hypothesis(residuals: np.ndarray, claim: str) -> Hypothesis:
@@ -153,16 +158,22 @@ def _hypothesis(residuals: np.ndarray, claim: str) -> Hypothesis:
     return Hypothesis(description=claim, holds=worst <= DEFAULT_TOL, witness=worst)
 
 
+def _one_uniform_residuals(pair: DualPair, q: np.ndarray) -> np.ndarray:
+    """The residual of ``<f_i, g_i> = 1/q_i`` at each index: the larger of
+    the deviations of the real part of ``q_i <f_i, g_i>`` from 1 and of its
+    imaginary part from 0, divided by ``q_i``."""
+    products = q * np.conj(np.diagonal(pair.cross_gram))
+    return np.maximum(np.abs(products.real - 1.0), np.abs(products.imag)) / q
+
+
 def is_one_uniform(pair: DualPair, profile: ProbabilityProfile) -> OptimalityCertificate:
     """Does ``<f_i, g_i> = 1/q_i`` hold for every index?
 
     The products are complex; both the deviation of the real part from the
     target and the imaginary part must stay within ``DEFAULT_TOL``.
     """
-    q = profile.weights
-    products = q * np.conj(np.diagonal(pair.cross_gram))
     hypothesis = _hypothesis(
-        np.maximum(np.abs(products.real - 1.0), np.abs(products.imag)) / q,
+        _one_uniform_residuals(pair, profile.weights),
         "every vector: <f,g> equals the reciprocal weight",
     )
     return OptimalityCertificate(
@@ -196,16 +207,15 @@ def optimal_values(profile: ProbabilityProfile) -> OptimalBounds:
     inv_q = 1.0 / profile.weights
     n = profile.dim
     square_sum = float(np.sum(inv_q**2))
-    offdiag = float(np.sum(inv_q) ** 2 - square_sum)
     budget = n - square_sum
+    # the budget's share per pair: sum_{i != j} 1/(q_i q_j) weighs the pairs
+    target = budget / float(np.sum(inv_q) ** 2 - square_sum)
     if budget >= 0:
-        spectral_two = 1.0 + np.sqrt(budget / offdiag)
+        spectral_two = 1.0 + np.sqrt(target)
     else:
         spectral_two = np.sqrt((n * n - n) / (n * n - square_sum))
     return OptimalBounds(
-        spectral_two=float(spectral_two),
-        cross_budget=float(budget),
-        offdiag_weight_sum=offdiag,
+        spectral_two=float(spectral_two), cross_budget=float(budget), cross_target=target
     )
 
 
@@ -221,8 +231,8 @@ def _spectral_two_pair(
     otherwise the one hypothesis is that the pair attains it, failed, with
     witness ``spectral_one - 1`` (its m = 1 spectral value less 1).  Then
     checks that every weighted off-diagonal cross product equals the shared
-    constant ``cross_budget / offdiag_weight_sum`` of ``bounds``;
-    ``residuals`` are the moduli of their differences from it.
+    constant ``cross_target`` of ``bounds``; ``residuals`` are the moduli of
+    their differences from it.
     """
     if not one_uniform:
         hypothesis = Hypothesis(
@@ -240,7 +250,7 @@ def _spectral_two_pair(
         condition_id=CONDITION_SPECTRAL_TWO_PAIR,
         hypotheses=(hypothesis,),
         conclusion=hypothesis.holds,
-        details={"cross_target": bounds.cross_budget / bounds.offdiag_weight_sum},
+        details={"cross_target": bounds.cross_target},
     )
 
 
@@ -274,7 +284,6 @@ def _canonical_one_certificate(frame: Frame, report: ErasureMeasureReport) -> _C
     partition = PartitionReport(
         threshold=threshold,
         attaining=tuple(int(i) + 1 for i in np.flatnonzero(attaining)),
-        remaining=tuple(int(i) + 1 for i in np.flatnonzero(~attaining)),
         witness=tuple(int(i) + 1 for i in min(inside, key=len, default=())),
         crossing_components=touching - len(inside),
     )
@@ -353,24 +362,27 @@ def _canonical_spectral_two(
 
 
 def _two_erasure_prediction(
-    pair: DualPair, profile: ProbabilityProfile, products: np.ndarray
+    pair: DualPair, products: np.ndarray, spectral_one: ErasureMeasureReport
 ) -> OptimalityCertificate:
     """Predict the worst two-erasure spectral value from one-erasure data.
 
     Requires a real nonnegative cross-Gram diagonal and a constant positive
-    weighted cross product ``c``.  With a unique worst index the prediction
-    is ``(R1 + M2 + sqrt((R1 - M2)^2 + 4c)) / 2`` where ``M2`` is the
-    second-highest weighted diagonal; with a tie the prediction evaluates
-    the closed-form roots at two tied indices, giving ``R1 + sqrt(c)``, which
-    the enumerated m = 2 spectral measure confirms (``R1 + 2 sqrt(c)``, the
-    form without the final halving, would exceed it by ``sqrt(c)``).
-    ``products`` are the pair's weighted cross products
-    (``erasures._cross_products``).
+    weighted cross product ``c``; ``products`` are the pair's weighted cross
+    products (``erasures._cross_products``).  The value of a pair of indices
+    is then the larger root ``(a + d + sqrt((a - d)^2 + 4c)) / 2`` of its
+    two-erasure quadratic, where ``a`` and ``d`` are their weighted diagonal
+    values, the m = 1 spectral values of ``spectral_one``.  That root grows
+    with both ``a`` and ``d``, so the prediction is its value at the two
+    largest: ``R1``, the report's ``value``, and ``M2``, the second largest
+    of its ``per_set_values``, ties included (``M2 = R1`` under a tie).
+    This is exact when the products are equal; when each lies within
+    ``delta`` of ``c``, it is within ``delta / (2 sqrt(c - delta))`` of the
+    enumerated value.
 
-    When a hypothesis is violated the certificate carries the two evaluated
-    hypotheses, no details, and the conclusion ``None``.
+    The details hold ``c`` and ``M2``; ``R1`` is ``canonical_spectral_one``'s
+    threshold.  When a hypothesis is violated the certificate carries the
+    two evaluated hypotheses, no details, and the conclusion ``None``.
     """
-    q = profile.weights
     diag = np.diagonal(pair.cross_gram)
     diag_violation = float(
         max(np.max(np.maximum(-diag.real, 0.0)), np.max(np.abs(diag.imag)))
@@ -396,45 +408,29 @@ def _two_erasure_prediction(
             condition_id=CONDITION_TWO_ERASURE_PREDICTION, hypotheses=hypotheses, conclusion=None
         )
     c = mean.real
-    weighted = q * diag.real
-    r1, tied = _ties(weighted)
-    tie_set = tuple(int(i) + 1 for i in np.flatnonzero(tied))
-    details: dict = {
-        "one_erasure_value": r1,
-        "cross_constant": c,
-        "tie_set": list(tie_set),
-    }
-    if len(tie_set) == 1:
-        m2 = float(np.max(weighted[~tied]))
-        predicted = 0.5 * (r1 + m2 + np.sqrt((r1 - m2) ** 2 + 4.0 * c))
-        details["second_level_value"] = m2
-    else:
-        i1, i2 = tie_set[0], tie_set[1]
-        roots = two_erasure_eigenvalues(pair, profile, i1, i2)
-        predicted = max(abs(roots[0]), abs(roots[1]))
-        details["second_level_value"] = None
-    details["predicted_two_erasure_value"] = float(predicted)
+    r1 = spectral_one.value
+    m2 = float(np.partition(spectral_one.per_set_values, -2)[-2])
     return OptimalityCertificate(
         condition_id=CONDITION_TWO_ERASURE_PREDICTION,
         hypotheses=hypotheses,
-        conclusion=float(predicted),
-        details=details,
+        conclusion=float(0.5 * (r1 + m2 + np.sqrt((r1 - m2) ** 2 + 4.0 * c))),
+        details={"cross_constant": c, "second_level_value": m2},
     )
 
 
-def _norm_one_pair(pair: DualPair, profile: ProbabilityProfile) -> OptimalityCertificate:
+def _norm_one_pair(
+    pair: DualPair, profile: ProbabilityProfile, norm_one: ErasureMeasureReport
+) -> OptimalityCertificate:
     """Membership in the set attaining the one-erasure norm optimum.
 
     Requires both ``<f_i, g_i> = 1/q_i`` and ``||f_i|| ||g_i|| = 1/q_i`` for
-    every index, so a member is one-uniform.
+    every index, so a member is one-uniform.  The residual at an index is
+    the larger of its one-uniform residual and ``|v_i - 1| / q_i``, where
+    ``v_i = q_i ||f_i|| ||g_i||`` is the m = 1 norm value of ``norm_one``.
     """
-    diag = np.conj(np.diagonal(pair.cross_gram))
-    f_norms = np.linalg.norm(pair.frame.matrix, axis=0)
-    g_norms = np.linalg.norm(pair.dual, axis=0)
-    inv_q = 1.0 / profile.weights
-    inner_dev = np.maximum(np.abs(diag.real - inv_q), np.abs(diag.imag))
+    q = profile.weights
     hypothesis = _hypothesis(
-        np.maximum(inner_dev, np.abs(f_norms * g_norms - inv_q)),
+        np.maximum(_one_uniform_residuals(pair, q), np.abs(norm_one.per_set_values - 1.0) / q),
         "every vector: inner product and norm product equal the reciprocal weight",
     )
     return OptimalityCertificate(
@@ -522,22 +518,23 @@ def analyze_certificates(
     if measure is None:
         measure = _measure_memo(pair, profile)
     one_uniform = is_one_uniform(pair, profile)
-    spectral = _canonical_one_certificate(frame, measure("spectral", 1))
-    norm = _canonical_one_certificate(frame, measure("norm", 1))
+    spectral_one, norm_one = measure("spectral", 1), measure("norm", 1)
+    spectral = _canonical_one_certificate(frame, spectral_one)
+    norm = _canonical_one_certificate(frame, norm_one)
     products = _cross_products(pair.cross_gram, profile.weights)
     bounds = optimal_values(profile)
-    residuals = _cabs(products - bounds.cross_budget / bounds.offdiag_weight_sum)
+    residuals = _cabs(products - bounds.cross_target)
     return [
         one_uniform,
         _two_uniform(products, profile.weights),
-        _norm_one_pair(pair, profile),
+        _norm_one_pair(pair, profile, norm_one),
         _spectral_two_pair(
             one_uniform.conclusion, spectral.partition.threshold, bounds, residuals
         ),
         spectral,
         norm,
         _canonical_spectral_two(spectral.partition, bounds, residuals),
-        _two_erasure_prediction(pair, profile, products),
+        _two_erasure_prediction(pair, products, spectral_one),
         is_probabilistic_uniform_parseval(frame, profile),
         _parseval_equivalence(frame, profile, spectral, norm),
     ]

@@ -84,7 +84,7 @@ def test_criterion_2_second_example_golden():
         norm_cert = certificates["canonical_norm_one"]
         spectral_partition, norm_partition = spectral_cert.partition, norm_cert.partition
         assert spectral_cert.conclusion and norm_cert.conclusion
-        assert spectral_partition.remaining == norm_partition.remaining == ()
+        assert spectral_partition.attaining == norm_partition.attaining == (1, 2, 3, 4)
         assert spectral_partition.witness == norm_partition.witness == (1, 2, 3, 4)
         assert fl.minimize_spectral_one(frame, profile).gap <= 1e-6
         assert fl.minimize_norm_one(frame, profile).gap <= 1e-6
@@ -125,12 +125,13 @@ def test_criterion_4_lower_bounds_and_membership():
         corpus.append((fl.canonical_dual(mercedes), uniform_profile(3, 2)))
         for pair, profile in corpus:
             spectral_value = fl.spectral_measure(pair, profile, 1).value
-            norm_value = fl.norm_measure(pair, profile, 1).value
+            norm_one = fl.norm_measure(pair, profile, 1)
+            norm_value = norm_one.value
             assert spectral_value >= 1.0 - 1e-9
             assert norm_value >= 1.0 - 1e-9
             # one-uniformity is the spectral membership test
             spectral_member = fl.is_one_uniform(pair, profile).conclusion
-            norm_member = fl.optimality._norm_one_pair(pair, profile).conclusion
+            norm_member = fl.optimality._norm_one_pair(pair, profile, norm_one).conclusion
             assert (abs(spectral_value - 1.0) <= 1e-9) == spectral_member
             assert (abs(norm_value - 1.0) <= 1e-9) == norm_member
 
@@ -179,13 +180,13 @@ def test_criterion_6_mercedes_certification():
         # exhaustive 2x2 block eigenvalue oracle
         assert abs(enumerated_values(pair, profile, 2, "spectral").max() - 1.5) <= 1e-9
         prediction = certificates["two_erasure_prediction"]
-        assert len(prediction.details["tie_set"]) == 3
+        partition = certificates["canonical_spectral_one"].partition
+        assert len(partition.attaining) == 3
         assert abs(prediction.details["cross_constant"] - 0.25) <= 1e-9
         assert abs(prediction.conclusion - 1.5) <= 1e-9
-        # the tie-branch increment without its final halving, R1 + 2 sqrt(c),
+        # under the tie, the increment without its final halving, R1 + 2 sqrt(c),
         # would exceed the closed-form roots by sqrt(c)
-        details = prediction.details
-        unhalved = details["one_erasure_value"] + 2.0 * np.sqrt(details["cross_constant"])
+        unhalved = partition.threshold + 2.0 * np.sqrt(prediction.details["cross_constant"])
         assert abs(unhalved - 2.0) <= 1e-9
         assert abs(unhalved - prediction.conclusion - 0.5) <= 1e-9
 

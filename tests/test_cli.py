@@ -141,13 +141,7 @@ def test_every_analyze_certificate_has_one_shape(capsys, plane_path, tight_path,
             assert 1 <= len(entry["hypotheses"]) <= 3, entry["condition_id"]
 
 
-PREDICTION_KEYS = [
-    "one_erasure_value",
-    "cross_constant",
-    "tie_set",
-    "second_level_value",
-    "predicted_two_erasure_value",
-]
+PREDICTION_KEYS = ["cross_constant", "second_level_value"]
 
 
 def recomputation_case(name):
@@ -176,9 +170,11 @@ def as_complex(pairs):
 def test_report_writes_each_fact_once(capsys, tmp_path, name):
     """Each certificate's details repeat nothing the report keeps elsewhere:
     the per-index values, the weighted diagonal, the squared norms, the
-    order of the weights, the tie branch's unhalved prediction and the
-    two-erasure bound are recomputed from the kept sections, and equal the
-    entries as their formulas (kept here as the oracle) give them."""
+    order of the weights, the partitions' remaining indices, the
+    prediction's one-erasure value, tie set and predicted value, the
+    unhalved prediction and the two-erasure bound are recomputed from the
+    kept sections, and equal the entries as their formulas (kept here as
+    the oracle) give them."""
     document, one_uniform, predicted, parseval = recomputation_case(name)
     path = tmp_path / "frame.json"
     path.write_text(json.dumps(document), encoding="utf-8")
@@ -226,15 +222,31 @@ def test_report_writes_each_fact_once(capsys, tmp_path, name):
     by_id = {c["condition_id"]: c for c in doc["certificates"]}
     bound = by_id["canonical_spectral_two"]["details"]["predicted_two_erasure_value"]
     assert bound == pytest.approx(fl.optimal_values(profile).spectral_two, abs=1e-12)
+    # a partition's remaining indices are those outside the attaining set,
+    # which is the m = 1 measure's argmax sets
+    argmax = {m["kind"]: [s[0] for s in m["argmax_sets"]] for m in doc["measures"]}
+    for kind in ("spectral", "norm"):
+        partition = by_id[f"canonical_{kind}_one"]["partition"]
+        assert list(partition) == ["threshold", "attaining", "witness", "crossing_components"]
+        assert partition["attaining"] == argmax[kind]
+    if predicted:
+        # the prediction's one-erasure value is canonical_spectral_one's
+        # threshold, its tie set that certificate's attaining set, and its
+        # predicted value its own conclusion, from R1 and the second-largest
+        # one-erasure value
+        prediction = by_id["two_erasure_prediction"]
+        partition = by_id["canonical_spectral_one"]["partition"]
+        r1, c = partition["threshold"], prediction["details"]["cross_constant"]
+        m2 = prediction["details"]["second_level_value"]
+        assert m2 == sorted(tables["spectral"])[-2]
+        assert prediction["conclusion"] == 0.5 * (r1 + m2 + np.sqrt((r1 - m2) ** 2 + 4.0 * c))
     if name == "mercedes":
-        # the tie branch: its unhalved variant R1 + sqrt(4c) exceeds the
-        # prediction by sqrt(c)
-        details = by_id["two_erasure_prediction"]["details"]
-        assert details["tie_set"] == [1, 2, 3]
-        r1, c = details["one_erasure_value"], details["cross_constant"]
+        # every index ties, and the unhalved variant R1 + sqrt(4c) exceeds
+        # the prediction by sqrt(c)
+        assert partition["attaining"] == [1, 2, 3]
         unhalved = r1 + 2.0 * np.sqrt(c)
         assert unhalved == pytest.approx(r1 + float(np.sqrt(4.0 * c)), abs=1e-12)
-        discrepancy = unhalved - details["predicted_two_erasure_value"]
+        discrepancy = unhalved - prediction["conclusion"]
         assert discrepancy == pytest.approx(np.sqrt(c), abs=1e-12)
 
 
@@ -1166,8 +1178,8 @@ def test_analyze_mercedes_records_prediction_discrepancy(capsys, tmp_path):
     prediction = by_id["two_erasure_prediction"]
     assert prediction["conclusion"] == pytest.approx(1.5, abs=1e-9)
     # R1 + 2 sqrt(c), without the final halving, would exceed the value by sqrt(c)
-    details = prediction["details"]
-    unhalved = details["one_erasure_value"] + 2.0 * np.sqrt(details["cross_constant"])
+    r1 = by_id["canonical_spectral_one"]["partition"]["threshold"]
+    unhalved = r1 + 2.0 * np.sqrt(prediction["details"]["cross_constant"])
     assert unhalved == pytest.approx(2.0, abs=1e-9)
     assert unhalved - prediction["conclusion"] == pytest.approx(0.5, abs=1e-9)
     assert by_id["spectral_two_optimal_pair"]["conclusion"] is True

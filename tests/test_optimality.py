@@ -7,6 +7,10 @@ from numpy.testing import assert_allclose
 
 import framelab as fl
 from conftest import (
+    PLANE_PROBS,
+    PLANE_VECTORS,
+    TIGHT_PROBS,
+    TIGHT_VECTORS,
     analyze_by_id,
     canonical_one,
     coloop_case,
@@ -92,7 +96,9 @@ def test_spectral_one_lower_bound_random_pairs():
 def test_optimal_values_mercedes(mercedes_profile):
     bounds = fl.optimal_values(mercedes_profile)
     assert bounds.cross_budget == pytest.approx(2 / 3, abs=1e-12)
-    assert bounds.offdiag_weight_sum == pytest.approx(8 / 3, abs=1e-12)
+    # the budget over sum_{i != j} 1/(q_i q_j) = 8/3
+    assert bounds.cross_target == pytest.approx(0.25, abs=1e-12)
+    assert bounds.spectral_two == 1.0 + np.sqrt(bounds.cross_target)
     assert bounds.spectral_two == pytest.approx(1.5, abs=1e-12)
 
 
@@ -217,13 +223,13 @@ def test_canonical_spectral_one_orthonormal():
     frame = fl.build_frame(3, np.eye(3))
     cert = canonical_one(frame, uniform_profile(3, 3), "spectral")
     assert cert.conclusion
-    assert cert.partition.remaining == ()
+    assert cert.partition.attaining == (1, 2, 3)
 
 
 def test_canonical_norm_one_certificates(plane_frame, plane_profile, tight_frame, tight_profile):
     cert = canonical_one(tight_frame, tight_profile, "norm")
     assert cert.conclusion
-    assert cert.partition.remaining == ()
+    assert cert.partition.attaining == (1, 2, 3, 4)
     assert cert.details["canonical_unique"]
     cert = canonical_one(plane_frame, plane_profile, "norm")
     assert not cert.conclusion
@@ -242,7 +248,8 @@ def test_canonical_norm_one_uniqueness_needs_coloops_outside_the_attaining_set()
         profile = fl.weights_from_probabilities(probabilities, 2)
         cert = canonical_one(frame, profile, "norm")
         assert cert.conclusion and cert.partition.crossing_components == 0
-        assert cert.partition.remaining and cert.details["canonical_unique"] is unique
+        assert len(cert.partition.attaining) < frame.count
+        assert cert.details["canonical_unique"] is unique
 
 
 def test_canonical_norm_one_uniform_parseval(scaled_tight_pair):
@@ -250,7 +257,7 @@ def test_canonical_norm_one_uniform_parseval(scaled_tight_pair):
     cert = canonical_one(frame, profile, "norm")
     assert cert.conclusion
     assert cert.partition.threshold == pytest.approx(1.0, abs=1e-12)
-    assert cert.partition.remaining == ()
+    assert cert.partition.attaining == (1, 2, 3, 4)
     assert cert.details["canonical_unique"]
 
 
@@ -281,27 +288,39 @@ def test_canonical_spectral_two_negative_budget_reported():
 
 
 def test_two_erasure_prediction_tie_branch(mercedes_frame, mercedes_profile):
-    cert = analyze_by_id(mercedes_frame, mercedes_profile)["two_erasure_prediction"]
+    # every index ties, so the second-largest one-erasure value is R1 and
+    # the prediction is R1 + sqrt(c)
+    certificates = analyze_by_id(mercedes_frame, mercedes_profile)
+    cert = certificates["two_erasure_prediction"]
+    partition = certificates["canonical_spectral_one"].partition
     assert cert.conclusion == pytest.approx(1.5, abs=1e-12)
-    assert cert.details["tie_set"] == [1, 2, 3]
+    assert partition.attaining == (1, 2, 3)
+    assert list(cert.details) == ["cross_constant", "second_level_value"]
     assert cert.details["cross_constant"] == pytest.approx(0.25, abs=1e-12)
+    r1, c = partition.threshold, cert.details["cross_constant"]
+    assert cert.details["second_level_value"] == pytest.approx(r1, rel=fl.erasures.TIE_TOL)
+    assert cert.conclusion == pytest.approx(r1 + np.sqrt(c), abs=1e-12)
     enumerated = fl.spectral_measure(fl.canonical_dual(mercedes_frame), mercedes_profile, 2).value
     assert cert.conclusion == pytest.approx(enumerated, abs=1e-9)
     # R1 + 2 sqrt(c), without the final halving, would overshoot by sqrt(c)
-    r1, c = cert.details["one_erasure_value"], cert.details["cross_constant"]
     assert r1 + 2.0 * np.sqrt(c) == pytest.approx(2.0, abs=1e-12)
     assert r1 + 2.0 * np.sqrt(c) - cert.conclusion == pytest.approx(0.5, abs=1e-12)
 
 
-def test_two_erasure_prediction_single_max_branch():
-    # scalar frame, distinct weighted diagonal, one off-diagonal pair
+def single_max_pair():
+    """A scalar frame with a distinct weighted diagonal and one off-diagonal
+    pair, and its probabilities."""
     frame = fl.build_frame(1, [(1,), (1,)])
-    dual = [[0.7, 0.3]]
-    profile = fl.weights_from_probabilities([0.25, 0.75], 1)
-    pair = fl.DualPair(frame, dual)
+    return fl.DualPair(frame, [[0.7, 0.3]]), fl.weights_from_probabilities([0.25, 0.75], 1)
+
+
+def test_two_erasure_prediction_single_max_branch():
+    pair, profile = single_max_pair()
     enumerated = fl.spectral_measure(pair, profile, 2).value
-    cert = fl.optimality._two_erasure_prediction(pair, profile, weighted_products(pair, profile))
-    assert cert.details["tie_set"] == [2]
+    one = fl.spectral_measure(pair, profile, 1)
+    cert = fl.optimality._two_erasure_prediction(pair, weighted_products(pair, profile), one)
+    assert one.argmax_sets == ((2,),)
+    assert cert.details["second_level_value"] == one.per_set_values[0]
     assert cert.conclusion == pytest.approx(enumerated, abs=1e-9)
 
 
@@ -633,7 +652,7 @@ def test_exact_certificate_with_a_zero_vector(kind):
         frame = fl.build_frame(2, vectors)
         profile = fl.weights_from_probabilities(probabilities, 2)
         assert assert_exact(frame, profile, kind) is optimal
-        assert len(vectors) in canonical_one(frame, profile, kind).partition.remaining
+        assert len(vectors) not in canonical_one(frame, profile, kind).partition.attaining
         assert not frame._coloops[-1]
         assert np.linalg.norm(fl.dual_perturbation_basis(frame)[-1]) == pytest.approx(1.0)
 
@@ -685,8 +704,7 @@ def oracle_two_uniform(pair, profile, tol):
 
 
 def oracle_spectral_two_pair(pair, profile, tol):
-    bounds = fl.optimal_values(profile)
-    target = bounds.cross_budget / bounds.offdiag_weight_sum
+    target = fl.optimal_values(profile).cross_target
     alpha, q = pair.cross_gram, profile.weights
     witnesses = [
         float(abs(q[i] * q[j] * alpha[i, j] * alpha[j, i] - target))
@@ -715,8 +733,7 @@ def oracle_prediction_cross(pair, profile, tol):
 
 
 def oracle_canonical_two_worst(frame, profile):
-    bounds = fl.optimal_values(profile)
-    target = bounds.cross_budget / bounds.offdiag_weight_sum
+    target = fl.optimal_values(profile).cross_target
     gram = frame.matrix.conj().T @ fl.canonical_dual(frame).dual
     q = profile.weights
     worst = 0.0
@@ -782,17 +799,15 @@ def test_pair_certificates_match_the_loop_oracle(mercedes_frame, mercedes_profil
             assert triples(cert.hypotheses) == oracle_two_uniform(pair, profile, tol)
 
             products = weighted_products(pair, profile)
-            prediction = fl.optimality._two_erasure_prediction(pair, profile, products)
+            one = fl.spectral_measure(pair, profile, 1)
+            prediction = fl.optimality._two_erasure_prediction(pair, products, one)
             assert triples(prediction.hypotheses)[1] == oracle_prediction_cross(pair, profile, tol)
 
             if fl.is_one_uniform(pair, profile).conclusion:
                 # the residuals as analyze_certificates computes them
                 bounds = fl.optimal_values(profile)
-                residuals = fl.erasures._cabs(
-                    products - bounds.cross_budget / bounds.offdiag_weight_sum
-                )
-                spectral_one = fl.spectral_measure(pair, profile, 1).value
-                cert = fl.optimality._spectral_two_pair(True, spectral_one, bounds, residuals)
+                residuals = fl.erasures._cabs(products - bounds.cross_target)
+                cert = fl.optimality._spectral_two_pair(True, one.value, bounds, residuals)
                 assert triples(cert.hypotheses) == oracle_spectral_two_pair(pair, profile, tol)
                 pair_two_checked += 1
         # The canonical certificate now uses a_ij a_ji where the loop used
@@ -824,14 +839,13 @@ def oracle_one_uniform(pair, profile, tol):
 
 
 def oracle_norm_one_pair(pair, profile, tol):
-    diag = np.conj(np.diagonal(pair.cross_gram))
+    products = profile.weights * np.conj(np.diagonal(pair.cross_gram))
     f_norms = np.linalg.norm(pair.frame.matrix, axis=0)
     g_norms = np.linalg.norm(pair.dual, axis=0)
-    inv_q = 1.0 / profile.weights
     witnesses = []
-    for i in range(pair.count):
-        inner_dev = max(abs(diag[i].real - inv_q[i]), abs(diag[i].imag))
-        witnesses.append(float(max(inner_dev, abs(f_norms[i] * g_norms[i] - inv_q[i]))))
+    for value, q, f_norm, g_norm in zip(products, profile.weights, f_norms, g_norms):
+        inner_dev = max(abs(value.real - 1.0), abs(value.imag)) / q
+        witnesses.append(float(max(inner_dev, abs(q * f_norm * g_norm - 1.0) / q)))
     claim = "every vector: inner product and norm product equal the reciprocal weight"
     return one_hypothesis(claim, witnesses, tol)
 
@@ -845,18 +859,23 @@ def test_index_certificates_match_the_loop_oracle(tight_frame, tight_profile):
             cert = fl.is_one_uniform(pair, profile)
             assert triples(cert.hypotheses) == oracle_one_uniform(pair, profile, tol)
             held["one"] += cert.conclusion
-            cert = fl.optimality._norm_one_pair(pair, profile)
+            cert = fl.optimality._norm_one_pair(pair, profile, fl.norm_measure(pair, profile, 1))
             assert triples(cert.hypotheses) == oracle_norm_one_pair(pair, profile, tol)
             held["norm"] += cert.conclusion
     assert held["one"] >= 12 and held["norm"] >= 1
 
 
-def test_two_erasure_prediction_ties_are_relative():
-    # Mercedes frame with the dual g_i = 2/3 f_i + c/sqrt(3): the weighted
-    # diagonal is q_i (2/3 + s_i) with s_i = <f_i, c>/sqrt(3).  With
-    # p = (0.45, 0.45, 0.1) the choice s_1 = s_2 = s below makes the weighted
-    # cross products constant; s_2 is then lowered so the second weighted
-    # diagonal value lies between the old absolute cut and the relative one.
+def ties_relative_pair():
+    """The Mercedes frame with the dual ``g_i = 2/3 f_i + c/sqrt(3)``, whose
+    first two weighted diagonal values differ by more than 1e-9 but less
+    than 1e-9 of their size, its probabilities, and the value ``r1`` of the
+    first.
+
+    The weighted diagonal is ``q_i (2/3 + s_i)`` with ``s_i = <f_i,
+    c>/sqrt(3)``.  With p = (0.45, 0.45, 0.1) the choice ``s_1 = s_2 = s``
+    below makes the weighted cross products constant; ``s_2`` is then
+    lowered so the second weighted diagonal value lies between an absolute
+    cut and the relative one."""
     tol = fl.optimality.DEFAULT_TOL
     f = np.array(mercedes_vectors()).T
     profile = fl.weights_from_probabilities([0.45, 0.45, 0.1], 2)
@@ -867,7 +886,144 @@ def test_two_erasure_prediction_ties_are_relative():
     assert tol < gap < tol * r1
     c = np.linalg.solve(f[:, :2].T, np.sqrt(3) * np.array([s, s - gap / a]))
     dual = 2 / 3 * f + np.outer(c, np.ones(3)) / np.sqrt(3)
-    pair = fl.DualPair(fl.Frame(f), dual)
-    cert = fl.optimality._two_erasure_prediction(pair, profile, weighted_products(pair, profile))
-    assert cert.details["one_erasure_value"] == pytest.approx(r1, abs=1e-12)
-    assert cert.details["tie_set"] == [1, 2]
+    return fl.DualPair(fl.Frame(f), dual), profile, r1
+
+
+def test_two_erasure_prediction_ties_are_relative():
+    # both indices attain the one-erasure value, and the prediction reads
+    # the two largest one-erasure values as they are
+    pair, profile, r1 = ties_relative_pair()
+    one = fl.spectral_measure(pair, profile, 1)
+    assert one.value == pytest.approx(r1, abs=1e-12)
+    assert one.argmax_sets == ((1,), (2,))
+    cert = fl.optimality._two_erasure_prediction(pair, weighted_products(pair, profile), one)
+    assert all(h.holds for h in cert.hypotheses)
+    assert cert.details["second_level_value"] == one.per_set_values[1] < one.value
+
+
+def regular_simplex(n):
+    """The n + 1 unit vectors in R^n whose pairwise inner products are -1/n."""
+    centred = np.eye(n + 1) - 1.0 / (n + 1)
+    vectors = np.linalg.svd(centred)[0][:, :n].T @ centred
+    return fl.Frame(vectors / np.linalg.norm(vectors, axis=0))
+
+
+def harmonic_equiangular_frame():
+    """The 7 equiangular unit vectors ``exp(2 pi i jk / 7) / sqrt(3)``,
+    ``j`` in {1, 2, 4}, in C^3."""
+    return fl.Frame(np.exp(2j * np.pi * np.outer([1, 2, 4], np.arange(7)) / 7) / np.sqrt(3))
+
+
+def test_two_erasure_prediction_is_the_enumerated_value():
+    """The one closed form, taken at the two largest one-erasure values,
+    is the enumerated m = 2 spectral value: on the canonical duals of the
+    Mercedes frame, the regular simplices in R^2 to R^5 and the harmonic
+    equiangular frame with equal probabilities, and on the duals of the
+    single-maximum and relative-tie tests.  It is exact when the weighted
+    cross products are equal; when each lies within ``delta`` of ``c``, it
+    is within ``delta / (2 sqrt(c - delta))``, which only the relative-tie
+    dual needs: its products lie within 5e-10 of their mean."""
+    frames = [
+        fl.build_frame(2, mercedes_vectors()),
+        *(regular_simplex(n) for n in range(2, 6)),
+        harmonic_equiangular_frame(),
+    ]
+    cases = [(fl.canonical_dual(f), uniform_profile(f.count, f.dim)) for f in frames]
+    cases += [single_max_pair(), ties_relative_pair()[:2]]
+    predictions = []
+    for pair, profile in cases:
+        one = fl.spectral_measure(pair, profile, 1)
+        products = weighted_products(pair, profile)
+        cert = fl.optimality._two_erasure_prediction(pair, products, one)
+        assert all(h.holds for h in cert.hypotheses)
+        assert cert.details["second_level_value"] == np.sort(one.per_set_values)[-2]
+        enumerated = fl.spectral_measure(pair, profile, 2).value
+        c = cert.details["cross_constant"]
+        delta = np.max(np.abs(products - c))
+        slack = delta / (2.0 * np.sqrt(c - delta))
+        assert abs(cert.conclusion - enumerated) <= 1e-12 * enumerated + slack
+        predictions.append(cert.conclusion)
+    # R1 = 1 on each frame: the simplex in R^n has c = 1/n^2, and the
+    # equiangular frame c = 2/9, the squared modulus of its inner products
+    expected = [1.5, 1.5, 4 / 3, 5 / 4, 6 / 5, 1 + np.sqrt(2 / 9)]
+    assert_allclose(predictions[: len(frames)], expected, rtol=1e-12)
+
+
+def metamorphic_cases():
+    """Frames and probabilities on which each certificate holds on some and
+    fails on others: Mercedes, the plane and tight examples, the
+    counterexample with two components, a seeded coloop frame, the harmonic
+    Parseval frame ``exp(2 pi i jk / 7) / sqrt(7)`` with uniform (so
+    uniform Parseval) and random probabilities, the equiangular frame, and
+    a two-uniform scalar frame."""
+    rng = np.random.default_rng(2718)
+    harmonic = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(7)) / 7) / np.sqrt(7)
+    cases = [
+        (fl.build_frame(2, mercedes_vectors()), np.full(3, 1 / 3)),
+        (fl.build_frame(2, PLANE_VECTORS), PLANE_PROBS),
+        (fl.build_frame(2, TIGHT_VECTORS), TIGHT_PROBS),
+        (fl.build_frame(2, COUNTEREXAMPLE[0]), COUNTEREXAMPLE[1]),
+        (fl.Frame(coloop_case(4, "real")[0]), coloop_case(4, "real")[1]),
+        (fl.Frame(harmonic), np.full(7, 1 / 7)),
+        (fl.Frame(harmonic), rng.dirichlet(np.ones(7))),
+        (harmonic_equiangular_frame(), np.full(7, 1 / 7)),
+        (fl.build_frame(1, [(1,), (1,)]), [0.5, 0.5]),
+    ]
+    return [(frame, fl.weights_from_probabilities(p, frame.dim)) for frame, p in cases]
+
+
+def random_unitary(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+# F -> cF leaves the canonical pair's erasure operators as they are (the
+# dual scales by 1/c), F -> UF turns them by U, and a joint permutation of
+# the vectors and probabilities permutes the per-set tables.
+METAMORPHIC_TRANSFORMS = ["scale-1e-6", "scale-1e-3", "scale-1e3", "scale-1e6", "unitary", "permute"]
+
+
+@pytest.mark.parametrize("transform", METAMORPHIC_TRANSFORMS)
+def test_certificates_and_measures_are_invariant(transform):
+    """No verdict of the ten certificates changes, except the two Parseval
+    ones under scaling; the m = 1 and m = 2 measures, and the prediction,
+    agree to 1e-12 relative, with the per-set tables permuted along."""
+    rng = np.random.default_rng(METAMORPHIC_TRANSFORMS.index(transform))
+    parseval = {"uniform_parseval", "parseval_equivalence"}
+    changed = 0
+    for frame, profile in metamorphic_cases():
+        order = np.arange(frame.count)
+        if transform.startswith("scale"):
+            moved = fl.Frame(float(transform[6:]) * frame.matrix)
+        elif transform == "unitary":
+            moved = fl.Frame(random_unitary(rng, frame.dim) @ frame.matrix)
+        else:
+            order = rng.permutation(frame.count)
+            moved = fl.Frame(frame.matrix[:, order])
+        moved_profile = fl.weights_from_probabilities(profile.probabilities[order], frame.dim)
+        before, after = analyze_by_id(frame, profile), analyze_by_id(moved, moved_profile)
+        for condition_id, cert in before.items():
+            other = after[condition_id].conclusion
+            if condition_id == "two_erasure_prediction":
+                assert (cert.conclusion is None) == (other is None)
+                if other is not None:
+                    assert other == pytest.approx(cert.conclusion, rel=1e-12)
+            elif transform.startswith("scale") and condition_id in parseval:
+                changed += other != cert.conclusion
+            else:
+                assert other == cert.conclusion, condition_id
+        # the new index k is the old order[k]: a set's value moves with it
+        position = {s: k for k, s in enumerate(itertools.combinations(range(frame.count), 2))}
+        moved_pairs = [
+            position[tuple(sorted((order[k], order[l])))]
+            for k, l in itertools.combinations(range(frame.count), 2)
+        ]
+        for kind, measure in (("spectral", fl.spectral_measure), ("norm", fl.norm_measure)):
+            for m, table in ((1, order), (2, moved_pairs)):
+                old = measure(fl.canonical_dual(frame), profile, m).per_set_values
+                new = measure(fl.canonical_dual(moved), moved_profile, m).per_set_values
+                assert_allclose(new, old[table], rtol=1e-12, atol=0, err_msg=f"{kind} m={m}")
+    # under scaling the harmonic frame stops being Parseval: both verdicts
+    # turn with uniform probabilities, the equivalence with random ones
+    assert changed == (3 if transform.startswith("scale") else 0)
